@@ -177,7 +177,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_learn_spectral(args) -> int:
-    seqs = read_sequences(args.data)
+    seqs = read_sequences(args.data, n_o=args.n_o)
     if not seqs:
         raise InvalidModel("no sequences in input")
     n_o = args.n_o
@@ -200,7 +200,7 @@ def _cmd_learn_spectral(args) -> int:
 
 
 def _cmd_learn_em(args) -> int:
-    seqs = read_sequences(args.data)
+    seqs = read_sequences(args.data, n_o=args.n_o)
     cfg = EmConfig(
         max_iter=args.max_iter,
         tol=args.tol,

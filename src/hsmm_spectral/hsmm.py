@@ -471,9 +471,14 @@ def load_model(path) -> HsmmParams:
     return p
 
 
-def read_sequences(path) -> list[np.ndarray]:
-    """One sequence per line, space-separated 0-based symbols; '#' comments."""
+def read_sequences(path, n_o: int | None = None) -> list[np.ndarray]:
+    """One sequence per line, space-separated 0-based symbols; '#' comments.
+
+    A negative symbol, or with ``n_o`` given one at or above ``n_o``, raises
+    ``ValueError`` naming its line and the symbol.
+    """
     out = []
+    lines = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -483,7 +488,28 @@ def read_sequences(path) -> list[np.ndarray]:
                 out.append(np.array([int(tok) for tok in line.split()], dtype=np.int64))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            lines.append(lineno)
+    _check_symbols(out, lines, n_o)
     return out
+
+
+def _check_symbols(seqs: list[np.ndarray], lines: list[int], n_o: int | None) -> None:
+    """Raise on the first symbol outside ``[0, n_o)`` (or below 0 without ``n_o``).
+
+    Blocks of sequences are reduced at once: one check per block rather
+    than per line, with a copy no larger than the block.
+    """
+    top = math.inf if n_o is None else n_o
+    where = "is negative" if n_o is None else f"outside alphabet of size {n_o}"
+    block = 256
+    for i in range(0, len(seqs), block):
+        flat = np.concatenate(seqs[i : i + block])
+        if flat.min() >= 0 and flat.max() < top:
+            continue
+        for lineno, seq in zip(lines[i : i + block], seqs[i : i + block]):
+            bad = seq[(seq < 0) | (seq >= top)]
+            if bad.size:
+                raise ValueError(f"line {lineno}: symbol {bad[0]} {where}")
 
 
 def write_sequences(sequences: Iterable[np.ndarray], path) -> None:

@@ -17,6 +17,13 @@ With population moments the chained product reproduces the exact sequence
 likelihood; with finite samples it is a consistent estimator whose values
 may leave [0, 1], so results carry a sign and a log magnitude.
 
+The build solves in a rank-``r`` space with orthonormal basis ``V``
+(``basis``), so ``d_tilde = V Y_d``.  Inference therefore never touches the
+``k``-space tensors: each symbol folds into one ``r x r`` observable
+operator ``B_o = (V' d_tilde)(x_tilde . o_tilde[:, o] V)`` (Hsu, Kakade &
+Zhang, "A spectral algorithm for learning hidden Markov models"), and one
+batched kernel advances every sequence through them.
+
 The pseudo-inverse products are evaluated with compensated (double-double)
 arithmetic on the retained rank space: the conditioning of the windowed
 moment matrix is the product of two factor conditionings and routinely
@@ -30,7 +37,8 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,27 +72,65 @@ class UnknownSymbol(SpectralError):
     """A test symbol falls outside the model's alphabet."""
 
 
-@dataclass(frozen=True)
-class BuildStats:
-    """Operation counts of one learning pass (independent of data length)."""
+class Operators(NamedTuple):
+    """A model in observable-operator form, over a rank-``r`` basis.
 
-    pinv_ops: int
-    contraction_ops: int
+    ``step[c]`` holds one ``r x r`` operator per symbol and ``end[c]`` the
+    closing vector per symbol.  Position ``t`` of a sequence uses table
+    ``c = min(t, len(step) + 1) - 2``: a pooled model has one table, a
+    per-anchor model one per position up to where the anchors run out.
+    """
+
+    start: np.ndarray  # (n_o, n_o, r): first two symbols -> message
+    step: np.ndarray  # (P, n_o, r, r)
+    end: np.ndarray  # (P, r, n_o)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableModel:
     d_tilde: NamedTensor
     x_tilde: NamedTensor
     o_tilde: NamedTensor
     start_factor: NamedTensor
     end_factor: NamedTensor
+    basis: np.ndarray  # (k, r) orthonormal; d_tilde and x_tilde = basis @ (...)
     pinv_rtol: float
     n_o: int
     ell: int
     variant: str = "batched"
     anchor: int | None = None
-    build_stats: BuildStats | None = None
+
+    @property
+    def rank(self) -> int:
+        """The rank the build kept."""
+        return self.basis.shape[1]
+
+    @cached_property
+    def halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(V' d_tilde, x_tilde . o_tilde V, end_factor . o_tilde)``.
+
+        The factors on either side of the basis: an operator is a left half
+        times a right half, possibly of a neighbouring anchor's model.
+        Derived from the fields, so ``dataclasses.replace`` re-derives them.
+        """
+        v = self.basis
+        o_mat = self.o_tilde.data
+        xv = np.einsum("qps,pj->qsj", self.x_tilde.data, v)
+        return (
+            v.T @ self.d_tilde.data,
+            np.einsum("qsj,so->oqj", xv, o_mat),
+            self.end_factor.data @ o_mat,
+        )
+
+    @cached_property
+    def operators(self) -> Operators:
+        """The stationary chain as rank-``r`` observable operators."""
+        left, right, close = self.halves
+        return Operators(
+            self.start_factor.data @ self.basis,
+            (left @ right)[None],
+            (left @ close)[None],
+        )
 
 
 def _pinv_product(
@@ -101,7 +147,9 @@ def _pinv_product(
     would amplify).  The retained singular subspaces are refined with
     compensated subspace iteration and the rank-space system is solved with
     compensated residuals, so the result stays accurate even when the kept
-    spectrum spans ten or more orders of magnitude.
+    spectrum spans ten or more orders of magnitude.  Returns the refined
+    orthonormal basis ``V`` of the retained row space and the products, each
+    of the form ``V @ Y``.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
@@ -124,7 +172,7 @@ def _pinv_product(
         x = _dd.refined_solve(mh, ml, rh, rl)
         xh, xl = _dd.dd_matmul(vh, vl, *_dd.dd_from(x))
         outs.append(xh + xl)
-    return outs
+    return vh, outs
 
 
 def _noise_rtol(a: np.ndarray, count: int) -> float:
@@ -166,7 +214,7 @@ def build_observable(
         max(rtol, _noise_rtol(m.m_oo.data, m.pair_count)) if noise_floor else rtol
     )
     try:
-        d_mat, x_flat = _pinv_product(
+        basis, (d_mat, x_flat) = _pinv_product(
             a,
             [m.m_lr_shift.data, m.m_lro.data.reshape(k, k * m.n_o)],
             eff_lr,
@@ -175,7 +223,7 @@ def build_observable(
     except RankZero as exc:
         raise DegenerateMoments("m_lr", detail=str(exc)) from None
     try:
-        (o_mat,) = _pinv_product(
+        _, (o_mat,) = _pinv_product(
             m.m_oo.data.T, [m.m_oo.data.T], eff_oo, max_rank=sched.n_x
         )
     except RankZero as exc:
@@ -187,11 +235,11 @@ def build_observable(
         o_tilde=NamedTensor(o_mat, [SYM, SYM2]),
         start_factor=m.m_start,
         end_factor=NamedTensor(x_cube.sum(axis=1), [OR_IN, SYM]),
+        basis=basis,
         pinv_rtol=rtol,
         n_o=m.n_o,
         ell=sched.ell,
         variant="batched",
-        build_stats=BuildStats(pinv_ops=2, contraction_ops=3),
     )
 
 
@@ -258,10 +306,10 @@ def build_observable_per_t(
         eff_lr = max(rtol, _noise_rtol(lr, n)) if noise_floor else rtol
         eff_oo = max(rtol, _noise_rtol(oo, n)) if noise_floor else rtol
         try:
-            d_mat, x_flat = _pinv_product(
+            basis, (d_mat, x_flat) = _pinv_product(
                 lr, [lr_shift, lro.reshape(k, -1)], eff_lr, max_rank=needed
             )
-            (o_mat,) = _pinv_product(oo.T, [oo.T], eff_oo, max_rank=sched.n_x)
+            _, (o_mat,) = _pinv_product(oo.T, [oo.T], eff_oo, max_rank=sched.n_x)
         except RankZero as exc:
             raise DegenerateMoments("m_lr", anchor=s_pos, detail=str(exc)) from None
         x_cube = x_flat.reshape(k, k, n_o)
@@ -272,12 +320,12 @@ def build_observable_per_t(
                 o_tilde=NamedTensor(o_mat, [SYM, SYM2]),
                 start_factor=start_t,
                 end_factor=NamedTensor(x_cube.sum(axis=1), [OR_IN, SYM]),
+                basis=basis,
                 pinv_rtol=rtol,
                 n_o=n_o,
                 ell=sched.ell,
                 variant="per_t",
                 anchor=s_pos,
-                build_stats=BuildStats(pinv_ops=2, contraction_ops=3),
             )
         )
     return models
@@ -302,83 +350,123 @@ class InferenceResult:
 
 
 def _check_sequence(model_n_o: int, obs: np.ndarray) -> None:
-    if obs.shape[0] < 3:
-        raise SequenceTooShort(f"need at least 3 symbols, got {obs.shape[0]}")
+    """Reject a sequence (or an equal-length batch of rows) the chain cannot score."""
+    if obs.shape[-1] < 3:
+        raise SequenceTooShort(f"need at least 3 symbols, got {obs.shape[-1]}")
     if obs.min() < 0 or obs.max() >= model_n_o:
-        raise UnknownSymbol(
-            f"symbol {int(obs.max())} outside alphabet of size {model_n_o}"
-        )
+        bad = obs[(obs < 0) | (obs >= model_n_o)].flat[0]
+        raise UnknownSymbol(f"symbol {int(bad)} outside alphabet of size {model_n_o}")
+
+
+def _per_anchor_operators(models: Sequence[ObservableModel]) -> Operators:
+    """Per-anchor operators stacked by position, ranks zero-padded to the largest.
+
+    Position ``t`` transfers with the anchor nearest ``t - 1`` and consumes
+    its symbol with the anchor nearest ``t``, so its operator is the left
+    half of the one times the right half of the other.  Past the last anchor
+    both are the last anchor, and the last table serves every later position.
+    """
+    if not models:
+        raise DegenerateMoments("m_lr", detail="empty per-anchor model list")
+    anchors = np.array([m.anchor for m in models])
+    r = max(m.rank for m in models)
+    k, n_o = models[0].end_factor.data.shape
+    left = np.zeros((len(models), r, k))
+    right = np.zeros((len(models), n_o, k, r))
+    close = np.zeros((len(models), k, n_o))
+    basis = np.zeros((len(models), k, r))
+    for i, m in enumerate(models):
+        lh, rh, ch = m.halves
+        left[i, : m.rank] = lh
+        right[i, ..., : m.rank] = rh
+        close[i] = ch
+        basis[i, :, : m.rank] = m.basis
+    cap = max(int(anchors.max()) + 1, 2)
+    nearest = np.abs(anchors[None, :] - np.arange(1, cap + 1)[:, None]).argmin(axis=1)
+    prev, cur = nearest[:-1], nearest[1:]  # positions 2..cap
+    return Operators(
+        models[0].start_factor.data @ basis[nearest[0]],
+        left[prev][:, None] @ right[cur],
+        left[prev] @ close[cur],
+    )
+
+
+def _chain(
+    ops: Operators, seqs: np.ndarray | Sequence[np.ndarray], renormalize: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log magnitudes and signs of the chained products of a batch of sequences.
+
+    ``seqs`` is an equal-length 2-D array or a list of validated sequences
+    of any lengths.  The message starts as the start table at the first two
+    symbols, takes one gathered ``r x r`` product per interior symbol, and
+    closes with the end table at the last symbol.  Rows run longest first,
+    so the rows still advancing at a step are a prefix whose length is known
+    before the loop; a finished row keeps its message until every row closes
+    at once.  Per-step renormalization only moves scale into the log
+    accumulator; it never changes the result.
+    """
+    start, step, end = ops
+    if isinstance(seqs, np.ndarray):
+        obs = seqs
+        n, T = obs.shape
+        lengths = np.full(n, T)
+        order = None
+    else:
+        lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        n, T = lengths.size, int(lengths[0])
+        obs = np.zeros((n, T), dtype=np.int64)
+        for row, i in enumerate(order):
+            obs[row, : lengths[row]] = seqs[i]
+    cap = step.shape[0] + 1
+    positions = range(2, T - 1)
+    # rows with at least t + 2 symbols advance at position t
+    active = np.searchsorted(-lengths, -np.arange(4, T + 1), side="right").tolist()
+    v = start[obs[:, 0], obs[:, 1]][:, None, :]
+    norms = np.ones((len(positions), n))
+    last = lengths - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, m in zip(positions, active):
+            w = v[:m] @ step[min(t, cap) - 2][obs[:m, t]]
+            if renormalize:
+                norm = np.abs(w).sum(axis=2, keepdims=True)
+                np.divide(w, norm, out=v[:m])
+                norms[t - 2, :m] = norm[:, 0, 0]
+            else:
+                v[:m] = w
+        closing = end[np.minimum(last, cap) - 2, :, obs[np.arange(n), last]]
+        scalar = np.einsum("nr,nr->n", v[:, 0], closing)
+        log = np.log(np.abs(scalar)) + np.log(norms).sum(axis=0)
+    sign = np.where(scalar > 0, 1, -1)
+    dead = (scalar == 0.0) | (norms == 0.0).any(axis=0)
+    log[dead] = -np.inf
+    sign[dead] = 0
+    if order is not None:
+        log[order], sign[order] = log.copy(), sign.copy()
+    return log, sign
+
+
+def _results(log: np.ndarray, sign: np.ndarray) -> list[InferenceResult]:
+    return [
+        InferenceResult(lv, sg, sg <= 0) for lv, sg in zip(log.tolist(), sign.tolist())
+    ]
 
 
 def infer(
     model: ObservableModel, obs: Sequence[int], renormalize: bool = True
 ) -> InferenceResult:
-    """Probability estimate of one observation sequence.
-
-    The message starts as the boundary factor sliced at the first two
-    symbols, advances through one transfer/symbol stage per interior
-    position, and closes with the marginalized end factor at the last
-    symbol.  Per-step renormalization only moves scale into the log
-    accumulator; it never changes the result.
-    """
+    """Probability estimate of one observation sequence (a batch of one)."""
     obs = np.asarray(obs, dtype=np.int64)
     _check_sequence(model.n_o, obs)
-    d_mat = model.d_tilde.data
-    x_cube = model.x_tilde.data
-    o_mat = model.o_tilde.data
-    v = model.start_factor.data[obs[0], obs[1], :].copy()
-    log_scale = 0.0
-    for t in range(2, obs.shape[0] - 1):
-        v = (v @ d_mat) @ (x_cube @ o_mat[:, obs[t]])
-        if renormalize:
-            norm = np.abs(v).sum()
-            if norm == 0.0:
-                return InferenceResult(-math.inf, 0, True)
-            v = v / norm
-            log_scale += math.log(norm)
-    scalar = float((v @ d_mat) @ (model.end_factor.data @ o_mat[:, obs[-1]]))
-    if scalar == 0.0:
-        return InferenceResult(-math.inf, 0, True)
-    sign = 1 if scalar > 0 else -1
-    return InferenceResult(math.log(abs(scalar)) + log_scale, sign, sign < 0)
+    return _results(*_chain(model.operators, obs[None, :], renormalize))[0]
 
 
 def infer_batch(model: ObservableModel, obs: np.ndarray) -> list[InferenceResult]:
-    """Vectorized :func:`infer` over equal-length sequences (rows)."""
+    """:func:`infer` over equal-length sequences (rows)."""
     obs = np.asarray(obs, dtype=np.int64)
-    n, T = obs.shape
-    if T < 3:
-        raise SequenceTooShort(f"need at least 3 symbols, got {T}")
-    if obs.min() < 0 or obs.max() >= model.n_o:
-        raise UnknownSymbol("symbol outside alphabet")
-    d_mat = model.d_tilde.data
-    x_cube = model.x_tilde.data
-    o_mat = model.o_tilde.data
-    x_by_symbol = np.einsum("qro,os->sqr", x_cube, o_mat)
-    v = model.start_factor.data[obs[:, 0], obs[:, 1], :]
-    log_scale = np.zeros(n)
-    for t in range(2, T - 1):
-        u = v @ d_mat
-        v = np.einsum("nq,nqr->nr", u, x_by_symbol[obs[:, t]])
-        norm = np.abs(v).sum(axis=1)
-        dead = norm == 0.0
-        norm[dead] = 1.0
-        v = v / norm[:, None]
-        log_scale += np.where(dead, -np.inf, np.log(norm))
-    end = model.end_factor.data @ o_mat
-    scalar = np.einsum("nq,nq->n", v @ d_mat, end[:, obs[:, -1]].T)
-    out = []
-    for i in range(n):
-        if scalar[i] == 0.0 or not np.isfinite(log_scale[i]):
-            out.append(InferenceResult(-math.inf, 0, True))
-        else:
-            sign = 1 if scalar[i] > 0 else -1
-            out.append(
-                InferenceResult(
-                    math.log(abs(scalar[i])) + log_scale[i], sign, sign < 0
-                )
-            )
-    return out
+    _check_sequence(model.n_o, obs)
+    return _results(*_chain(model.operators, obs))
 
 
 def infer_per_t(
@@ -386,36 +474,9 @@ def infer_per_t(
 ) -> InferenceResult:
     """Inference with per-anchor tensors (nearest anchor at the edges)."""
     obs = np.asarray(obs, dtype=np.int64)
-    if not models:
-        raise DegenerateMoments("m_lr", detail="empty per-anchor model list")
+    ops = _per_anchor_operators(models)
     _check_sequence(models[0].n_o, obs)
-    anchors = [m.anchor for m in models]
-
-    def at(position: int) -> ObservableModel:
-        idx = int(np.argmin([abs(a - position) for a in anchors]))
-        return models[idx]
-
-    v = models[0].start_factor.data[obs[0], obs[1], :].copy()
-    log_scale = 0.0
-    for t in range(2, obs.shape[0] - 1):
-        step = at(t)
-        v = (v @ at(t - 1).d_tilde.data) @ (
-            step.x_tilde.data @ step.o_tilde.data[:, obs[t]]
-        )
-        norm = np.abs(v).sum()
-        if norm == 0.0:
-            return InferenceResult(-math.inf, 0, True)
-        v = v / norm
-        log_scale += math.log(norm)
-    last = at(obs.shape[0] - 1)
-    scalar = float(
-        (v @ at(obs.shape[0] - 2).d_tilde.data)
-        @ (last.end_factor.data @ last.o_tilde.data[:, obs[-1]])
-    )
-    if scalar == 0.0:
-        return InferenceResult(-math.inf, 0, True)
-    sign = 1 if scalar > 0 else -1
-    return InferenceResult(math.log(abs(scalar)) + log_scale, sign, sign < 0)
+    return _results(*_chain(ops, obs[None, :]))[0]
 
 
 def learn_spectral(
@@ -438,24 +499,39 @@ SCORE_HEADER = ["id", "log_value", "sign", "clamped", "norm_loglik"]
 
 
 def score_sequences(model, sequences: Iterable, error_sink=None):
-    """Yield one score row per sequence; failures become NaN rows.
+    """Yield one score row per sequence, in input order; failures become NaN rows.
 
     ``model`` is a batched :class:`ObservableModel` or a per-anchor list.
-    Row-level errors are reported to ``error_sink`` (default stderr) and do
-    not stop the stream.
+    All well-formed sequences are scored by one batched chain.  Row-level
+    errors are reported to ``error_sink`` (default stderr) and do not stop
+    the stream.
     """
     sink = error_sink if error_sink is not None else sys.stderr
-    per_t = isinstance(model, (list, tuple))
+    if isinstance(model, (list, tuple)):
+        ops = _per_anchor_operators(model)
+        n_o = model[0].n_o
+    else:
+        ops = model.operators
+        n_o = model.n_o
+    rows = []
     for idx, seq in enumerate(sequences):
+        seq = np.asarray(seq, dtype=np.int64)
         try:
-            seq = np.asarray(seq, dtype=np.int64)
-            res = infer_per_t(model, seq) if per_t else infer(model, seq)
-            norm = res.log_value / seq.shape[0]
-            yield [idx, f"{res.log_value:.17g}", res.sign, str(res.clamped).lower(),
-                   f"{norm:.17g}"]
+            _check_sequence(n_o, seq)
+            rows.append(seq)
         except SpectralError as exc:
             print(f"line {idx + 1}: {type(exc).__name__}: {exc}", file=sink)
+            rows.append(None)
+    valid = [seq for seq in rows if seq is not None]
+    results = iter(_results(*_chain(ops, valid)) if valid else [])
+    for idx, seq in enumerate(rows):
+        if seq is None:
             yield [idx, "nan", 0, "true", "nan"]
+            continue
+        res = next(results)
+        norm = res.log_value / seq.shape[0]
+        yield [idx, f"{res.log_value:.17g}", res.sign, str(res.clamped).lower(),
+               f"{norm:.17g}"]
 
 
 def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
@@ -477,19 +553,31 @@ def _model_tensors(model: ObservableModel, prefix: str = ""):
         (prefix + "o_tilde", model.o_tilde.data),
         (prefix + "start_factor", model.start_factor.data),
         (prefix + "end_factor", model.end_factor.data),
+        (prefix + "basis", model.basis),
     ]
 
 
+def _entry(mapping, key, what: str):
+    try:
+        return mapping[key]
+    except KeyError:
+        raise SpectralError(f"model file has no {what} {key!r}") from None
+
+
 def _model_from_tensors(tensors, meta, prefix: str = "", anchor=None):
+    def tensor(name):
+        return _entry(tensors, prefix + name, "tensor")
+
     return ObservableModel(
-        d_tilde=NamedTensor(tensors[prefix + "d_tilde"], [OR_IN, OR]),
-        x_tilde=NamedTensor(tensors[prefix + "x_tilde"], [OR_IN, OR, SYM]),
-        o_tilde=NamedTensor(tensors[prefix + "o_tilde"], [SYM, SYM2]),
-        start_factor=NamedTensor(tensors[prefix + "start_factor"], [SYM, SYM2, OR]),
-        end_factor=NamedTensor(tensors[prefix + "end_factor"], [OR_IN, SYM]),
-        pinv_rtol=float(meta["rtol"]),
-        n_o=int(meta["n_o"]),
-        ell=int(meta["ell"]),
+        d_tilde=NamedTensor(tensor("d_tilde"), [OR_IN, OR]),
+        x_tilde=NamedTensor(tensor("x_tilde"), [OR_IN, OR, SYM]),
+        o_tilde=NamedTensor(tensor("o_tilde"), [SYM, SYM2]),
+        start_factor=NamedTensor(tensor("start_factor"), [SYM, SYM2, OR]),
+        end_factor=NamedTensor(tensor("end_factor"), [OR_IN, SYM]),
+        basis=tensor("basis"),
+        pinv_rtol=float(_entry(meta, "rtol", "field")),
+        n_o=int(_entry(meta, "n_o", "field")),
+        ell=int(_entry(meta, "ell", "field")),
         variant=meta["variant"],
         anchor=anchor,
     )
@@ -524,11 +612,14 @@ def load_observable(path):
     kind, meta, tensors = read_container(path)
     if kind != "observable-model":
         raise SpectralError(f"not an observable-model file (kind={kind})")
-    if meta["variant"] == "per_t":
+    variant = _entry(meta, "variant", "field")
+    if variant == "per_t":
         return [
             _model_from_tensors(tensors, meta, prefix=f"a{a}.", anchor=int(a))
-            for a in meta["anchors"]
+            for a in _entry(meta, "anchors", "field")
         ]
+    if variant != "batched":
+        raise SpectralError(f"unknown model variant {variant!r}")
     return _model_from_tensors(tensors, meta)
 
 

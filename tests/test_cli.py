@@ -157,3 +157,64 @@ def test_bench_cli_smoke(tmp_path, capsys):
     assert len(lines) == 2
     cfg = json.loads((tmp_path / "report.csv.config.json").read_text())
     assert cfg["seeds"] == [0, 1]
+
+
+def _learn_bad_input(tmp_path, capsys, lines, extra):
+    data = tmp_path / "bad.txt"
+    data.write_text("\n".join(lines) + "\n")
+    return run(
+        ["learn-spectral", "--data", str(data), "--nx", "2", "--nd", "2",
+         *extra, "-o", str(tmp_path / "s.bin")], capsys
+    )
+
+
+GOOD = ["0 1 2 1 0 2 1 1 0 2 0 1"] * 30
+
+
+def test_learn_rejects_negative_symbol(tmp_path, capsys):
+    lines = ["# header", *GOOD[:4], "0 1 -1 2 0 1 2 0", *GOOD]
+    for extra in ([], ["--no", "3"], ["--basic"], ["--basic", "--no", "3"]):
+        code, _, err = _learn_bad_input(tmp_path, capsys, lines, extra)
+        assert code == 2, (extra, err)
+        assert "line 6" in err and "symbol -1" in err, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.bin").exists()
+
+
+def test_learn_rejects_symbol_outside_alphabet(tmp_path, capsys):
+    lines = [*GOOD[:2], "", "0 1 2 3 0 1 2 0", *GOOD]
+    for extra in (["--no", "3"], ["--basic", "--no", "3"]):
+        code, _, err = _learn_bad_input(tmp_path, capsys, lines, extra)
+        assert code == 2, (extra, err)
+        assert "line 4" in err and "symbol 3 outside alphabet of size 3" in err, err
+    code, _, err = run(
+        ["learn-em", "--data", str(tmp_path / "bad.txt"), "--no", "3", "--nx", "2",
+         "--nd", "1", "-o", str(tmp_path / "em.json")], capsys
+    )
+    assert code == 2 and "line 4" in err and "symbol 3" in err, err
+
+
+def test_infer_names_the_unknown_symbol(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    learned = tmp_path / "s.bin"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "4",
+         "-o", str(tmp_path / "m.json")], capsys)
+    run(["gen-data", "--model", str(tmp_path / "m.json"), "-n", "300", "-T", "15",
+         "--seed", "5", "-o", str(data)], capsys)
+    run(["learn-spectral", "--data", str(data), "--nx", "2", "--nd", "2",
+         "-o", str(learned)], capsys)
+    code, _, err = run(
+        ["infer", "--model", str(learned), "--sequence", "0 1 -1 2 0 1"], capsys
+    )
+    assert code == 2
+    assert "UnknownSymbol: symbol -1 outside alphabet of size 3" in err
+
+
+def test_model_file_without_variant_exits_two(tmp_path, capsys):
+    from hsmm_spectral.container import write_container
+
+    path = tmp_path / "m.bin"
+    write_container(path, "observable-model", {"n_o": 3, "ell": 2, "rtol": 1e-6}, [])
+    code, _, err = run(["infer", "--model", str(path), "--sequence", "0 1 2"], capsys)
+    assert code == 2
+    assert "SpectralError" in err and "variant" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -34,7 +35,9 @@ from hsmm_spectral.spectral import (
     save_moments,
     save_observable,
     score_file,
+    SpectralError,
 )
+from hsmm_spectral.container import read_container, write_container
 from hsmm_spectral.tensors import NamedTensor, numerical_rank
 
 RTOL = 1e-12
@@ -251,18 +254,25 @@ def test_infer_guards():
         infer(model, [0, 1])
     with pytest.raises(UnknownSymbol):
         infer(model, [0, 1, 3])
+    with pytest.raises(UnknownSymbol, match="symbol -1 outside"):
+        infer(model, [0, 1, -1, 2, 0, 1])
+    with pytest.raises(UnknownSymbol, match="symbol 5 outside"):
+        infer_batch(model, np.array([[0, 1, 2], [0, 5, 1]]))
 
 
-def test_build_stats_independent_of_horizon():
+def test_kept_rank_is_the_joint_rank_on_population_moments():
     p = random_model(3, 2, 2, seed=10)
     sched = build_schedule(2, 2)
-    stats = []
     for T in (12, 24, 48):
         m, _ = analytic_moments(p, sched, T)
-        stats.append(build_observable(m, RTOL).build_stats)
-    assert all(s == stats[0] for s in stats)
-    assert stats[0].pinv_ops == 2
-    assert stats[0].contraction_ops == 3
+        model = build_observable(m, RTOL)
+        assert model.rank == sched.joint_rank
+        assert np.allclose(model.basis.T @ model.basis, np.eye(model.rank), atol=1e-12)
+    obs = list(sample_many(p, 300, 20, np.random.default_rng(10)))
+    pooled = build_observable(estimate_moments(obs, 3, sched), 1e-6, noise_floor=True)
+    per_t = build_observable_per_t(obs, 3, sched, 1e-6, noise_floor=True)
+    for model in [pooled, *per_t]:
+        assert 1 <= model.rank <= sched.joint_rank
 
 
 def test_score_file_rows_and_errors(tmp_path):
@@ -300,6 +310,7 @@ def test_observable_roundtrip_bit_exact(tmp_path):
     back = load_observable(path)
     for field in ("d_tilde", "x_tilde", "o_tilde", "start_factor", "end_factor"):
         assert np.array_equal(getattr(back, field).data, getattr(model, field).data)
+    assert np.array_equal(back.basis, model.basis)
     assert back.pinv_rtol == model.pinv_rtol
     mpath = tmp_path / "moments.bin"
     save_moments(mpath, m)
@@ -324,3 +335,168 @@ def test_per_t_roundtrip(tmp_path):
     long_obs = sample_many(p, 1, 30, np.random.default_rng(15))[0]
     res = infer_per_t(back, long_obs)
     assert np.isfinite(res.log_value) or res.sign == 0
+
+
+# ---------------------------------------------------------------------------
+# the batched rank-r kernel against the k-space chain it replaces
+
+
+def kspace_chain(obs, at_d, at_x, start):
+    """The chain in window space: ``at_d(t)`` / ``at_x(t)`` give the transfer
+    matrix and the per-symbol operator (k x k) used at position ``t``."""
+    v = start[obs[0], obs[1], :]
+    log_scale = 0.0
+    for t in range(2, len(obs) - 1):
+        v = (v @ at_d(t - 1)) @ at_x(t, obs[t])
+        norm = np.abs(v).sum()
+        v = v / norm
+        log_scale += math.log(norm)
+    T = len(obs)
+    scalar = float((v @ at_d(T - 2)) @ at_x(T - 1, obs[-1], close=True))
+    return math.log(abs(scalar)) + log_scale, 1 if scalar > 0 else -1
+
+
+def pooled_kspace(model, obs):
+    def at_x(t, sym, close=False):
+        o = model.o_tilde.data[:, sym]
+        return model.end_factor.data @ o if close else model.x_tilde.data @ o
+
+    return kspace_chain(
+        obs, lambda t: model.d_tilde.data, at_x, model.start_factor.data
+    )
+
+
+def per_anchor_kspace(models, obs):
+    anchors = [m.anchor for m in models]
+
+    def at(t):
+        return models[int(np.argmin([abs(a - t) for a in anchors]))]
+
+    def at_x(t, sym, close=False):
+        m = at(t)
+        o = m.o_tilde.data[:, sym]
+        return m.end_factor.data @ o if close else m.x_tilde.data @ o
+
+    return kspace_chain(
+        obs, lambda t: at(t).d_tilde.data, at_x, models[0].start_factor.data
+    )
+
+
+def sampled_model(seed, noise_floor=False):
+    p = random_model(3, 2, 2, seed=seed)
+    sched = build_schedule(2, 2)
+    obs = list(sample_many(p, 400, 30, np.random.default_rng(seed)))
+    m = estimate_moments(obs, 3, sched)
+    return p, build_observable(m, 1e-6, noise_floor=noise_floor)
+
+
+def test_ragged_batch_matches_single_and_kspace_chains():
+    from hsmm_spectral.spectral import _chain
+
+    rng = np.random.default_rng(30)
+    models = [analytic_model(random_model(3, 2, 2, seed=30))[0],
+              sampled_model(31)[1], sampled_model(32, noise_floor=True)[1]]
+    for model in models:
+        seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(3, 41, size=25)]
+        log, sign = _chain(model.operators, seqs)
+        for i, obs in enumerate(seqs):
+            single = infer(model, obs)
+            ref_log, ref_sign = pooled_kspace(model, obs)
+            assert sign[i] == single.sign == ref_sign
+            assert np.isclose(log[i], single.log_value, rtol=1e-12, atol=0)
+            assert np.isclose(log[i], ref_log, rtol=1e-12, atol=0)
+
+
+def test_per_anchor_kernel_matches_kspace_chain_beyond_anchor_range():
+    p = random_model(3, 2, 2, seed=33)
+    sched = build_schedule(2, 2)
+    obs = list(sample_many(p, 400, 14, np.random.default_rng(33)))
+    models = build_observable_per_t(obs, 3, sched, 1e-6)
+    assert max(m.anchor for m in models) == 10  # longer sequences run past it
+    rng = np.random.default_rng(34)
+    for T in (3, 4, 7, 13, 14, 20, 35):
+        seq = rng.integers(0, 3, size=T)
+        res = infer_per_t(models, seq)
+        ref_log, ref_sign = per_anchor_kspace(models, seq)
+        assert res.sign == ref_sign
+        assert np.isclose(res.log_value, ref_log, rtol=1e-12, atol=0)
+
+
+def test_per_anchor_kernel_pads_unequal_ranks():
+    p = random_model(3, 2, 2, seed=35)
+    sched = build_schedule(2, 2)
+    obs = list(sample_many(p, 300, 12, np.random.default_rng(35)))
+    models = build_observable_per_t(obs, 3, sched, 1e-6)
+    # keep two directions of one anchor's transfer, so the ranks differ
+    m = models[1]
+    v = m.basis[:, :2]
+    models[1] = dataclasses.replace(
+        m, basis=v, d_tilde=NamedTensor(v @ (v.T @ m.d_tilde.data), m.d_tilde.labels)
+    )
+    assert sorted({mm.rank for mm in models}) == [2, sched.joint_rank]
+    rng = np.random.default_rng(36)
+    for T in (3, 5, 9, 16):
+        seq = rng.integers(0, 3, size=T)
+        res = infer_per_t(models, seq)
+        ref_log, ref_sign = per_anchor_kspace(models, seq)
+        assert res.sign == ref_sign
+        assert np.isclose(res.log_value, ref_log, rtol=1e-12, atol=0)
+
+
+def test_replaced_transfer_changes_the_result():
+    p = random_model(3, 2, 2, seed=37)
+    model, _, _ = analytic_model(p)
+    obs = [0, 1, 2, 2, 1, 0, 1]
+    before = infer(model, obs)
+    d = model.d_tilde
+    scaled = dataclasses.replace(model, d_tilde=NamedTensor(d.data * 2.0, d.labels))
+    after = infer(scaled, obs)
+    # one transfer per interior symbol plus one at the close
+    assert np.isclose(after.log_value - before.log_value, (len(obs) - 2) * math.log(2.0),
+                      rtol=1e-12)
+    assert infer(model, obs).log_value == before.log_value
+
+
+def test_score_file_keeps_row_order_with_interleaved_errors(tmp_path):
+    p = random_model(3, 2, 2, seed=38)
+    model, _, _ = analytic_model(p)
+    rng = np.random.default_rng(38)
+    seqs = []
+    for i in range(30):
+        if i % 7 == 3:
+            seqs.append(np.array([0, 2]))
+        elif i % 7 == 5:
+            seqs.append(np.array([0, 1, 2, -1, 1]))
+        else:
+            seqs.append(rng.integers(0, 3, size=int(rng.integers(3, 25))))
+    out = tmp_path / "scores.csv"
+    sink = io.StringIO()
+    assert score_file(model, seqs, out, error_sink=sink) == 30
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    for i, (row, obs) in enumerate(zip(rows, seqs)):
+        assert int(row[0]) == i
+        if i % 7 in (3, 5):
+            assert row[1] == "nan"
+        else:
+            res = infer(model, obs)
+            assert int(row[2]) == res.sign
+            assert np.isclose(float(row[1]), res.log_value, rtol=1e-12, atol=0)
+    errors = sink.getvalue().splitlines()
+    assert errors[0].startswith("line 4: SequenceTooShort")
+    assert errors[1].startswith("line 6: UnknownSymbol") and "symbol -1" in errors[1]
+
+
+def test_model_file_without_variant_or_tensor_is_rejected(tmp_path):
+    model, _, _ = analytic_model(random_model(3, 2, 2, seed=39))
+    path = tmp_path / "model.bin"
+    save_observable(path, model)
+    kind, meta, tensors = read_container(path)
+    no_variant = {k: v for k, v in meta.items() if k != "variant"}
+    write_container(path, kind, no_variant, list(tensors.items()))
+    with pytest.raises(SpectralError, match="variant"):
+        load_observable(path)
+    # a file from before the basis was stored
+    old = [(k, v) for k, v in tensors.items() if k != "basis"]
+    write_container(path, kind, meta, old)
+    with pytest.raises(SpectralError, match="basis"):
+        load_observable(path)
