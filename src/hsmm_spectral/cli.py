@@ -240,7 +240,7 @@ def _cmd_infer(args) -> int:
 def _cmd_score(args) -> int:
     model = load_observable(args.model)
     seqs = read_sequences(args.data)
-    n = score_file(model, seqs, args.output)
+    n = score_file(model, seqs, args.output, lines=seqs.lines)
     print(f"scored {n} sequences -> {args.output}")
     return 0
 

@@ -471,11 +471,20 @@ def load_model(path) -> HsmmParams:
     return p
 
 
-def read_sequences(path, n_o: int | None = None) -> list[np.ndarray]:
+class SequenceFile(list):
+    """Sequences read from a text file; ``lines[i]`` is the line of sequence ``i``."""
+
+    def __init__(self, seqs: list[np.ndarray], lines: list[int]):
+        super().__init__(seqs)
+        self.lines = lines
+
+
+def read_sequences(path, n_o: int | None = None) -> SequenceFile:
     """One sequence per line, space-separated 0-based symbols; '#' comments.
 
-    A negative symbol, or with ``n_o`` given one at or above ``n_o``, raises
-    ``ValueError`` naming its line and the symbol.
+    Blank and comment lines are skipped, so the result records the file
+    line of each sequence.  A negative symbol, or with ``n_o`` given one at
+    or above ``n_o``, raises ``ValueError`` naming its line and the symbol.
     """
     out = []
     lines = []
@@ -490,7 +499,7 @@ def read_sequences(path, n_o: int | None = None) -> list[np.ndarray]:
                 raise ValueError(f"line {lineno}: {exc}") from None
             lines.append(lineno)
     _check_symbols(out, lines, n_o)
-    return out
+    return SequenceFile(out, lines)
 
 
 def _check_symbols(seqs: list[np.ndarray], lines: list[int], n_o: int | None) -> None:

@@ -24,11 +24,14 @@ operator ``B_o = (V' d_tilde)(x_tilde . o_tilde[:, o] V)`` (Hsu, Kakade &
 Zhang, "A spectral algorithm for learning hidden Markov models"), and one
 batched kernel advances every sequence through them.
 
-The pseudo-inverse products are evaluated with compensated (double-double)
-arithmetic on the retained rank space: the conditioning of the windowed
-moment matrix is the product of two factor conditionings and routinely
-exceeds what plain float64 can invert to the accuracy the estimator is
-tested at.
+The pseudo-inverse products are float64 truncated-SVD solves.  Each moment
+matrix is decomposed once, and the rank check, the noise floor and the
+solve all read that decomposition.  The windowed moment matrix's
+conditioning is the product of two factor conditionings (``s_1/s_r`` up to
+about 4e11 on admitted (5,4,6) models), and on population moments that
+conditioning of the float64 moments, not the solve's arithmetic, sets the
+error floor: a double-double solve had the same worst models and errors
+within a small factor of this one.
 """
 
 from __future__ import annotations
@@ -42,10 +45,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _dd
 from .container import read_container, write_container
 from .moments import OL, OR, SYM, SYM2, MomentSet, ObservationSchedule, estimate_moments
-from .tensors import ModeLabel, NamedTensor, RankZero, numerical_rank
+from .tensors import ModeLabel, NamedTensor, RankZero, spectrum_rank
 
 OR_IN = ModeLabel("or_in")
 
@@ -134,58 +136,45 @@ class ObservableModel:
 
 
 def _pinv_product(
-    a: np.ndarray,
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray],
     rhs: Sequence[np.ndarray],
     rtol: float,
     max_rank: int | None = None,
 ):
     """Apply the truncated Moore-Penrose inverse of ``a`` to each ``rhs``.
 
+    ``svd`` is ``np.linalg.svd(a, full_matrices=False)``, so one
+    decomposition serves the caller's rank check and noise floor as well.
     Singular values at or below ``rtol * sigma_max`` are truncated, and at
     most ``max_rank`` directions are kept (the moment matrices have a known
     population rank; anything beyond it is sampling noise that the chain
-    would amplify).  The retained singular subspaces are refined with
-    compensated subspace iteration and the rank-space system is solved with
-    compensated residuals, so the result stays accurate even when the kept
-    spectrum spans ten or more orders of magnitude.  Returns the refined
-    orthonormal basis ``V`` of the retained row space and the products, each
-    of the form ``V @ Y``.
+    would amplify).  Returns the orthonormal basis ``V`` of the retained row
+    space and the products ``V @ Y`` with ``Y = diag(1/s_r) u_r' rhs``.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = svd
     if s.size == 0 or s[0] == 0.0:
         raise RankZero("zero matrix has no usable pseudo-inverse")
-    r = int(np.count_nonzero(s > rtol * s[0]))
+    r = spectrum_rank(s, rtol)
     if max_rank is not None:
         r = min(r, max_rank)
     if r == 0:
         raise RankZero("all singular values truncated")
-    ah, al = _dd.dd_from(a)
-    ath, atl = ah.T.copy(), al.T.copy()
-    vh, vl = _dd.dd_mgs(*_dd.dd_matmul(ath, atl, *_dd.dd_from(u[:, :r])))
-    uh, ul = _dd.dd_mgs(*_dd.dd_matmul(ah, al, vh, vl))
-    vh, vl = _dd.dd_mgs(*_dd.dd_matmul(ath, atl, uh, ul))
-    avh, avl = _dd.dd_matmul(ah, al, vh, vl)
-    mh, ml = _dd.dd_matmul(uh.T, ul.T, avh, avl)
-    outs = []
-    for r_mat in rhs:
-        rh, rl = _dd.dd_matmul(uh.T, ul.T, *_dd.dd_from(r_mat))
-        x = _dd.refined_solve(mh, ml, rh, rl)
-        xh, xl = _dd.dd_matmul(vh, vl, *_dd.dd_from(x))
-        outs.append(xh + xl)
-    return vh, outs
+    v = vt[:r].T
+    w = u[:, :r].T / s[:r, None]
+    return v, [v @ (w @ r_mat) for r_mat in rhs]
 
 
-def _noise_rtol(a: np.ndarray, count: int) -> float:
+def _noise_rtol(s: np.ndarray, count: int) -> float:
     """Relative truncation level matching the sampling noise of a count table.
 
-    The table sums to one, so the Frobenius norm of its sampling error is
-    about ``1/sqrt(count)``; directions below a small multiple of that are
-    unresolved and only amplify noise when inverted.
+    ``s`` are the table's singular values.  The table sums to one, so the
+    Frobenius norm of its sampling error is about ``1/sqrt(count)``;
+    directions below a small multiple of that are unresolved and only
+    amplify noise when inverted.
     """
-    s_max = float(np.linalg.norm(a, 2))
-    if s_max == 0.0 or count <= 0:
+    if s[0] == 0.0 or count <= 0:
         return 0.0
-    return 2.0 / math.sqrt(count) / s_max
+    return 2.0 / math.sqrt(count) / s[0]
 
 
 def build_observable(
@@ -204,18 +193,16 @@ def build_observable(
     sched = m.schedule
     k = m.n_o**sched.ell
     needed = min(sched.joint_rank, k)
-    a = m.m_lr.data
-    if numerical_rank(a, rtol) < needed:
-        raise DegenerateMoments(
-            "m_lr", detail=f"rank {numerical_rank(a, rtol)} < {needed} at rtol {rtol}"
-        )
-    eff_lr = max(rtol, _noise_rtol(a, m.window_count)) if noise_floor else rtol
-    eff_oo = (
-        max(rtol, _noise_rtol(m.m_oo.data, m.pair_count)) if noise_floor else rtol
-    )
+    lr_svd = np.linalg.svd(m.m_lr.data, full_matrices=False)
+    rank = spectrum_rank(lr_svd[1], rtol)
+    if rank < needed:
+        raise DegenerateMoments("m_lr", detail=f"rank {rank} < {needed} at rtol {rtol}")
+    oo_svd = np.linalg.svd(m.m_oo.data.T, full_matrices=False)
+    eff_lr = max(rtol, _noise_rtol(lr_svd[1], m.window_count)) if noise_floor else rtol
+    eff_oo = max(rtol, _noise_rtol(oo_svd[1], m.pair_count)) if noise_floor else rtol
     try:
         basis, (d_mat, x_flat) = _pinv_product(
-            a,
+            lr_svd,
             [m.m_lr_shift.data, m.m_lro.data.reshape(k, k * m.n_o)],
             eff_lr,
             max_rank=needed,
@@ -223,9 +210,7 @@ def build_observable(
     except RankZero as exc:
         raise DegenerateMoments("m_lr", detail=str(exc)) from None
     try:
-        _, (o_mat,) = _pinv_product(
-            m.m_oo.data.T, [m.m_oo.data.T], eff_oo, max_rank=sched.n_x
-        )
+        _, (o_mat,) = _pinv_product(oo_svd, [m.m_oo.data.T], eff_oo, max_rank=sched.n_x)
     except RankZero as exc:
         raise DegenerateMoments("m_oo", detail=str(exc)) from None
     x_cube = x_flat.reshape(k, k, m.n_o)
@@ -299,17 +284,19 @@ def build_observable_per_t(
         lro /= n
         oo /= n
         needed = min(sched.joint_rank, k)
-        if numerical_rank(lr, rtol) < needed:
+        lr_svd = np.linalg.svd(lr, full_matrices=False)
+        if spectrum_rank(lr_svd[1], rtol) < needed:
             raise DegenerateMoments(
                 "m_lr", anchor=s_pos, detail=f"rank below {needed} at rtol {rtol}"
             )
-        eff_lr = max(rtol, _noise_rtol(lr, n)) if noise_floor else rtol
-        eff_oo = max(rtol, _noise_rtol(oo, n)) if noise_floor else rtol
+        oo_svd = np.linalg.svd(oo.T, full_matrices=False)
+        eff_lr = max(rtol, _noise_rtol(lr_svd[1], n)) if noise_floor else rtol
+        eff_oo = max(rtol, _noise_rtol(oo_svd[1], n)) if noise_floor else rtol
         try:
             basis, (d_mat, x_flat) = _pinv_product(
-                lr, [lr_shift, lro.reshape(k, -1)], eff_lr, max_rank=needed
+                lr_svd, [lr_shift, lro.reshape(k, -1)], eff_lr, max_rank=needed
             )
-            _, (o_mat,) = _pinv_product(oo.T, [oo.T], eff_oo, max_rank=sched.n_x)
+            _, (o_mat,) = _pinv_product(oo_svd, [oo.T], eff_oo, max_rank=sched.n_x)
         except RankZero as exc:
             raise DegenerateMoments("m_lr", anchor=s_pos, detail=str(exc)) from None
         x_cube = x_flat.reshape(k, k, n_o)
@@ -498,13 +485,14 @@ def learn_spectral(
 SCORE_HEADER = ["id", "log_value", "sign", "clamped", "norm_loglik"]
 
 
-def score_sequences(model, sequences: Iterable, error_sink=None):
+def score_sequences(model, sequences: Iterable, error_sink=None, lines=None):
     """Yield one score row per sequence, in input order; failures become NaN rows.
 
     ``model`` is a batched :class:`ObservableModel` or a per-anchor list.
     All well-formed sequences are scored by one batched chain.  Row-level
     errors are reported to ``error_sink`` (default stderr) and do not stop
-    the stream.
+    the stream; each names the input line of its sequence, ``lines[i]`` for
+    sequence ``i`` (default ``i + 1``).
     """
     sink = error_sink if error_sink is not None else sys.stderr
     if isinstance(model, (list, tuple)):
@@ -520,7 +508,8 @@ def score_sequences(model, sequences: Iterable, error_sink=None):
             _check_sequence(n_o, seq)
             rows.append(seq)
         except SpectralError as exc:
-            print(f"line {idx + 1}: {type(exc).__name__}: {exc}", file=sink)
+            line = idx + 1 if lines is None else lines[idx]
+            print(f"line {line}: {type(exc).__name__}: {exc}", file=sink)
             rows.append(None)
     valid = [seq for seq in rows if seq is not None]
     results = iter(_results(*_chain(ops, valid)) if valid else [])
@@ -534,13 +523,15 @@ def score_sequences(model, sequences: Iterable, error_sink=None):
                f"{norm:.17g}"]
 
 
-def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
+def score_file(
+    model, sequences: Iterable, out_path, error_sink=None, lines=None
+) -> int:
     """Write the score CSV; returns the number of data rows."""
     count = 0
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_HEADER)
-        for row in score_sequences(model, sequences, error_sink):
+        for row in score_sequences(model, sequences, error_sink, lines):
             writer.writerow(row)
             count += 1
     return count
@@ -564,17 +555,31 @@ def _entry(mapping, key, what: str):
         raise SpectralError(f"model file has no {what} {key!r}") from None
 
 
+def _basis(tensors, name: str, k: int) -> np.ndarray:
+    """The stored basis, checked to be finite and ``k x r`` with ``1 <= r <= k``."""
+    basis = _entry(tensors, name, "tensor")
+    if basis.ndim != 2 or basis.shape[0] != k or not 1 <= basis.shape[1] <= k:
+        raise SpectralError(
+            f"model file tensor {name!r} has shape {basis.shape}, "
+            f"need ({k}, r) with 1 <= r <= {k}"
+        )
+    if not np.isfinite(basis).all():
+        raise SpectralError(f"model file tensor {name!r} has non-finite entries")
+    return basis
+
+
 def _model_from_tensors(tensors, meta, prefix: str = "", anchor=None):
     def tensor(name):
         return _entry(tensors, prefix + name, "tensor")
 
+    d_tilde = NamedTensor(tensor("d_tilde"), [OR_IN, OR])
     return ObservableModel(
-        d_tilde=NamedTensor(tensor("d_tilde"), [OR_IN, OR]),
+        d_tilde=d_tilde,
         x_tilde=NamedTensor(tensor("x_tilde"), [OR_IN, OR, SYM]),
         o_tilde=NamedTensor(tensor("o_tilde"), [SYM, SYM2]),
         start_factor=NamedTensor(tensor("start_factor"), [SYM, SYM2, OR]),
         end_factor=NamedTensor(tensor("end_factor"), [OR_IN, SYM]),
-        basis=tensor("basis"),
+        basis=_basis(tensors, prefix + "basis", d_tilde.data.shape[0]),
         pinv_rtol=float(_entry(meta, "rtol", "field")),
         n_o=int(_entry(meta, "n_o", "field")),
         ell=int(_entry(meta, "ell", "field")),

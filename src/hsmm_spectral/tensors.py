@@ -415,12 +415,15 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def numerical_rank(a: np.ndarray, rtol: float) -> int:
     """Number of singular values above ``rtol * sigma_max``; 0 for zero input."""
+    a = np.asarray(a, dtype=float)
+    s = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
+    return spectrum_rank(s, rtol)
+
+
+def spectrum_rank(s: np.ndarray, rtol: float) -> int:
+    """:func:`numerical_rank` read off descending singular values ``s``."""
     if not (isinstance(rtol, (int, float)) and rtol > 0):
         raise InvalidTolerance(f"rtol must be positive, got {rtol!r}")
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))

@@ -95,6 +95,29 @@ def test_infer_short_sequence_exits_two(tmp_path, capsys):
     assert "SequenceTooShort" in err
 
 
+def test_score_error_names_the_file_line(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    learned = tmp_path / "s.bin"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "4",
+         "-o", str(tmp_path / "m.json")], capsys)
+    run(["gen-data", "--model", str(tmp_path / "m.json"), "-n", "300", "-T", "15",
+         "--seed", "5", "-o", str(data)], capsys)
+    run(["learn-spectral", "--data", str(data), "--nx", "2", "--nd", "2",
+         "-o", str(learned)], capsys)
+    scored = tmp_path / "scored.txt"
+    scored.write_text("# scored set\n\n0 1 2 1 0\n0 1\n")
+    out = tmp_path / "scores.csv"
+    code, _, err = run(
+        ["score", "--model", str(learned), "--data", str(scored), "-o", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert err.startswith("line 4: SequenceTooShort"), err
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    assert rows[1].startswith("1,nan,")
+
+
 def test_basic_variant_pipeline(tmp_path, capsys):
     model = tmp_path / "m.json"
     data = tmp_path / "d.txt"

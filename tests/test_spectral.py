@@ -21,6 +21,8 @@ from hsmm_spectral.moments import (
     build_schedule,
     estimate_moments,
 )
+from hsmm_spectral import spectral
+from hsmm_spectral.cli import main
 from hsmm_spectral.spectral import (
     DegenerateMoments,
     SequenceTooShort,
@@ -38,7 +40,12 @@ from hsmm_spectral.spectral import (
     SpectralError,
 )
 from hsmm_spectral.container import read_container, write_container
-from hsmm_spectral.tensors import NamedTensor, numerical_rank
+from hsmm_spectral.tensors import (
+    InvalidTolerance,
+    NamedTensor,
+    RankZero,
+    numerical_rank,
+)
 
 RTOL = 1e-12
 
@@ -500,3 +507,89 @@ def test_model_file_without_variant_or_tensor_is_rejected(tmp_path):
     write_container(path, kind, meta, old)
     with pytest.raises(SpectralError, match="basis"):
         load_observable(path)
+
+
+def test_model_file_with_bad_basis_is_rejected(tmp_path, capsys):
+    model, _, _ = analytic_model(random_model(3, 2, 2, seed=40))
+    path = tmp_path / "model.bin"
+    save_observable(path, model)
+    kind, meta, tensors = read_container(path)
+    k, r = model.basis.shape
+    nan = model.basis.copy()
+    nan[0, 0] = np.nan
+    bad = {
+        "non-finite": nan,
+        "shape": np.ones(k),
+        f"\\({k}, r\\)": np.ones((k + 1, r)),
+        "1 <= r": np.ones((k, 0)),
+        f"r <= {k}": np.ones((k, k + 1)),
+    }
+    data = tmp_path / "d.txt"
+    data.write_text("0 1 2 1 0\n")
+    for match, basis in bad.items():
+        write_container(path, kind, meta, list({**tensors, "basis": basis}.items()))
+        with pytest.raises(SpectralError, match=f"tensor 'basis'.*{match}"):
+            load_observable(path)
+        code = main(["score", "--model", str(path), "--data", str(data),
+                     "-o", str(tmp_path / "s.csv")])
+        assert code == 2 and "basis" in capsys.readouterr().err
+
+
+def test_pinv_product_is_the_truncated_pseudo_inverse():
+    # a 9 x 7 matrix with a known spectrum
+    rng = np.random.default_rng(41)
+    q1, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    spectrum = np.array([1.0, 0.3, 1e-2, 1e-4, 1e-10, 1e-14])
+    a = (q1[:, :6] * spectrum) @ q2[:, :6].T
+    rhs = rng.standard_normal((9, 5))
+    svd = np.linalg.svd(a, full_matrices=False)
+    for rtol, max_rank, rank, rcond in (
+        (1e-8, None, 4, 1e-8),
+        (1e-3, None, 3, 1e-3),
+        (1e-8, 2, 2, 0.1),  # the cap keeps what rcond 0.1 keeps
+    ):
+        v, (got,) = spectral._pinv_product(svd, [rhs], rtol, max_rank=max_rank)
+        assert v.shape == (7, rank)
+        assert np.allclose(v.T @ v, np.eye(rank), rtol=0, atol=1e-14)
+        assert np.allclose(v @ (v.T @ got), got, rtol=0, atol=1e-10)
+        want = np.linalg.pinv(a, rcond=rcond) @ rhs
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    with pytest.raises(RankZero):
+        spectral._pinv_product(np.linalg.svd(np.zeros((4, 3))), [rhs[:4]], 1e-8)
+
+
+def test_build_rejects_nonpositive_tolerance():
+    p = random_model(3, 2, 2, seed=43)
+    sched = build_schedule(2, 2)
+    m, _ = analytic_moments(p, sched, 2 * p.n_d + 8)
+    obs = list(sample_many(p, 50, 12, np.random.default_rng(43)))
+    for rtol in (0.0, -1e-8):
+        with pytest.raises(InvalidTolerance):
+            build_observable(m, rtol=rtol)
+        with pytest.raises(InvalidTolerance):
+            build_observable_per_t(obs, 3, sched, rtol)
+
+
+def test_build_decomposes_each_moment_matrix_once(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    p = random_model(3, 2, 2, seed=44)
+    sched = build_schedule(2, 2)
+    k = 3**sched.ell
+    m, _ = analytic_moments(p, sched, 2 * p.n_d + 8)
+    obs = list(sample_many(p, 400, 12, np.random.default_rng(44)))
+    sampled = estimate_moments(obs, 3, sched)
+    calls.clear()
+    build_observable(m, 1e-12)
+    build_observable(sampled, 1e-6, noise_floor=True)
+    assert sorted(calls) == [(3, 3), (3, 3), (k, k), (k, k)]
+    calls.clear()
+    models = build_observable_per_t(obs, 3, sched, 1e-6, noise_floor=True)
+    assert calls.count((k, k)) == calls.count((3, 3)) == len(models)
