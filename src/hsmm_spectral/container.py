@@ -56,10 +56,10 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         for spec in header.pop("tensors", []):
             shape = tuple(int(d) for d in spec["shape"])
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != count * 8:
                 raise ContainerError(f"truncated payload for tensor {spec['name']}")
-            tensors[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            tensors[spec["name"]] = arr
         trailing = fh.read(1)
         if trailing:
             raise ContainerError("trailing bytes after declared payload")

@@ -13,12 +13,24 @@ three windowed tensors pool one *common* anchor set (anchors where the
 aligned, shifted and symbol-augmented placements all fit); this keeps their
 left factors identical, which the downstream pseudo-inverse cancellation
 needs exactly.
+
+One counting kernel, :func:`count_cooccurrences`, serves both the pooled
+estimate and the per-anchor build.  It concatenates whole sequences into an
+int64 stream one block of about :data:`BLOCK` symbols at a time (longer
+sequences are cut into pieces that carry the window reach on either side),
+so its temporaries are bounded by the block, not by the input.  Per block
+it computes the left- and right-window codes once per position with one
+multiply-add per window offset, reads each anchor's windows as shifted
+lookups into them, and tallies integer counts of composite indices with
+``np.bincount`` (or ``np.unique`` when the table is larger than the block).
+Tables are divided by their counts once, at the end, so they equal the
+placement frequencies exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,15 +179,191 @@ class AnalyticFactorContext:
     k_marginals: tuple[NamedTensor, ...]
 
 
-def _codes(seq: np.ndarray, positions: np.ndarray, n_o: int) -> np.ndarray:
-    """Row-major composite codes of ``seq`` gathered at ``positions``.
+# Symbols per counting block.  The kernel's temporaries are a few int64
+# arrays of about this length, so they stay small whatever the input size
+# (0.8 MB at most here); 2**16 held 2.8 MB and counted no faster.
+BLOCK = 1 << 14
 
-    ``positions`` has shape (anchors, window); ascending position order maps
-    to most-significant-first digits.
+
+class Counts(NamedTuple):
+    """Integer placement counts behind the moment tensors.
+
+    Tables are as in :class:`MomentSet`, unnormalised.  When counted per
+    anchor, ``lr``, ``lr_shift``, ``lro`` and ``oo`` carry a leading anchor
+    axis (anchor ``s`` at index ``s - n_d``) and ``oo`` counts the pair at
+    the anchor only; pooled, ``oo`` counts every adjacent pair.
     """
-    ell = positions.shape[1]
-    powers = n_o ** np.arange(ell - 1, -1, -1)
-    return seq[positions] @ powers
+
+    lr: np.ndarray
+    lr_shift: np.ndarray
+    lro: np.ndarray
+    oo: np.ndarray
+    start: np.ndarray
+    windows: int
+    pairs: int
+    starts: int
+
+
+def _blocks(sequences: Iterable, n_d: int):
+    """Yield ``(stream, pieces)`` holding about :data:`BLOCK` symbols each.
+
+    ``stream`` concatenates whole sequences as int64.  A sequence longer
+    than the block is cut into pieces that each own up to ``BLOCK``
+    positions and also carry the ``n_d`` symbols before and ``n_d + 1``
+    after them that the windows reach.  Each row of ``pieces`` is
+    ``(sequence index, length T, base, lo, hi)``: the piece owns positions
+    ``lo <= t < hi`` of its sequence, found at ``stream[base + t]``.
+    """
+    parts, pieces, size = [], [], 0
+    for i, seq in enumerate(sequences):
+        seq = np.asarray(seq)
+        T = seq.shape[0]
+        for lo in range(0, T, BLOCK):
+            a = max(lo - n_d, 0)
+            parts.append(seq[a : lo + BLOCK + n_d + 1])
+            pieces.append((i, T, size - a, lo, min(lo + BLOCK, T)))
+            size += parts[-1].shape[0]
+            if size >= BLOCK:
+                yield np.concatenate(parts).astype(np.int64, copy=False), np.array(pieces)
+                parts, pieces, size = [], [], 0
+    if parts:
+        yield np.concatenate(parts).astype(np.int64, copy=False), np.array(pieces)
+
+
+def _check_symbols(stream: np.ndarray, pieces: np.ndarray, n_o: int, n_d: int) -> None:
+    """Raise ``ValueError`` naming the sequence and symbol of the first one outside ``[0, n_o)``."""
+    if stream.min() >= 0 and stream.max() < n_o:
+        return
+    pos = int(np.flatnonzero((stream < 0) | (stream >= n_o))[0])
+    index, _, base, lo, _ = pieces.T
+    seq = index[np.searchsorted(base + np.maximum(lo - n_d, 0), pos, side="right") - 1]
+    raise ValueError(
+        f"sequence {seq}: symbol {stream[pos]} outside alphabet of size {n_o}"
+    )
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, stop)`` over the pairs (empty where stop <= start)."""
+    lengths = np.maximum(stops - starts, 0)
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _window_codes(stream: np.ndarray, offsets: Sequence[int], n_o: int) -> np.ndarray:
+    """Composite code of the window at ``p + offsets`` for every ``p`` it fits at.
+
+    One multiply-add per offset over the whole stream; ascending offsets are
+    most-significant-first digits.
+    """
+    n = max(stream.shape[0] - offsets[-1], 0)
+    codes = stream[offsets[0] : offsets[0] + n].copy()
+    for o in offsets[1:]:
+        codes *= n_o
+        codes += stream[o : o + n]
+    return codes
+
+
+def _tally(table: np.ndarray, index: np.ndarray) -> None:
+    """Add the histogram of ``index`` into the integer ``table``, read flat."""
+    table = table.reshape(-1)
+    if table.size > index.size:
+        # a full-length bincount would cost more than the block itself
+        bins, hits = np.unique(index, return_counts=True)
+        table[bins] += hits
+    else:
+        table += np.bincount(index, minlength=table.size)
+
+
+def _tally_windows(
+    lr: np.ndarray, lr_shift: np.ndarray, lro: np.ndarray, stream: np.ndarray,
+    pieces: np.ndarray, n_o: int, sched: ObservationSchedule, anchors: int | None,
+) -> int:
+    """Tally one block's ``lr``, ``lr_shift`` and ``lro``; return its anchor count."""
+    k = n_o**sched.ell
+    n_d = sched.n_d
+    _, T, base, lo, hi = pieces.T
+    right = _window_codes(stream, sched.right_offsets, n_o)
+    # anchor s is addressed by where its left window starts, s - n_d
+    first, stop = np.maximum(lo, n_d) - n_d, np.minimum(hi, T - n_d - 1) - n_d
+    at = _ranges(base + first, base + stop)
+    index = _window_codes(stream, sched.left_offsets, n_o)[at]
+    if anchors is not None:
+        index += _ranges(first, stop) * k
+    index *= k
+    _tally(lr_shift, index + right[n_d + 2 :][at])
+    index += right[n_d + 1 :][at]
+    _tally(lr, index)
+    index *= n_o
+    index += stream[n_d:][at]
+    _tally(lro, index)
+    return at.shape[0]
+
+
+def _tally_pairs(
+    oo: np.ndarray, stream: np.ndarray, pieces: np.ndarray, n_o: int, n_d: int,
+    anchors: int | None,
+) -> int:
+    """Tally one block's adjacent pairs (per anchor: the anchor's pair); return their count."""
+    _, T, base, lo, hi = pieces.T
+    if anchors is None:
+        at = _ranges(base + lo, base + np.minimum(hi, T - 1))
+        index = stream[at]
+    else:
+        first, stop = np.maximum(lo, n_d), np.minimum(hi, T - n_d - 1)
+        at = _ranges(base + first, base + stop)
+        index = _ranges(first - n_d, stop - n_d) * n_o + stream[at]
+    index *= n_o
+    index += stream[1:][at]
+    _tally(oo, index)
+    return at.shape[0]
+
+
+def _tally_starts(
+    start: np.ndarray, stream: np.ndarray, pieces: np.ndarray, n_o: int,
+    sched: ObservationSchedule,
+) -> int:
+    """Tally the first two symbols and anchor 1's right window of each sequence begun in the block."""
+    _, T, base, lo, _ = pieces.T
+    at = base[(lo == 0) & (T >= sched.start_min_length)]
+    index = stream[at] * n_o + stream[at + 1]
+    for o in sched.right_offsets:
+        index *= n_o
+        index += stream[at + 2 + o]
+    _tally(start, index)
+    return at.shape[0]
+
+
+def count_cooccurrences(
+    sequences: Iterable,
+    n_o: int,
+    sched: ObservationSchedule,
+    anchors: int | None = None,
+) -> Counts:
+    """Count scheduled co-occurrences, pooled or (``anchors`` given) per anchor.
+
+    The one counting kernel behind both builds.  Sequences stream through in
+    blocks of whole sequences (see :func:`_blocks`); per block the left- and
+    right-window codes are computed once per position, each anchor reads its
+    ``left``, ``right`` and ``right_next`` codes as shifted lookups, and the
+    composite indices are tallied with ``np.bincount``.  Per-anchor counting
+    (equal-length sequences with ``anchors`` anchors each) makes the anchor
+    the leading digit of every windowed index.  A symbol outside
+    ``[0, n_o)`` raises ``ValueError`` naming its sequence.
+    """
+    k = n_o**sched.ell
+    lead = () if anchors is None else (anchors,)
+    lr, lr_shift, lro, oo, start = (
+        np.zeros(shape, dtype=np.int64)
+        for shape in (lead + (k, k), lead + (k, k), lead + (k, k, n_o),
+                      lead + (n_o, n_o), (n_o, n_o, k))
+    )
+    windows = pairs = starts = 0
+    for stream, pieces in _blocks(sequences, sched.n_d):
+        _check_symbols(stream, pieces, n_o, sched.n_d)
+        windows += _tally_windows(lr, lr_shift, lro, stream, pieces, n_o, sched, anchors)
+        pairs += _tally_pairs(oo, stream, pieces, n_o, sched.n_d, anchors)
+        starts += _tally_starts(start, stream, pieces, n_o, sched)
+    return Counts(lr, lr_shift, lro, oo, start, windows, pairs, starts)
 
 
 def estimate_moments(
@@ -184,58 +372,27 @@ def estimate_moments(
     """Count scheduled co-occurrences across all sequences and average.
 
     Raises :class:`InsufficientData` when no sequence is long enough to host
-    a single common-anchor placement.
+    a single common-anchor placement, and ``ValueError`` on a symbol outside
+    ``[0, n_o)``.
     """
-    k = n_o**sched.ell
-    lr = np.zeros((k, k))
-    lr_shift = np.zeros((k, k))
-    lro = np.zeros((k, k, n_o))
-    oo = np.zeros((n_o, n_o))
-    start = np.zeros((n_o, n_o, k))
-    window_count = 0
-    pair_count = 0
-    start_count = 0
-    r_off = np.asarray(sched.right_offsets)
-    l_off = np.asarray(sched.left_offsets)
-    for seq in sequences:
-        seq = np.asarray(seq, dtype=np.int64)
-        T = seq.shape[0]
-        if T >= 2:
-            np.add.at(oo, (seq[:-1], seq[1:]), 1.0)
-            pair_count += T - 1
-        if T >= sched.start_min_length:
-            code = int(_codes(seq, (2 + r_off)[None, :], n_o)[0])
-            start[seq[0], seq[1], code] += 1.0
-            start_count += 1
-        anchors = np.arange(sched.n_d, T - sched.n_d - 1)
-        if anchors.size == 0:
-            continue
-        left = _codes(seq, anchors[:, None] - sched.n_d + l_off[None, :], n_o)
-        right = _codes(seq, anchors[:, None] + 1 + r_off[None, :], n_o)
-        right_next = _codes(seq, anchors[:, None] + 2 + r_off[None, :], n_o)
-        np.add.at(lr, (left, right), 1.0)
-        np.add.at(lr_shift, (left, right_next), 1.0)
-        np.add.at(lro, (left, right, seq[anchors]), 1.0)
-        window_count += anchors.size
-    if window_count == 0:
+    c = count_cooccurrences(sequences, n_o, sched)
+    if c.windows == 0:
         raise InsufficientData(
             f"no sequence hosts a full window placement; need length >= "
             f"{sched.min_sequence_length}",
             sched.min_sequence_length,
         )
     return MomentSet(
-        m_lr=NamedTensor(lr / window_count, [OL, OR]),
-        m_lr_shift=NamedTensor(lr_shift / window_count, [OL, OR]),
-        m_lro=NamedTensor(lro / window_count, [OL, OR, SYM]),
-        m_oo=NamedTensor(oo / pair_count, [SYM, SYM2]),
-        m_start=NamedTensor(
-            start / start_count if start_count else start, [SYM, SYM2, OR]
-        ),
+        m_lr=NamedTensor(c.lr / c.windows, [OL, OR]),
+        m_lr_shift=NamedTensor(c.lr_shift / c.windows, [OL, OR]),
+        m_lro=NamedTensor(c.lro / c.windows, [OL, OR, SYM]),
+        m_oo=NamedTensor(c.oo / c.pairs, [SYM, SYM2]),
+        m_start=NamedTensor(c.start / max(c.starts, 1), [SYM, SYM2, OR]),
         n_o=n_o,
         schedule=sched,
-        window_count=window_count,
-        pair_count=pair_count,
-        start_count=start_count,
+        window_count=c.windows,
+        pair_count=c.pairs,
+        start_count=c.starts,
     )
 
 

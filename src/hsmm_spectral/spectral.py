@@ -46,7 +46,16 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .container import read_container, write_container
-from .moments import OL, OR, SYM, SYM2, MomentSet, ObservationSchedule, estimate_moments
+from .moments import (
+    OL,
+    OR,
+    SYM,
+    SYM2,
+    MomentSet,
+    ObservationSchedule,
+    count_cooccurrences,
+    estimate_moments,
+)
 from .tensors import ModeLabel, NamedTensor, RankZero, spectrum_rank
 
 OR_IN = ModeLabel("or_in")
@@ -239,9 +248,11 @@ def build_observable_per_t(
 
     All sequences must share one length; each anchor's tensors are estimated
     from that anchor's placements only (one per sequence), so they are far
-    noisier than the pooled build at equal data size.
+    noisier than the pooled build at equal data size.  The counts come from
+    the pooled build's kernel with the anchor as a leading index; a symbol
+    outside ``[0, n_o)`` raises ``ValueError`` naming its sequence.
     """
-    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    seqs = [np.asarray(s) for s in sequences]
     if not seqs:
         raise DegenerateMoments("m_lr", detail="no sequences")
     T = seqs[0].shape[0]
@@ -254,35 +265,17 @@ def build_observable_per_t(
         raise DegenerateMoments(
             "m_lr", detail=f"length {T} hosts no anchor (need {sched.min_sequence_length})"
         )
-    obs = np.stack(seqs)
-    n = obs.shape[0]
+    n = len(seqs)
     k = n_o**sched.ell
-    powers = n_o ** np.arange(sched.ell - 1, -1, -1)
-    l_off = np.asarray(sched.left_offsets)
-    r_off = np.asarray(sched.right_offsets)
-    start = np.zeros((n_o, n_o, k))
-    start_codes = obs[:, 2 + r_off] @ powers
-    np.add.at(start, (obs[:, 0], obs[:, 1], start_codes), 1.0)
-    start /= n
-    start_t = NamedTensor(start, [SYM, SYM2, OR])
+    counts = count_cooccurrences(seqs, n_o, sched, anchors=len(anchors))
+    start_t = NamedTensor(counts.start / n, [SYM, SYM2, OR])
 
     models = []
-    for s_pos in anchors:
-        left = obs[:, s_pos - sched.n_d + l_off] @ powers
-        right = obs[:, s_pos + 1 + r_off] @ powers
-        right_next = obs[:, s_pos + 2 + r_off] @ powers
-        lr = np.zeros((k, k))
-        lr_shift = np.zeros((k, k))
-        lro = np.zeros((k, k, n_o))
-        oo = np.zeros((n_o, n_o))
-        np.add.at(lr, (left, right), 1.0)
-        np.add.at(lr_shift, (left, right_next), 1.0)
-        np.add.at(lro, (left, right, obs[:, s_pos]), 1.0)
-        np.add.at(oo, (obs[:, s_pos], obs[:, s_pos + 1]), 1.0)
-        lr /= n
-        lr_shift /= n
-        lro /= n
-        oo /= n
+    for j, s_pos in enumerate(anchors):
+        lr = counts.lr[j] / n
+        lr_shift = counts.lr_shift[j] / n
+        lro = counts.lro[j] / n
+        oo = counts.oo[j] / n
         needed = min(sched.joint_rank, k)
         lr_svd = np.linalg.svd(lr, full_matrices=False)
         if spectrum_rank(lr_svd[1], rtol) < needed:

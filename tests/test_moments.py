@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
+from hsmm_spectral import moments
 from hsmm_spectral.hsmm import HsmmParams, random_model, sample_many
 from hsmm_spectral.moments import (
+    OL,
+    OR,
+    SYM,
+    SYM2,
     InsufficientData,
+    MomentSet,
     analytic_moments,
     build_schedule,
+    count_cooccurrences,
     estimate_moments,
     merge_moment_sets,
     window_conditional,
 )
-from hsmm_spectral.tensors import numerical_rank
+from hsmm_spectral.spectral import build_observable, build_observable_per_t
+from hsmm_spectral.tensors import NamedTensor, numerical_rank
 
 from oracles import brute_window_joint
 
@@ -122,6 +130,149 @@ def test_merge_matches_single_pass():
         assert np.allclose(
             getattr(whole, field).data, getattr(merged, field).data, atol=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# the counting kernel against a plain loop over window positions
+
+
+def loop_counts(sequences, n_o, sched, per_anchor=False):
+    """Integer counts by visiting every placement (per anchor: equal lengths)."""
+    k = n_o**sched.ell
+    n_anchor = len(sched.anchor_range(len(sequences[0]))) if per_anchor else 1
+    lr = np.zeros((n_anchor, k, k), dtype=np.int64)
+    lr_shift = np.zeros((n_anchor, k, k), dtype=np.int64)
+    lro = np.zeros((n_anchor, k, k, n_o), dtype=np.int64)
+    oo = np.zeros((n_anchor, n_o, n_o), dtype=np.int64)
+    start = np.zeros((n_o, n_o, k), dtype=np.int64)
+    windows = pairs = starts = 0
+
+    def code(seq, positions):
+        c = 0
+        for pos in positions:
+            c = c * n_o + int(seq[pos])
+        return c
+
+    for seq in sequences:
+        T = len(seq)
+        if not per_anchor:
+            for t in range(T - 1):
+                oo[0, seq[t], seq[t + 1]] += 1
+                pairs += 1
+        if T >= sched.start_min_length:
+            start[seq[0], seq[1], code(seq, sched.start_positions())] += 1
+            starts += 1
+        for j, s in enumerate(sched.anchor_range(T)):
+            a = j if per_anchor else 0
+            left = code(seq, sched.left_positions(s))
+            right = code(seq, sched.right_positions(s))
+            lr[a, left, right] += 1
+            lr_shift[a, left, code(seq, sched.right_positions(s + 1))] += 1
+            lro[a, left, right, seq[s]] += 1
+            windows += 1
+            if per_anchor:
+                oo[a, seq[s], seq[s + 1]] += 1
+                pairs += 1
+    tables = (lr, lr_shift, lro, oo)
+    if not per_anchor:
+        tables = tuple(t[0] for t in tables)
+    return tables + (start, windows, pairs, starts)
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("n_x,n_d", [(2, 2), (3, 9)])
+def test_pooled_counts_match_plain_loop(monkeypatch, n_x, n_d, block):
+    if block:
+        monkeypatch.setattr(moments, "BLOCK", block)
+    sched = build_schedule(n_x, n_d)
+    n_o = 3
+    rng = np.random.default_rng(n_d)
+    lengths = [T for T in range(sched.min_sequence_length + 2) for _ in range(2)]
+    lengths += [60, 3 * sched.min_sequence_length, 41]
+    seqs = [rng.integers(0, n_o, size=T) for T in rng.permutation(lengths)]
+    expect = loop_counts(seqs, n_o, sched)
+    got = count_cooccurrences(seqs, n_o, sched)
+    for g, e in zip(got, expect):
+        assert np.array_equal(g, e)
+
+    m = estimate_moments(seqs, n_o, sched)
+    lr, lr_shift, lro, oo, start, windows, pairs, starts = expect
+    assert (m.window_count, m.pair_count, m.start_count) == (windows, pairs, starts)
+    for field, table, count in (
+        ("m_lr", lr, windows),
+        ("m_lr_shift", lr_shift, windows),
+        ("m_lro", lro, windows),
+        ("m_oo", oo, pairs),
+        ("m_start", start, starts),
+    ):
+        assert np.array_equal(getattr(m, field).data, table / count)
+
+    short = [s for s in seqs if len(s) < sched.min_sequence_length]
+    with pytest.raises(InsufficientData) as err:
+        estimate_moments(short, n_o, sched)
+    assert err.value.min_length == sched.min_sequence_length
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("n_x,n_d,T", [(2, 2, 12), (3, 9, 25)])
+def test_per_anchor_counts_match_plain_loop(monkeypatch, n_x, n_d, T, as_array):
+    monkeypatch.setattr(moments, "BLOCK", 7)
+    sched = build_schedule(n_x, n_d)
+    n_o = 3
+    obs = sample_many(random_model(n_o, n_x, n_d, seed=6), 300, T, np.random.default_rng(6))
+    seqs = obs if as_array else list(obs)
+    n_anchor = len(sched.anchor_range(T))
+    expect = loop_counts(list(obs), n_o, sched, per_anchor=True)
+    got = count_cooccurrences(seqs, n_o, sched, anchors=n_anchor)
+    for g, e in zip(got, expect):
+        assert np.array_equal(g, e)
+    assert got.windows == got.pairs == 300 * n_anchor
+    assert got.starts == 300
+
+    pooled = estimate_moments(seqs, n_o, sched)
+    listed = estimate_moments(list(obs), n_o, sched)
+    for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
+        assert np.array_equal(getattr(pooled, field).data, getattr(listed, field).data)
+
+    if n_d > 2:
+        return  # too few sequences for a full-rank per-anchor build
+    # each per-anchor model is the pooled build of that anchor's tables
+    lr, lr_shift, lro, oo, start, *_ = expect
+    models = build_observable_per_t(seqs, n_o, sched, 1e-6)
+    for j, model in enumerate(models):
+        alone = build_observable(
+            MomentSet(
+                m_lr=NamedTensor(lr[j] / 300, [OL, OR]),
+                m_lr_shift=NamedTensor(lr_shift[j] / 300, [OL, OR]),
+                m_lro=NamedTensor(lro[j] / 300, [OL, OR, SYM]),
+                m_oo=NamedTensor(oo[j] / 300, [SYM, SYM2]),
+                m_start=NamedTensor(start / 300, [SYM, SYM2, OR]),
+                n_o=n_o,
+                schedule=sched,
+                window_count=300,
+                pair_count=300,
+                start_count=300,
+            ),
+            1e-6,
+        )
+        for field in ("d_tilde", "x_tilde", "o_tilde", "start_factor", "end_factor"):
+            assert np.array_equal(getattr(model, field).data, getattr(alone, field).data)
+        assert np.array_equal(model.basis, alone.basis)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("where", [0, 7])
+@pytest.mark.parametrize("per_anchor", [False, True])
+def test_out_of_alphabet_symbol_is_rejected(monkeypatch, per_anchor, where, bad):
+    monkeypatch.setattr(moments, "BLOCK", 16)  # sequences 2 and 3 share a block
+    sched = build_schedule(2, 2)
+    seqs = [np.random.default_rng(i).integers(0, 3, size=12) for i in range(6)]
+    seqs[3][where] = bad
+    with pytest.raises(ValueError, match=f"sequence 3: symbol {bad} outside alphabet"):
+        if per_anchor:
+            build_observable_per_t(seqs, 3, sched, 1e-6)
+        else:
+            estimate_moments(seqs, 3, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from hsmm_spectral.spectral import (
     score_file,
     SpectralError,
 )
-from hsmm_spectral.container import read_container, write_container
+from hsmm_spectral.container import ContainerError, read_container, write_container
 from hsmm_spectral.tensors import (
     InvalidTolerance,
     NamedTensor,
@@ -325,6 +325,27 @@ def test_observable_roundtrip_bit_exact(tmp_path):
     for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
         assert np.array_equal(getattr(m2, field).data, getattr(m, field).data)
     assert m2.schedule == m.schedule
+
+
+def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path):
+    rng = np.random.default_rng(0)
+    tensors = [("scalar", np.array(2.5)), ("empty", np.zeros((0, 3))),
+               ("cube", rng.standard_normal((2, 3, 4)))]
+    path = tmp_path / "t.bin"
+    write_container(path, "test", {"note": 1}, tensors)
+    kind, meta, back = read_container(path)
+    assert (kind, meta) == ("test", {"note": 1})
+    for name, arr in tensors:
+        assert back[name].shape == arr.shape
+        assert np.array_equal(back[name], arr)
+        assert back[name].flags.writeable and back[name].flags.c_contiguous
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1])
+    with pytest.raises(ContainerError, match="truncated payload for tensor cube"):
+        read_container(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(ContainerError, match="trailing bytes"):
+        read_container(path)
 
 
 def test_per_t_roundtrip(tmp_path):
