@@ -34,7 +34,6 @@ from .moments import (
     analytic_moments,
     build_schedule,
     estimate_moments,
-    merge_moment_sets,
     window_conditional,
 )
 from .rank_analysis import (
@@ -66,20 +65,7 @@ from .spectral import (
     save_observable,
     score_file,
 )
-from .tensors import (
-    ModeLabel,
-    NamedTensor,
-    collapse_mode,
-    duplicate_mode,
-    identity_tensor,
-    khatri_rao_cols,
-    kron,
-    matricize,
-    mode_product,
-    numerical_rank,
-    pinv_along,
-    tensorize,
-)
+from .tensors import ModeLabel, NamedTensor, khatri_rao_cols, numerical_rank
 from .bench import BenchConfig, BenchReport, preset, run_synthetic_bench
 
 __version__ = "0.1.0"

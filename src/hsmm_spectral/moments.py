@@ -396,33 +396,6 @@ def estimate_moments(
     )
 
 
-def merge_moment_sets(parts: Sequence[MomentSet]) -> MomentSet:
-    """Combine per-worker moment sets by count-weighted averaging."""
-    if not parts:
-        raise InsufficientData("nothing to merge", 0)
-    ref = parts[0]
-
-    def combine(field: str, count_field: str) -> np.ndarray:
-        total = sum(getattr(p, count_field) for p in parts)
-        acc = sum(
-            getattr(p, field).data * getattr(p, count_field) for p in parts
-        )
-        return acc / total if total else acc
-
-    return MomentSet(
-        m_lr=NamedTensor(combine("m_lr", "window_count"), [OL, OR]),
-        m_lr_shift=NamedTensor(combine("m_lr_shift", "window_count"), [OL, OR]),
-        m_lro=NamedTensor(combine("m_lro", "window_count"), [OL, OR, SYM]),
-        m_oo=NamedTensor(combine("m_oo", "pair_count"), [SYM, SYM2]),
-        m_start=NamedTensor(combine("m_start", "start_count"), [SYM, SYM2, OR]),
-        n_o=ref.n_o,
-        schedule=ref.schedule,
-        window_count=sum(p.window_count for p in parts),
-        pair_count=sum(p.pair_count for p in parts),
-        start_count=sum(p.start_count for p in parts),
-    )
-
-
 # ---------------------------------------------------------------------------
 # analytic (population) moments
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -56,7 +56,7 @@ from .moments import (
     count_cooccurrences,
     estimate_moments,
 )
-from .tensors import ModeLabel, NamedTensor, RankZero, spectrum_rank
+from .tensors import ModeLabel, NamedTensor, RankZero, TensorError, spectrum_rank
 
 OR_IN = ModeLabel("or_in")
 
@@ -73,6 +73,7 @@ class DegenerateMoments(SpectralError):
         super().__init__(f"degenerate moment tensor {tensor}{loc}: {detail}")
         self.tensor = tensor
         self.anchor = anchor
+        self.detail = detail
 
 
 class SequenceTooShort(SpectralError):
@@ -244,13 +245,14 @@ def build_observable_per_t(
     rtol: float,
     noise_floor: bool = False,
 ) -> list[ObservableModel]:
-    """Per-anchor variant: one tensor triple per anchor, no pooling.
+    """Per-anchor variant: :func:`build_observable` on each anchor's own tables.
 
-    All sequences must share one length; each anchor's tensors are estimated
-    from that anchor's placements only (one per sequence), so they are far
-    noisier than the pooled build at equal data size.  The counts come from
-    the pooled build's kernel with the anchor as a leading index; a symbol
-    outside ``[0, n_o)`` raises ``ValueError`` naming its sequence.
+    All sequences must share one length; each anchor's tables count that
+    anchor's placements only (one per sequence), so they are far noisier than
+    the pooled tables at equal data size.  The counts come from the pooled
+    build's kernel with the anchor as a leading index; a symbol outside
+    ``[0, n_o)`` raises ``ValueError`` naming its sequence, and
+    :class:`DegenerateMoments` names the anchor whose tables fail.
     """
     seqs = [np.asarray(s) for s in sequences]
     if not seqs:
@@ -266,48 +268,27 @@ def build_observable_per_t(
             "m_lr", detail=f"length {T} hosts no anchor (need {sched.min_sequence_length})"
         )
     n = len(seqs)
-    k = n_o**sched.ell
     counts = count_cooccurrences(seqs, n_o, sched, anchors=len(anchors))
-    start_t = NamedTensor(counts.start / n, [SYM, SYM2, OR])
-
+    m_start = NamedTensor(counts.start / n, [SYM, SYM2, OR])
     models = []
     for j, s_pos in enumerate(anchors):
-        lr = counts.lr[j] / n
-        lr_shift = counts.lr_shift[j] / n
-        lro = counts.lro[j] / n
-        oo = counts.oo[j] / n
-        needed = min(sched.joint_rank, k)
-        lr_svd = np.linalg.svd(lr, full_matrices=False)
-        if spectrum_rank(lr_svd[1], rtol) < needed:
-            raise DegenerateMoments(
-                "m_lr", anchor=s_pos, detail=f"rank below {needed} at rtol {rtol}"
-            )
-        oo_svd = np.linalg.svd(oo.T, full_matrices=False)
-        eff_lr = max(rtol, _noise_rtol(lr_svd[1], n)) if noise_floor else rtol
-        eff_oo = max(rtol, _noise_rtol(oo_svd[1], n)) if noise_floor else rtol
-        try:
-            basis, (d_mat, x_flat) = _pinv_product(
-                lr_svd, [lr_shift, lro.reshape(k, -1)], eff_lr, max_rank=needed
-            )
-            _, (o_mat,) = _pinv_product(oo_svd, [oo.T], eff_oo, max_rank=sched.n_x)
-        except RankZero as exc:
-            raise DegenerateMoments("m_lr", anchor=s_pos, detail=str(exc)) from None
-        x_cube = x_flat.reshape(k, k, n_o)
-        models.append(
-            ObservableModel(
-                d_tilde=NamedTensor(d_mat, [OR_IN, OR]),
-                x_tilde=NamedTensor(x_cube, [OR_IN, OR, SYM]),
-                o_tilde=NamedTensor(o_mat, [SYM, SYM2]),
-                start_factor=start_t,
-                end_factor=NamedTensor(x_cube.sum(axis=1), [OR_IN, SYM]),
-                basis=basis,
-                pinv_rtol=rtol,
-                n_o=n_o,
-                ell=sched.ell,
-                variant="per_t",
-                anchor=s_pos,
-            )
+        m = MomentSet(
+            m_lr=NamedTensor(counts.lr[j] / n, [OL, OR]),
+            m_lr_shift=NamedTensor(counts.lr_shift[j] / n, [OL, OR]),
+            m_lro=NamedTensor(counts.lro[j] / n, [OL, OR, SYM]),
+            m_oo=NamedTensor(counts.oo[j] / n, [SYM, SYM2]),
+            m_start=m_start,
+            n_o=n_o,
+            schedule=sched,
+            window_count=n,
+            pair_count=n,
+            start_count=n,
         )
+        try:
+            model = build_observable(m, rtol, noise_floor)
+        except DegenerateMoments as exc:
+            raise DegenerateMoments(exc.tensor, anchor=s_pos, detail=exc.detail) from None
+        models.append(replace(model, variant="per_t", anchor=s_pos))
     return models
 
 
@@ -541,11 +522,33 @@ def _model_tensors(model: ObservableModel, prefix: str = ""):
     ]
 
 
-def _entry(mapping, key, what: str):
+def _entry(mapping, key, what: str, kind: str = "model"):
     try:
         return mapping[key]
     except KeyError:
-        raise SpectralError(f"model file has no {what} {key!r}") from None
+        raise SpectralError(f"{kind} file has no {what} {key!r}") from None
+
+
+def _window_space(n_o: int, ell: int, kind: str = "model") -> int:
+    """``k = n_o**ell`` of a file's fields, refused unless it fits an array dimension."""
+    if n_o < 1 or ell < 1 or ell * math.log2(n_o) >= 63:
+        raise SpectralError(f"{kind} file fields n_o={n_o}, ell={ell} are out of range")
+    return n_o**ell
+
+
+def _tensor(
+    tensors, name: str, shape: tuple, labels, kind: str = "model"
+) -> NamedTensor:
+    """The stored tensor ``name``, checked to have ``shape`` and finite entries."""
+    arr = _entry(tensors, name, "tensor", kind)
+    if arr.shape != shape:
+        raise SpectralError(
+            f"{kind} file tensor {name!r} has shape {arr.shape}, need {shape}"
+        )
+    try:
+        return NamedTensor(arr, labels)
+    except TensorError:
+        raise SpectralError(f"{kind} file tensor {name!r} has non-finite entries") from None
 
 
 def _basis(tensors, name: str, k: int) -> np.ndarray:
@@ -562,20 +565,24 @@ def _basis(tensors, name: str, k: int) -> np.ndarray:
 
 
 def _model_from_tensors(tensors, meta, prefix: str = "", anchor=None):
-    def tensor(name):
-        return _entry(tensors, prefix + name, "tensor")
+    """One model's tensors, each checked against ``k = n_o**ell`` of the fields."""
+    n_o = int(_entry(meta, "n_o", "field"))
+    ell = int(_entry(meta, "ell", "field"))
+    k = _window_space(n_o, ell)
 
-    d_tilde = NamedTensor(tensor("d_tilde"), [OR_IN, OR])
+    def tensor(name, shape, labels):
+        return _tensor(tensors, prefix + name, shape, labels)
+
     return ObservableModel(
-        d_tilde=d_tilde,
-        x_tilde=NamedTensor(tensor("x_tilde"), [OR_IN, OR, SYM]),
-        o_tilde=NamedTensor(tensor("o_tilde"), [SYM, SYM2]),
-        start_factor=NamedTensor(tensor("start_factor"), [SYM, SYM2, OR]),
-        end_factor=NamedTensor(tensor("end_factor"), [OR_IN, SYM]),
-        basis=_basis(tensors, prefix + "basis", d_tilde.data.shape[0]),
+        d_tilde=tensor("d_tilde", (k, k), [OR_IN, OR]),
+        x_tilde=tensor("x_tilde", (k, k, n_o), [OR_IN, OR, SYM]),
+        o_tilde=tensor("o_tilde", (n_o, n_o), [SYM, SYM2]),
+        start_factor=tensor("start_factor", (n_o, n_o, k), [SYM, SYM2, OR]),
+        end_factor=tensor("end_factor", (k, n_o), [OR_IN, SYM]),
+        basis=_basis(tensors, prefix + "basis", k),
         pinv_rtol=float(_entry(meta, "rtol", "field")),
-        n_o=int(_entry(meta, "n_o", "field")),
-        ell=int(_entry(meta, "ell", "field")),
+        n_o=n_o,
+        ell=ell,
         variant=meta["variant"],
         anchor=anchor,
     )
@@ -647,22 +654,31 @@ def load_moments(path) -> MomentSet:
     kind, meta, tensors = read_container(path)
     if kind != "moments":
         raise SpectralError(f"not a moments file (kind={kind})")
+
+    def field(name):
+        return _entry(meta, name, "field", "moments")
+
+    def tensor(name, shape, labels):
+        return _tensor(tensors, name, shape, labels, "moments")
+
+    n_o = int(field("n_o"))
     sched = ObservationSchedule(
-        n_x=int(meta["n_x"]),
-        n_d=int(meta["n_d"]),
-        ell=int(meta["ell"]),
-        right_offsets=tuple(meta["right_offsets"]),
-        left_offsets=tuple(meta["left_offsets"]),
+        n_x=int(field("n_x")),
+        n_d=int(field("n_d")),
+        ell=int(field("ell")),
+        right_offsets=tuple(field("right_offsets")),
+        left_offsets=tuple(field("left_offsets")),
     )
+    k = _window_space(n_o, sched.ell, "moments")
     return MomentSet(
-        m_lr=NamedTensor(tensors["m_lr"], [OL, OR]),
-        m_lr_shift=NamedTensor(tensors["m_lr_shift"], [OL, OR]),
-        m_lro=NamedTensor(tensors["m_lro"], [OL, OR, SYM]),
-        m_oo=NamedTensor(tensors["m_oo"], [SYM, SYM2]),
-        m_start=NamedTensor(tensors["m_start"], [SYM, SYM2, OR]),
-        n_o=int(meta["n_o"]),
+        m_lr=tensor("m_lr", (k, k), [OL, OR]),
+        m_lr_shift=tensor("m_lr_shift", (k, k), [OL, OR]),
+        m_lro=tensor("m_lro", (k, k, n_o), [OL, OR, SYM]),
+        m_oo=tensor("m_oo", (n_o, n_o), [SYM, SYM2]),
+        m_start=tensor("m_start", (n_o, n_o, k), [SYM, SYM2, OR]),
+        n_o=n_o,
         schedule=sched,
-        window_count=int(meta["window_count"]),
-        pair_count=int(meta["pair_count"]),
-        start_count=int(meta["start_count"]),
+        window_count=int(field("window_count")),
+        pair_count=int(field("pair_count")),
+        start_count=int(field("start_count")),
     )

@@ -14,36 +14,6 @@ import numpy as np
 # tensor-layer oracles
 
 
-def loop_mode_product(a_data, a_labels, b_data, b_labels, shared):
-    """Contraction by explicit summation over index tuples."""
-    a_rest = [l for l in a_labels if l not in shared]
-    b_rest = [l for l in b_labels if l not in shared]
-    out_shape = [a_data.shape[a_labels.index(l)] for l in a_rest] + [
-        b_data.shape[b_labels.index(l)] for l in b_rest
-    ]
-    shared_dims = [a_data.shape[a_labels.index(l)] for l in shared]
-    out = np.zeros(out_shape if out_shape else (1,))
-    for out_idx in itertools.product(*[range(d) for d in out_shape]) if out_shape else [()]:
-        total = 0.0
-        for s_idx in itertools.product(*[range(d) for d in shared_dims]):
-            a_full = [0] * len(a_labels)
-            for l, v in zip(a_rest, out_idx[: len(a_rest)]):
-                a_full[a_labels.index(l)] = v
-            for l, v in zip(shared, s_idx):
-                a_full[a_labels.index(l)] = v
-            b_full = [0] * len(b_labels)
-            for l, v in zip(b_rest, out_idx[len(a_rest) :]):
-                b_full[b_labels.index(l)] = v
-            for l, v in zip(shared, s_idx):
-                b_full[b_labels.index(l)] = v
-            total += a_data[tuple(a_full)] * b_data[tuple(b_full)]
-        if out_shape:
-            out[out_idx] = total
-        else:
-            out[0] = total
-    return out if out_shape else out[0]
-
-
 def loop_khatri_rao(a, b):
     """Column-wise Khatri-Rao by explicit per-column Kronecker products."""
     m, n = a.shape
@@ -52,16 +22,6 @@ def loop_khatri_rao(a, b):
     for j in range(n):
         out[:, j] = np.kron(a[:, j], b[:, j])
     return out
-
-
-def moore_penrose_residuals(a, p):
-    """Max deviation of the four Moore-Penrose identities."""
-    return max(
-        np.max(np.abs(a @ p @ a - a)),
-        np.max(np.abs(p @ a @ p - p)),
-        np.max(np.abs((a @ p).T - a @ p)),
-        np.max(np.abs((p @ a).T - p @ a)),
-    )
 
 
 # ---------------------------------------------------------------------------

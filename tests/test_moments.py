@@ -14,7 +14,6 @@ from hsmm_spectral.moments import (
     build_schedule,
     count_cooccurrences,
     estimate_moments,
-    merge_moment_sets,
     window_conditional,
 )
 from hsmm_spectral.spectral import build_observable, build_observable_per_t
@@ -117,19 +116,6 @@ def test_marginal_consistency_empirical():
     obs = sample_many(p, 100, 14, np.random.default_rng(1))
     m = estimate_moments(list(obs), 3, sched)
     assert np.allclose(m.m_lro.data.sum(axis=2), m.m_lr.data, atol=1e-15)
-
-
-def test_merge_matches_single_pass():
-    p = random_model(3, 2, 2, seed=2)
-    sched = build_schedule(2, 2)
-    obs = list(sample_many(p, 60, 13, np.random.default_rng(2)))
-    whole = estimate_moments(obs, 3, sched)
-    parts = [estimate_moments(obs[:25], 3, sched), estimate_moments(obs[25:], 3, sched)]
-    merged = merge_moment_sets(parts)
-    for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
-        assert np.allclose(
-            getattr(whole, field).data, getattr(merged, field).data, atol=1e-12
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,17 @@ def test_zero_moments_raise_degenerate():
         build_observable(zero, 1e-10)
 
 
+def test_per_anchor_error_names_tensor_and_anchor():
+    p = random_model(3, 2, 2, seed=6)
+    sched = build_schedule(2, 2)
+    obs = list(sample_many(p, 300, 12, np.random.default_rng(6)))
+    with pytest.raises(DegenerateMoments) as err:
+        build_observable_per_t(obs, 3, sched, 0.9)
+    assert err.value.tensor == "m_lr"
+    assert err.value.anchor == sched.anchor_range(12)[0]
+    assert f"m_lr at anchor {err.value.anchor}: rank" in str(err.value)
+
+
 def test_identical_sequences_degenerate_per_anchor():
     sched = build_schedule(2, 2)
     seqs = [np.array([0, 1, 0, 1, 0, 1, 0, 1])] * 50
@@ -554,6 +565,73 @@ def test_model_file_with_bad_basis_is_rejected(tmp_path, capsys):
         code = main(["score", "--model", str(path), "--data", str(data),
                      "-o", str(tmp_path / "s.csv")])
         assert code == 2 and "basis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("per_anchor", [False, True])
+def test_model_file_with_inconsistent_tensors_is_rejected(tmp_path, capsys, per_anchor):
+    p = random_model(3, 2, 2, seed=6)
+    if per_anchor:
+        obs = list(sample_many(p, 300, 12, np.random.default_rng(6)))
+        model = build_observable_per_t(obs, 3, build_schedule(2, 2), 1e-6)
+        prefix = f"a{model[0].anchor}."
+    else:
+        model, _, _ = analytic_model(p)
+        prefix = ""
+    path = tmp_path / "model.bin"
+    save_observable(path, model)
+    kind, meta, tensors = read_container(path)
+    x_nan = tensors[prefix + "x_tilde"].copy()
+    x_nan[0, 0, 0] = np.nan
+    cases = [
+        # the fields say 4 symbols over 3-symbol tensors
+        ({**meta, "n_o": 4}, {}, "d_tilde", r"shape \(9, 9\), need \(16, 16\)"),
+        (meta, {"x_tilde": x_nan}, "x_tilde", "non-finite entries"),
+        (meta, {"start_factor": tensors[prefix + "start_factor"][..., :5]},
+         "start_factor", r"shape \(3, 3, 5\), need \(3, 3, 9\)"),
+    ]
+    data = tmp_path / "d.txt"
+    data.write_text("0 1 2 3 1 0\n")
+    for case_meta, replaced, name, match in cases:
+        bad = {**tensors, **{prefix + key: arr for key, arr in replaced.items()}}
+        write_container(path, kind, case_meta, list(bad.items()))
+        with pytest.raises(SpectralError, match=f"tensor '{prefix}{name}' has {match}"):
+            load_observable(path)
+        for argv in (["score", "--data", str(data), "-o", str(tmp_path / "s.csv")],
+                     ["infer", "--sequence", "0 1 2 3 1 0"]):
+            assert main(argv + ["--model", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("SpectralError:") and f"'{prefix}{name}'" in err
+    # refused before n_o**ell is computed
+    write_container(path, kind, {**meta, "ell": 10**9}, list(tensors.items()))
+    with pytest.raises(SpectralError, match="fields n_o=3, ell=1000000000 are out of range"):
+        load_observable(path)
+
+
+def test_moments_file_errors_name_what_is_wrong(tmp_path):
+    p = random_model(3, 2, 2, seed=13)
+    _, m, _ = analytic_model(p)
+    path = tmp_path / "moments.bin"
+    save_moments(path, m)
+    kind, meta, tensors = read_container(path)
+    m_oo = tensors["m_oo"].copy()
+    m_oo[1, 0] = np.inf
+    k = 3**m.schedule.ell
+    cases = [
+        (meta, {name: arr for name, arr in tensors.items() if name != "m_lro"},
+         "moments file has no tensor 'm_lro'"),
+        ({key: val for key, val in meta.items() if key != "n_x"}, tensors,
+         "moments file has no field 'n_x'"),
+        (meta, {**tensors, "m_oo": m_oo},
+         "moments file tensor 'm_oo' has non-finite entries"),
+        ({**meta, "ell": 10**9}, tensors,
+         "moments file fields n_o=3, ell=1000000000 are out of range"),
+        (meta, {**tensors, "m_lr": tensors["m_lr"][:, :-1]},
+         rf"moments file tensor 'm_lr' has shape \({k}, {k - 1}\), need \({k}, {k}\)"),
+    ]
+    for case_meta, case_tensors, match in cases:
+        write_container(path, kind, case_meta, list(case_tensors.items()))
+        with pytest.raises(SpectralError, match=match):
+            load_moments(path)
 
 
 def test_pinv_product_is_the_truncated_pseudo_inverse():

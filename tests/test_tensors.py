@@ -2,28 +2,15 @@ import numpy as np
 import pytest
 
 from hsmm_spectral.tensors import (
-    IndexOutOfRange,
     InvalidModePartition,
     InvalidTolerance,
-    ModeLabel,
     NamedTensor,
-    OuterProductNotSupported,
-    RankZero,
     ShapeMismatch,
-    UnknownMode,
-    collapse_mode,
-    duplicate_mode,
-    identity_tensor,
     khatri_rao_cols,
-    kron,
-    matricize,
-    mode_product,
     numerical_rank,
-    pinv_along,
-    tensorize,
 )
 
-from oracles import loop_khatri_rao, loop_mode_product, moore_penrose_residuals
+from oracles import loop_khatri_rao
 
 
 def test_construction_rejects_bad_input():
@@ -39,233 +26,6 @@ def test_data_is_immutable():
     t = NamedTensor(np.ones((2, 2)), ["a", "b"])
     with pytest.raises(ValueError):
         t.data[0, 0] = 5.0
-
-
-def test_matricize_natural_layout():
-    data = np.arange(6.0).reshape(2, 3)
-    t = NamedTensor(data, ["a", "b"])
-    m = matricize(t, ["a"], ["b"])
-    assert np.array_equal(m, data)
-    mt = matricize(t, ["b"], ["a"])
-    assert np.array_equal(mt, data.T)
-
-
-def test_matricize_partition_errors():
-    t = NamedTensor(np.zeros((2, 3)), ["a", "b"])
-    with pytest.raises(InvalidModePartition):
-        matricize(t, ["a"], ["a"])
-    with pytest.raises(InvalidModePartition):
-        matricize(t, ["a"], [])
-    with pytest.raises(InvalidModePartition):
-        matricize(t, ["a", "b"], ["c"])
-
-
-def test_matricize_tensorize_roundtrip_exhaustive():
-    rng = np.random.default_rng(0)
-    data = rng.standard_normal((2, 3, 4))
-    t = NamedTensor(data, ["a", "b", "c"])
-    # every nontrivial bipartition round-trips bit-exactly
-    import itertools
-
-    labels = list(t.labels)
-    for r in range(1, 3):
-        for rows in itertools.permutations(labels, r):
-            cols = tuple(l for l in labels if l not in rows)
-            m = matricize(t, rows, cols)
-            back = tensorize(
-                m,
-                [(l, t.dim(l)) for l in rows],
-                [(l, t.dim(l)) for l in cols],
-            )
-            assert np.array_equal(back.aligned(t.labels), data)
-            # manual index check on a few entries
-            for idx in [(0, 0, 0), (1, 2, 3), (0, 1, 2)]:
-                row = 0
-                for l in rows:
-                    row = row * t.dim(l) + idx["abc".index(l.name)]
-                col = 0
-                for l in cols:
-                    col = col * t.dim(l) + idx["abc".index(l.name)]
-                assert m[row, col] == data[idx]
-
-
-def test_mode_product_identity_contraction():
-    rng = np.random.default_rng(1)
-    t = NamedTensor(rng.standard_normal((4, 3)), ["p", "q"])
-    ident = identity_tensor([("p", 4)])
-    # identity modes are p and p@1; contract over p, relabel the copy back
-    out = mode_product(ident, t, shared=["p"]).relabel({ModeLabel("p", 1): "p"})
-    assert np.allclose(out.aligned(["p", "q"]), t.data, atol=1e-15)
-
-
-def test_mode_product_order_irrelevance_matrices():
-    rng = np.random.default_rng(2)
-    a = NamedTensor(rng.standard_normal((4, 2)), ["s", "p"])
-    z = NamedTensor(rng.standard_normal((3, 4)), ["r", "s"])
-    y = NamedTensor(rng.standard_normal((5, 3)), ["t", "r"])
-    left = mode_product(a, mode_product(y, z, ["r"]), ["s"])
-    right = mode_product(mode_product(a, z, ["s"]), y, ["r"])
-    assert np.allclose(
-        left.aligned(["p", "t"]), right.aligned(["p", "t"]), rtol=1e-12, atol=1e-14
-    )
-
-
-def test_mode_product_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    a = NamedTensor(rng.standard_normal((2, 3, 4)), ["i", "j", "k"])
-    b = NamedTensor(rng.standard_normal((3, 4, 2)), ["j", "k", "m"])
-    out = mode_product(a, b)  # default shared = {j, k}
-    ref = loop_mode_product(
-        a.data, list(a.labels), b.data, list(b.labels), list(a.labels[1:])
-    )
-    assert np.allclose(out.aligned(["i", "m"]), ref, rtol=1e-12)
-
-
-def test_mode_product_association_orders_agree():
-    rng = np.random.default_rng(4)
-    a = NamedTensor(rng.standard_normal((2, 3, 4)), ["i", "j", "k"])
-    b = NamedTensor(rng.standard_normal((4, 3, 5)), ["k", "j", "m"])
-    c = NamedTensor(rng.standard_normal((5, 2)), ["m", "n"])
-    one = mode_product(mode_product(a, b), c)
-    two = mode_product(a, mode_product(b, c))
-    assert np.allclose(
-        one.aligned(["i", "n"]), two.aligned(["i", "n"]), rtol=1e-12, atol=1e-13
-    )
-
-
-def test_mode_product_errors():
-    a = NamedTensor(np.zeros((2, 3)), ["i", "j"])
-    b = NamedTensor(np.zeros((4, 5)), ["j", "k"])
-    with pytest.raises(ShapeMismatch):
-        mode_product(a, b, ["j"])
-    c = NamedTensor(np.zeros((2, 2)), ["x", "y"])
-    with pytest.raises(OuterProductNotSupported):
-        mode_product(a, c)
-
-
-def test_duplicate_mode_diagonal_embedding():
-    v = NamedTensor(np.array([1.0, 2.0, 3.0]), ["p"])
-    d = duplicate_mode(v, "p", 2)
-    assert d.labels == (ModeLabel("p", 0), ModeLabel("p", 1))
-    assert np.array_equal(d.data, np.diag([1.0, 2.0, 3.0]))
-
-
-def test_duplicate_mode_hypercube_slices():
-    rng = np.random.default_rng(5)
-    x = NamedTensor(rng.standard_normal((3, 2)), ["p", "q"])
-    cube = duplicate_mode(x, "p", 3)
-    assert [l.name for l in cube.labels] == ["p", "p", "p", "q"]
-    for i in range(2):
-        sub = cube.data[:, :, :, i]
-        expect = np.zeros((3, 3, 3))
-        for j in range(3):
-            expect[j, j, j] = x.data[j, i]
-        assert np.array_equal(sub, expect)
-
-
-def test_duplicate_then_contract_is_elementwise_product():
-    rng = np.random.default_rng(6)
-    v = NamedTensor(rng.standard_normal(4), ["p"])
-    w = NamedTensor(rng.standard_normal(4), ["p"])
-    dv = duplicate_mode(v, "p", 2)
-    out = mode_product(dv, w, ["p"])  # contract over occurrence 0
-    assert out.labels == (ModeLabel("p", 1),)
-    assert np.allclose(out.data, v.data * w.data, rtol=1e-15)
-
-
-def test_duplicate_mode_unknown():
-    v = NamedTensor(np.zeros(3), ["p"])
-    with pytest.raises(UnknownMode):
-        duplicate_mode(v, "z", 2)
-
-
-def test_identity_tensor_single_and_double():
-    one = identity_tensor([("p", 3)])
-    assert np.array_equal(one.data, np.eye(3))
-    two = identity_tensor([("p", 2), ("q", 3)])
-    assert two.shape == (2, 3, 2, 3)
-    m = matricize(
-        two, [ModeLabel("p"), ModeLabel("q")], [ModeLabel("p", 1), ModeLabel("q", 1)]
-    )
-    assert np.array_equal(m, np.eye(6))
-
-
-def test_identity_contraction_returns_operand():
-    rng = np.random.default_rng(7)
-    t = NamedTensor(rng.standard_normal((2, 3, 5)), ["p", "q", "z"])
-    ident = identity_tensor([("p", 2), ("q", 3)])
-    shifted = ident.relabel({ModeLabel("p", 1): "P", ModeLabel("q", 1): "Q"})
-    out = mode_product(shifted, t, ["p", "q"])
-    assert np.array_equal(out.aligned(["P", "Q", "z"]), t.data)
-
-
-def test_pinv_along_identity_and_diagonal():
-    ident = NamedTensor(np.eye(3), ["p", "q"])
-    got = pinv_along(ident, ["q"], rtol=1e-12)
-    assert np.allclose(got.data, np.eye(3), atol=1e-14)
-    rank_def = NamedTensor(np.diag([1.0, 0.0]), ["p", "q"])
-    got = pinv_along(rank_def, ["q"], rtol=1e-12)
-    assert np.allclose(got.data, np.diag([1.0, 0.0]), atol=1e-14)
-
-
-def test_pinv_along_right_inverse_full_row_rank():
-    rng = np.random.default_rng(8)
-    t = NamedTensor(rng.standard_normal((4, 6)), ["p", "q"])
-    inv = pinv_along(t, ["q"])
-    prod = mode_product(t, inv.relabel({"p": "p2"}), ["q"])
-    assert np.max(np.abs(prod.aligned(["p", "p2"]) - np.eye(4))) < 1e-10
-
-
-def test_pinv_along_moore_penrose_identities():
-    rng = np.random.default_rng(9)
-    for trial in range(20):
-        m, n = rng.integers(2, 7, size=2)
-        a = rng.standard_normal((m, n))
-        if trial % 2:
-            r = int(rng.integers(1, min(m, n) + 1))
-            a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-        t = NamedTensor(a, ["p", "q"])
-        p = matricize(pinv_along(t, ["q"], rtol=1e-12), ["q"], ["p"])
-        assert moore_penrose_residuals(a, p) < 1e-10
-
-
-def test_pinv_along_mode_order_preserved_multiway():
-    rng = np.random.default_rng(10)
-    t = NamedTensor(rng.standard_normal((2, 3, 4)), ["a", "b", "c"])
-    inv = pinv_along(t, ["b"])
-    assert inv.labels == t.labels
-    ref = np.linalg.pinv(matricize(t, ["a", "c"], ["b"]))
-    got = matricize(inv, ["b"], ["a", "c"])
-    assert np.allclose(got, ref, rtol=1e-12, atol=1e-13)
-
-
-def test_pinv_along_errors():
-    t = NamedTensor(np.eye(2), ["p", "q"])
-    with pytest.raises(InvalidTolerance):
-        pinv_along(t, ["q"], rtol=0.0)
-    with pytest.raises(InvalidModePartition):
-        pinv_along(t, ["p", "q"])
-    with pytest.raises(RankZero):
-        pinv_along(NamedTensor(np.zeros((2, 2)), ["p", "q"]), ["q"])
-
-
-def test_collapse_mode_column_selection():
-    rng = np.random.default_rng(11)
-    o = NamedTensor(rng.standard_normal((10, 10)), ["r", "c"])
-    col = collapse_mode(o, "c", 2)
-    assert col.labels == (ModeLabel("r"),)
-    assert np.array_equal(col.data, o.data[:, 2])
-    basis = collapse_mode(NamedTensor(np.eye(4), ["r", "c"]), "c", 0)
-    assert np.array_equal(basis.data, np.eye(4)[:, 0])
-
-
-def test_collapse_mode_marginal_consistency():
-    rng = np.random.default_rng(12)
-    t = NamedTensor(rng.random((3, 4, 2)), ["a", "b", "c"])
-    total = sum(collapse_mode(t, "b", i).data.sum() for i in range(4))
-    assert np.isclose(total, t.data.sum(), rtol=1e-12)
-    with pytest.raises(IndexOutOfRange):
-        collapse_mode(t, "b", 4)
 
 
 def test_khatri_rao_basis_columns():
@@ -340,19 +100,6 @@ def test_combination_independence_property():
         subset = rng.permutation(n)[: n - 1]
         stacked = np.column_stack([u, v[:, subset]])
         assert numerical_rank(stacked, 1e-10) == len(subset) + 1
-
-
-def test_kron_basics_and_rank():
-    assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-    a = np.array([[1.0], [2.0]])
-    b = np.array([[3.0, 4.0]])
-    assert np.array_equal(kron(a, b), np.array([[3.0, 4.0], [6.0, 8.0]]))
-    rng = np.random.default_rng(17)
-    x = rng.standard_normal((3, 2))
-    y = rng.standard_normal((2, 2))
-    assert numerical_rank(kron(x, y), 1e-10) == numerical_rank(
-        x, 1e-10
-    ) * numerical_rank(y, 1e-10)
 
 
 def test_numerical_rank_thresholds():
