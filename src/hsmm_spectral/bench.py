@@ -113,7 +113,7 @@ def run_cell(size, n_train, seed, cfg: BenchConfig) -> dict:
     sched = build_schedule(n_x, n_d)
     try:
         t0 = time.perf_counter()
-        moments = estimate_moments(list(train), n_o, sched)
+        moments = estimate_moments(train, n_o, sched)
         model = build_observable(moments, cfg.rtol, noise_floor=True)
         out["learn_time_spectral"] = time.perf_counter() - t0
         t0 = time.perf_counter()

@@ -19,6 +19,7 @@ from .hsmm import (
     InvalidModel,
     ModelError,
     load_model,
+    parse_symbols,
     random_model,
     read_sequences,
     sample_many,
@@ -146,10 +147,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_sequence(text: str) -> np.ndarray:
-    return np.array([int(tok) for tok in text.split()], dtype=np.int64)
-
-
 def _cmd_gen_model(args) -> int:
     p = random_model(
         args.n_o,
@@ -182,7 +179,7 @@ def _cmd_learn_spectral(args) -> int:
         raise InvalidModel("no sequences in input")
     n_o = args.n_o
     if n_o is None:
-        n_o = int(max(int(s.max()) for s in seqs if s.size)) + 1
+        n_o = int(seqs.values.max()) + 1
     sched = build_schedule(args.n_x, args.n_d)
     if args.basic:
         model = build_observable_per_t(
@@ -218,7 +215,7 @@ def _cmd_infer(args) -> int:
     if (args.sequence is None) == (args.data is None):
         raise InvalidModel("provide exactly one of --sequence or --data")
     if args.sequence is not None:
-        obs = _parse_sequence(args.sequence)
+        obs = parse_symbols(args.sequence)
     else:
         seqs = read_sequences(args.data)
         if not 0 <= args.index < len(seqs):
@@ -240,7 +237,7 @@ def _cmd_infer(args) -> int:
 def _cmd_score(args) -> int:
     model = load_observable(args.model)
     seqs = read_sequences(args.data)
-    n = score_file(model, seqs, args.output, lines=seqs.lines)
+    n = score_file(model, seqs, args.output)
     print(f"scored {n} sequences -> {args.output}")
     return 0
 

@@ -13,10 +13,14 @@ Joint ``(x, d)`` vectors are flattened with ``x`` fastest:
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import operator
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -312,31 +316,39 @@ def sample(p: HsmmParams, T: int, rng: np.random.Generator) -> SampledSequence:
     return SampledSequence(observations=obs, hidden_states=tuple(hidden))
 
 
-def _categorical_columns(table: np.ndarray, cols: np.ndarray, rng) -> np.ndarray:
-    """Vectorized draw: one sample from ``table[:, c]`` for each c in ``cols``."""
-    cum = np.cumsum(table[:, cols], axis=0)
+def _cumulative(table: np.ndarray) -> np.ndarray:
+    """Row ``c`` is the running sum of ``table[:, c]``, the form :func:`_draw` reads."""
+    return np.ascontiguousarray(np.cumsum(table, axis=0).T)
+
+
+def _draw(cum: np.ndarray, cols: np.ndarray, rng) -> np.ndarray:
+    """Vectorized draw: one sample from column ``c`` of the table, for each c in ``cols``."""
     u = rng.random(cols.shape[0])
-    out = (u[None, :] > cum).sum(axis=0)
-    return np.minimum(out, table.shape[0] - 1)
+    out = (u[:, None] > cum[cols]).sum(axis=1)
+    return np.minimum(out, cum.shape[1] - 1)
 
 
 def sample_many(
     p: HsmmParams, n_sequences: int, T: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample ``n_sequences`` independent length-``T`` sequences, vectorized."""
+    """Sample ``n_sequences`` independent length-``T`` sequences, vectorized.
+
+    Each table's cumulative sums are formed once per call; every step only
+    gathers the rows of the current states.
+    """
     obs = np.empty((n_sequences, T), dtype=np.int64)
-    idx = np.arange(n_sequences)
-    x = _categorical_columns(p.pi_x[:, None], np.zeros(n_sequences, dtype=int), rng)
-    d = _categorical_columns(p.initial_duration_table(), x, rng) + 1
+    O, X, D = _cumulative(p.O), _cumulative(p.X), _cumulative(p.D)
+    x = _draw(_cumulative(p.pi_x[:, None]), np.zeros(n_sequences, dtype=int), rng)
+    d = _draw(_cumulative(p.initial_duration_table()), x, rng) + 1
     for t in range(T):
         if t > 0:
             renew = d == 1
-            d = d - 1
+            d -= 1
             if np.any(renew):
-                xr = _categorical_columns(p.X, x[renew], rng)
+                xr = _draw(X, x[renew], rng)
                 x[renew] = xr
-                d[renew] = _categorical_columns(p.D, xr, rng) + 1
-        obs[idx, t] = _categorical_columns(p.O, x, rng)
+                d[renew] = _draw(D, xr, rng) + 1
+        obs[:, t] = _draw(O, x, rng)
     return obs
 
 
@@ -471,12 +483,78 @@ def load_model(path) -> HsmmParams:
     return p
 
 
-class SequenceFile(list):
-    """Sequences read from a text file; ``lines[i]`` is the line of sequence ``i``."""
+# Bytes per tokenizer block.  A block is cut after its last newline, and
+# the tokenizer's temporaries are a few arrays of about this many entries
+# (0.5 MiB at most here), whatever the file size; 2**16 held 2 MiB and
+# read no faster.
+READ_BLOCK = 1 << 14
 
-    def __init__(self, seqs: list[np.ndarray], lines: list[int]):
-        super().__init__(seqs)
-        self.lines = lines
+# Bytes the vectorized tokenizer reads; a block holding any other byte (or
+# a digit run too long to be sure of fitting in int64) goes to the per-line
+# parser.  A carriage return must also sit right before a newline there.
+_FAST_BYTES = np.zeros(256, dtype=bool)
+_FAST_BYTES[np.frombuffer(b"0123456789 \t\r\n", dtype=np.uint8)] = True
+_MAX_DIGITS = 18
+
+
+class SequenceFile(Sequence):
+    """Sequences as one ragged int64 stream.
+
+    Sequence ``i`` is the view ``values[offsets[i]:offsets[i + 1]]``, read
+    from file line ``lines[i]``.  Indexing and iteration give those views, so
+    the stream still reads as a sequence of per-line arrays; the counting
+    kernel and the batched scorer read ``values`` and ``offsets`` directly.
+    """
+
+    def __init__(self, values: np.ndarray, offsets: np.ndarray, lines=None):
+        self.values = values
+        self.offsets = offsets
+        self.lines = np.arange(1, offsets.shape[0]) if lines is None else lines
+
+    @classmethod
+    def of(cls, sequences) -> "SequenceFile":
+        """The stream of ``sequences``: itself, a 2-D array's rows, or 1-D arrays.
+
+        A C-contiguous int64 2-D array is viewed, not copied; a list of
+        arrays is concatenated once.
+        """
+        if isinstance(sequences, cls):
+            return sequences
+        if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
+            n, T = sequences.shape
+            values = np.ascontiguousarray(sequences, dtype=np.int64).reshape(-1)
+            return cls(values, np.arange(n + 1, dtype=np.int64) * T)
+        seqs = [np.asarray(s) for s in sequences]
+        offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
+        np.cumsum(np.array([s.shape[0] for s in seqs], dtype=np.int64), out=offsets[1:])
+        values = np.concatenate(seqs) if seqs else np.zeros(0)
+        return cls(values.astype(np.int64, copy=False), offsets)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]
+        return self.values[self.offsets[i] : self.offsets[i + 1]]
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.values[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+    def outside(self, top) -> np.ndarray:
+        """Positions in ``values`` of the symbols outside ``[0, top)``."""
+        v = self.values
+        if not v.size or (v.min() >= 0 and v.max() < top):
+            return np.zeros(0, dtype=np.int64)
+        return np.flatnonzero((v < 0) | (v >= top))
+
+    def row_of(self, positions) -> np.ndarray:
+        """Index of the sequence holding each position of ``values``."""
+        return np.searchsorted(self.offsets, positions, side="right") - 1
 
 
 def read_sequences(path, n_o: int | None = None) -> SequenceFile:
@@ -486,39 +564,136 @@ def read_sequences(path, n_o: int | None = None) -> SequenceFile:
     line of each sequence.  A negative symbol, or with ``n_o`` given one at
     or above ``n_o``, raises ``ValueError`` naming its line and the symbol.
     """
-    out = []
-    lines = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                out.append(np.array([int(tok) for tok in line.split()], dtype=np.int64))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            lines.append(lineno)
-    _check_symbols(out, lines, n_o)
-    return SequenceFile(out, lines)
-
-
-def _check_symbols(seqs: list[np.ndarray], lines: list[int], n_o: int | None) -> None:
-    """Raise on the first symbol outside ``[0, n_o)`` (or below 0 without ``n_o``).
-
-    Blocks of sequences are reduced at once: one check per block rather
-    than per line, with a copy no larger than the block.
-    """
+    with open(path, "rb") as fh:
+        seqs = _tokenize(fh, os.fstat(fh.fileno()).st_size)
     top = math.inf if n_o is None else n_o
-    where = "is negative" if n_o is None else f"outside alphabet of size {n_o}"
-    block = 256
-    for i in range(0, len(seqs), block):
-        flat = np.concatenate(seqs[i : i + block])
-        if flat.min() >= 0 and flat.max() < top:
+    bad = seqs.outside(top)
+    if bad.size:
+        where = "is negative" if n_o is None else f"outside alphabet of size {n_o}"
+        line = seqs.lines[seqs.row_of(bad[0])]
+        raise ValueError(f"line {line}: symbol {seqs.values[bad[0]]} {where}")
+    return seqs
+
+
+def parse_symbols(text: str) -> np.ndarray:
+    """All symbols of ``text`` in order, through the sequence-file tokenizer."""
+    data = text.encode()
+    return _tokenize(io.BytesIO(data), len(data)).values
+
+
+def _tokenize(fh, size: int) -> SequenceFile:
+    """Read a binary sequence file of about ``size`` bytes into one stream.
+
+    Blocks of about :data:`READ_BLOCK` bytes, each cut after a newline, go
+    through :func:`_fast_block`; a block it declines goes to
+    :func:`_parse_lines`, the exact per-line reference.  Every token takes
+    at least one byte and a separator, so ``values`` is allocated once for
+    ``(size + 1) // 2`` symbols and trimmed at the end (and grown, should
+    more bytes arrive than ``size``).
+    """
+    values = np.empty((size + 1) // 2, dtype=np.int64)
+    lengths, lines = [], []
+    n, lineno = 0, 1
+    for block in _newline_blocks(fh):
+        fast = _fast_block(block)
+        if fast is None:
+            text = io.TextIOWrapper(io.BytesIO(block))
+            seqs, seq_lines, next_line = _parse_lines(text, lineno)
+            vals = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+            lengths.append(np.array([s.shape[0] for s in seqs], dtype=np.int64))
+            lines.append(np.array(seq_lines, dtype=np.int64))
+        else:
+            vals, per_line = fast
+            rows = np.flatnonzero(per_line)
+            lengths.append(per_line[rows])
+            lines.append(rows + lineno)
+            next_line = lineno + per_line.shape[0]
+        if n + vals.shape[0] > values.shape[0]:  # a pipe, or a file that grew
+            values.resize(2 * (n + vals.shape[0]), refcheck=False)
+        values[n : n + vals.shape[0]] = vals
+        n += vals.shape[0]
+        lineno = next_line
+    values.resize(n, refcheck=False)
+    lengths = np.concatenate(lengths) if lengths else np.zeros(0, dtype=np.int64)
+    offsets = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    lines = np.concatenate(lines) if lines else np.zeros(0, dtype=np.int64)
+    return SequenceFile(values, offsets, lines)
+
+
+def _newline_blocks(fh):
+    """Yield the file's bytes in blocks of about :data:`READ_BLOCK`, each ending in a newline.
+
+    A final line without one gets one, which changes no line or token.
+    """
+    parts = []
+    for chunk in iter(lambda: fh.read(READ_BLOCK), b""):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            parts.append(chunk)
             continue
-        for lineno, seq in zip(lines[i : i + block], seqs[i : i + block]):
-            bad = seq[(seq < 0) | (seq >= top)]
-            if bad.size:
-                raise ValueError(f"line {lineno}: symbol {bad[0]} {where}")
+        parts.append(chunk[:cut])
+        yield b"".join(parts)
+        parts = [chunk[cut:]]
+    tail = b"".join(parts)
+    if tail:
+        yield tail + b"\n"
+
+
+def _fast_block(block: bytes):
+    """Symbols and per-line symbol counts of a block, or ``None`` to parse it per line.
+
+    Tokens are the digit runs of the block's bytes: their edges come from
+    one pass over a digit mask, and their values from one multiply-add per
+    digit place.  Only blocks of digits, spaces, tabs and newlines (with a
+    carriage return allowed right before a newline) are read here, and only
+    when no run has more than :data:`_MAX_DIGITS` digits.
+    """
+    b = np.frombuffer(block, dtype=np.uint8)
+    if not _FAST_BYTES[b].all():
+        return None
+    cr = np.flatnonzero(b == ord("\r"))
+    if cr.size and not (b[cr + 1] == ord("\n")).all():
+        return None
+    digits = b - np.uint8(ord("0"))
+    edges = np.flatnonzero(np.diff(digits < 10, prepend=False))
+    starts, width = edges[::2], edges[1::2] - edges[::2]
+    widest = int(width.max()) if width.size else 0
+    if widest > _MAX_DIGITS:
+        return None
+    vals = digits[starts].astype(np.int64)
+    for place in range(1, widest):
+        more = np.flatnonzero(width > place)
+        vals[more] = vals[more] * 10 + digits[starts[more] + place]
+    breaks = np.flatnonzero(b == ord("\n"))
+    per_line = np.diff(np.searchsorted(starts, breaks), prepend=0)
+    return vals, per_line
+
+
+def _parse_lines(text_lines, first: int = 1) -> tuple[list[np.ndarray], list[int], int]:
+    """The per-line parser: sequences, their line numbers, and the next line number.
+
+    ``text_lines`` yields lines, the first of them numbered ``first``.  A
+    token ``int`` rejects, or a symbol that does not fit in int64, raises
+    ``ValueError`` naming its line.
+    """
+    seqs, lines = [], []
+    lineno = first - 1
+    for lineno, line in enumerate(text_lines, start=first):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            symbols = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        try:
+            seqs.append(np.array(symbols, dtype=np.int64))
+        except OverflowError:
+            big = next(s for s in symbols if not -(2**63) <= s < 2**63)
+            raise ValueError(f"line {lineno}: symbol {big} does not fit in int64") from None
+        lines.append(lineno)
+    return seqs, lines, lineno + 1
 
 
 def write_sequences(sequences: Iterable[np.ndarray], path) -> None:

@@ -15,11 +15,12 @@ left factors identical, which the downstream pseudo-inverse cancellation
 needs exactly.
 
 One counting kernel, :func:`count_cooccurrences`, serves both the pooled
-estimate and the per-anchor build.  It concatenates whole sequences into an
-int64 stream one block of about :data:`BLOCK` symbols at a time (longer
-sequences are cut into pieces that carry the window reach on either side),
-so its temporaries are bounded by the block, not by the input.  Per block
-it computes the left- and right-window codes once per position with one
+estimate and the per-anchor build.  It reads the sequences as one ragged
+int64 stream (:class:`~hsmm_spectral.hsmm.SequenceFile`: the symbols of all
+sequences back to back, and where each begins) and slices it into blocks
+of :data:`BLOCK` positions, each viewed with the window reach on either
+side, so its temporaries are bounded by the block, not by the input.  Per
+block it computes the left- and right-window codes once per position with one
 multiply-add per window offset, reads each anchor's windows as shifted
 lookups into them, and tallies integer counts of composite indices with
 ``np.bincount`` (or ``np.unique`` when the table is larger than the block).
@@ -30,13 +31,14 @@ placement frequencies exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .hsmm import (
     HsmmParams,
     InvalidModel,
+    SequenceFile,
     duration_update_matrix,
     initial_joint,
     joint_transition_matrix,
@@ -204,42 +206,36 @@ class Counts(NamedTuple):
     starts: int
 
 
-def _blocks(sequences: Iterable, n_d: int):
-    """Yield ``(stream, pieces)`` holding about :data:`BLOCK` symbols each.
+def _blocks(seqs: SequenceFile, n_d: int):
+    """Yield ``(stream, pieces)`` for each run of :data:`BLOCK` stream positions.
 
-    ``stream`` concatenates whole sequences as int64.  A sequence longer
-    than the block is cut into pieces that each own up to ``BLOCK``
-    positions and also carry the ``n_d`` symbols before and ``n_d + 1``
-    after them that the windows reach.  Each row of ``pieces`` is
-    ``(sequence index, length T, base, lo, hi)``: the piece owns positions
-    ``lo <= t < hi`` of its sequence, found at ``stream[base + t]``.
+    Block ``b`` owns positions ``b * BLOCK`` up to ``(b + 1) * BLOCK`` of
+    ``seqs.values``, and ``stream`` views them together with the ``n_d``
+    symbols before and ``n_d + 1`` after that the windows reach, so nothing
+    is copied.  Each sequence the block overlaps is one piece.  The rows of
+    ``pieces`` are ``(T, base, lo, hi)``: the piece owns positions
+    ``lo <= t < hi`` of its length-``T`` sequence, found at
+    ``stream[base + t]``.
     """
-    parts, pieces, size = [], [], 0
-    for i, seq in enumerate(sequences):
-        seq = np.asarray(seq)
-        T = seq.shape[0]
-        for lo in range(0, T, BLOCK):
-            a = max(lo - n_d, 0)
-            parts.append(seq[a : lo + BLOCK + n_d + 1])
-            pieces.append((i, T, size - a, lo, min(lo + BLOCK, T)))
-            size += parts[-1].shape[0]
-            if size >= BLOCK:
-                yield np.concatenate(parts).astype(np.int64, copy=False), np.array(pieces)
-                parts, pieces, size = [], [], 0
-    if parts:
-        yield np.concatenate(parts).astype(np.int64, copy=False), np.array(pieces)
+    values, offsets, lengths = seqs.values, seqs.offsets, seqs.lengths
+    size = values.shape[0]
+    for cut in range(0, size, BLOCK):
+        end = min(cut + BLOCK, size)
+        a = max(cut - n_d, 0)
+        i = np.arange(seqs.row_of(cut), np.searchsorted(offsets, end))
+        start, T = offsets[i], lengths[i]
+        lo, hi = np.maximum(cut - start, 0), np.minimum(end - start, T)
+        yield values[a : end + n_d + 1], np.stack((T, start - a, lo, hi))
 
 
-def _check_symbols(stream: np.ndarray, pieces: np.ndarray, n_o: int, n_d: int) -> None:
+def _check_symbols(seqs: SequenceFile, n_o: int) -> None:
     """Raise ``ValueError`` naming the sequence and symbol of the first one outside ``[0, n_o)``."""
-    if stream.min() >= 0 and stream.max() < n_o:
-        return
-    pos = int(np.flatnonzero((stream < 0) | (stream >= n_o))[0])
-    index, _, base, lo, _ = pieces.T
-    seq = index[np.searchsorted(base + np.maximum(lo - n_d, 0), pos, side="right") - 1]
-    raise ValueError(
-        f"sequence {seq}: symbol {stream[pos]} outside alphabet of size {n_o}"
-    )
+    bad = seqs.outside(n_o)
+    if bad.size:
+        raise ValueError(
+            f"sequence {seqs.row_of(bad[0])}: symbol {seqs.values[bad[0]]} "
+            f"outside alphabet of size {n_o}"
+        )
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -281,7 +277,7 @@ def _tally_windows(
     """Tally one block's ``lr``, ``lr_shift`` and ``lro``; return its anchor count."""
     k = n_o**sched.ell
     n_d = sched.n_d
-    _, T, base, lo, hi = pieces.T
+    T, base, lo, hi = pieces
     right = _window_codes(stream, sched.right_offsets, n_o)
     # anchor s is addressed by where its left window starts, s - n_d
     first, stop = np.maximum(lo, n_d) - n_d, np.minimum(hi, T - n_d - 1) - n_d
@@ -304,7 +300,7 @@ def _tally_pairs(
     anchors: int | None,
 ) -> int:
     """Tally one block's adjacent pairs (per anchor: the anchor's pair); return their count."""
-    _, T, base, lo, hi = pieces.T
+    T, base, lo, hi = pieces
     if anchors is None:
         at = _ranges(base + lo, base + np.minimum(hi, T - 1))
         index = stream[at]
@@ -323,7 +319,7 @@ def _tally_starts(
     sched: ObservationSchedule,
 ) -> int:
     """Tally the first two symbols and anchor 1's right window of each sequence begun in the block."""
-    _, T, base, lo, _ = pieces.T
+    T, base, lo, _ = pieces
     at = base[(lo == 0) & (T >= sched.start_min_length)]
     index = stream[at] * n_o + stream[at + 1]
     for o in sched.right_offsets:
@@ -334,15 +330,17 @@ def _tally_starts(
 
 
 def count_cooccurrences(
-    sequences: Iterable,
+    sequences,
     n_o: int,
     sched: ObservationSchedule,
     anchors: int | None = None,
 ) -> Counts:
     """Count scheduled co-occurrences, pooled or (``anchors`` given) per anchor.
 
-    The one counting kernel behind both builds.  Sequences stream through in
-    blocks of whole sequences (see :func:`_blocks`); per block the left- and
+    The one counting kernel behind both builds.  ``sequences`` is a
+    :class:`~hsmm_spectral.hsmm.SequenceFile`, a 2-D array of equal-length
+    rows, or 1-D arrays (concatenated once).  The stream passes through in
+    blocks of positions (see :func:`_blocks`).  Per block the left- and
     right-window codes are computed once per position, each anchor reads its
     ``left``, ``right`` and ``right_next`` codes as shifted lookups, and the
     composite indices are tallied with ``np.bincount``.  Per-anchor counting
@@ -358,8 +356,9 @@ def count_cooccurrences(
                       lead + (n_o, n_o), (n_o, n_o, k))
     )
     windows = pairs = starts = 0
-    for stream, pieces in _blocks(sequences, sched.n_d):
-        _check_symbols(stream, pieces, n_o, sched.n_d)
+    seqs = SequenceFile.of(sequences)
+    _check_symbols(seqs, n_o)
+    for stream, pieces in _blocks(seqs, sched.n_d):
         windows += _tally_windows(lr, lr_shift, lro, stream, pieces, n_o, sched, anchors)
         pairs += _tally_pairs(oo, stream, pieces, n_o, sched.n_d, anchors)
         starts += _tally_starts(start, stream, pieces, n_o, sched)

@@ -46,6 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .container import read_container, write_container
+from .hsmm import SequenceFile
 from .moments import (
     OL,
     OR,
@@ -53,6 +54,7 @@ from .moments import (
     SYM2,
     MomentSet,
     ObservationSchedule,
+    _ranges,
     count_cooccurrences,
     estimate_moments,
 )
@@ -254,11 +256,12 @@ def build_observable_per_t(
     ``[0, n_o)`` raises ``ValueError`` naming its sequence, and
     :class:`DegenerateMoments` names the anchor whose tables fail.
     """
-    seqs = [np.asarray(s) for s in sequences]
-    if not seqs:
+    seqs = SequenceFile.of(sequences)
+    if not len(seqs):
         raise DegenerateMoments("m_lr", detail="no sequences")
-    T = seqs[0].shape[0]
-    if any(s.shape[0] != T for s in seqs):
+    lengths = seqs.lengths
+    T = int(lengths[0])
+    if (lengths != T).any():
         raise DegenerateMoments(
             "m_lr", detail="per-anchor estimation needs equal-length sequences"
         )
@@ -353,14 +356,17 @@ def _per_anchor_operators(models: Sequence[ObservableModel]) -> Operators:
 
 
 def _chain(
-    ops: Operators, seqs: np.ndarray | Sequence[np.ndarray], renormalize: bool = True
+    ops: Operators, seqs, renormalize: bool = True, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log magnitudes and signs of the chained products of a batch of sequences.
 
-    ``seqs`` is an equal-length 2-D array or a list of validated sequences
-    of any lengths.  The message starts as the start table at the first two
-    symbols, takes one gathered ``r x r`` product per interior symbol, and
-    closes with the end table at the last symbol.  Rows run longest first,
+    ``seqs`` is an equal-length 2-D array, or validated sequences of any
+    lengths in any form :meth:`SequenceFile.of` takes, of which the
+    sequences ``rows`` (default all) are chained; those are scattered from
+    the ragged stream into one zero-padded batch at once.
+    The message starts as the start table at the first two symbols, takes
+    one gathered ``r x r`` product per interior symbol, and closes with the
+    end table at the last symbol.  Rows run longest first,
     so the rows still advancing at a step are a prefix whose length is known
     before the loop; a finished row keeps its message until every row closes
     at once.  Per-step renormalization only moves scale into the log
@@ -373,13 +379,15 @@ def _chain(
         lengths = np.full(n, T)
         order = None
     else:
-        lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
+        seqs = SequenceFile.of(seqs)
+        starts, lengths = seqs.offsets[:-1], seqs.lengths
+        if rows is not None:
+            starts, lengths = starts[rows], lengths[rows]
         order = np.argsort(-lengths, kind="stable")
-        lengths = lengths[order]
+        starts, lengths = starts[order], lengths[order]
         n, T = lengths.size, int(lengths[0])
         obs = np.zeros((n, T), dtype=np.int64)
-        for row, i in enumerate(order):
-            obs[row, : lengths[row]] = seqs[i]
+        obs[np.arange(T) < lengths[:, None]] = seqs.values[_ranges(starts, starts + lengths)]
     cap = step.shape[0] + 1
     positions = range(2, T - 1)
     # rows with at least t + 2 symbols advance at position t
@@ -459,14 +467,17 @@ def learn_spectral(
 SCORE_HEADER = ["id", "log_value", "sign", "clamped", "norm_loglik"]
 
 
-def score_sequences(model, sequences: Iterable, error_sink=None, lines=None):
+def score_sequences(model, sequences: Iterable, error_sink=None):
     """Yield one score row per sequence, in input order; failures become NaN rows.
 
     ``model`` is a batched :class:`ObservableModel` or a per-anchor list.
-    All well-formed sequences are scored by one batched chain.  Row-level
-    errors are reported to ``error_sink`` (default stderr) and do not stop
-    the stream; each names the input line of its sequence, ``lines[i]`` for
-    sequence ``i`` (default ``i + 1``).
+    The sequences are read as one ragged stream (see :meth:`SequenceFile.of`);
+    short rows and rows with unknown symbols are found over the whole stream
+    at once, and all well-formed rows are scored by one batched chain.
+    Row-level errors are reported to ``error_sink`` (default stderr) and do
+    not stop the stream; each names the stream's line of its sequence (the
+    file line for :func:`~hsmm_spectral.hsmm.read_sequences`, else ``i + 1``
+    for sequence ``i``).
     """
     sink = error_sink if error_sink is not None else sys.stderr
     if isinstance(model, (list, tuple)):
@@ -475,37 +486,34 @@ def score_sequences(model, sequences: Iterable, error_sink=None, lines=None):
     else:
         ops = model.operators
         n_o = model.n_o
-    rows = []
-    for idx, seq in enumerate(sequences):
-        seq = np.asarray(seq, dtype=np.int64)
+    seqs = SequenceFile.of(sequences)
+    lengths = seqs.lengths
+    failed = lengths < 3
+    failed[seqs.row_of(seqs.outside(n_o))] = True
+    for idx in np.flatnonzero(failed).tolist():
         try:
-            _check_sequence(n_o, seq)
-            rows.append(seq)
+            _check_sequence(n_o, seqs[idx])
         except SpectralError as exc:
-            line = idx + 1 if lines is None else lines[idx]
-            print(f"line {line}: {type(exc).__name__}: {exc}", file=sink)
-            rows.append(None)
-    valid = [seq for seq in rows if seq is not None]
-    results = iter(_results(*_chain(ops, valid)) if valid else [])
-    for idx, seq in enumerate(rows):
-        if seq is None:
+            print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=sink)
+    ok = np.flatnonzero(~failed)
+    results = iter(_results(*_chain(ops, seqs, rows=ok)) if ok.size else [])
+    for idx, (bad, T) in enumerate(zip(failed.tolist(), lengths.tolist())):
+        if bad:
             yield [idx, "nan", 0, "true", "nan"]
             continue
         res = next(results)
-        norm = res.log_value / seq.shape[0]
+        norm = res.log_value / T
         yield [idx, f"{res.log_value:.17g}", res.sign, str(res.clamped).lower(),
                f"{norm:.17g}"]
 
 
-def score_file(
-    model, sequences: Iterable, out_path, error_sink=None, lines=None
-) -> int:
+def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
     """Write the score CSV; returns the number of data rows."""
     count = 0
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_HEADER)
-        for row in score_sequences(model, sequences, error_sink, lines):
+        for row in score_sequences(model, sequences, error_sink):
             writer.writerow(row)
             count += 1
     return count

@@ -220,3 +220,35 @@ def brute_window_joint(model_tuple, position_groups, T):
             table[sym_tuple] = w.sum()
         out.append(table)
     return out
+
+
+# ---------------------------------------------------------------------------
+# sampling oracle
+
+
+def sample_many_per_step(p, n_sequences, T, rng):
+    """Vectorized sampling that forms each cumulative table anew at every step.
+
+    Draws from the same uniforms in the same order as ``hsmm.sample_many``,
+    so the two agree exactly.
+    """
+
+    def draw(table, cols):
+        cum = np.cumsum(table[:, cols], axis=0)
+        u = rng.random(cols.shape[0])
+        return np.minimum((u[None, :] > cum).sum(axis=0), table.shape[0] - 1)
+
+    pi_d = p.D if p.pi_d is None else p.pi_d
+    obs = np.empty((n_sequences, T), dtype=np.int64)
+    x = draw(p.pi_x[:, None], np.zeros(n_sequences, dtype=int))
+    d = draw(pi_d, x) + 1
+    for t in range(T):
+        if t > 0:
+            renew = d == 1
+            d = d - 1
+            if np.any(renew):
+                xr = draw(p.X, x[renew])
+                x[renew] = xr
+                d[renew] = draw(p.D, xr) + 1
+        obs[:, t] = draw(p.O, x)
+    return obs

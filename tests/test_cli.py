@@ -241,3 +241,31 @@ def test_model_file_without_variant_exits_two(tmp_path, capsys):
     code, _, err = run(["infer", "--model", str(path), "--sequence", "0 1 2"], capsys)
     assert code == 2
     assert "SpectralError" in err and "variant" in err
+
+
+def test_symbol_beyond_int64_exits_two(tmp_path, capsys):
+    huge = "99999999999999999999"
+    data = tmp_path / "d.txt"
+    learned = tmp_path / "s.bin"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "4",
+         "-o", str(tmp_path / "m.json")], capsys)
+    run(["gen-data", "--model", str(tmp_path / "m.json"), "-n", "300", "-T", "15",
+         "--seed", "5", "-o", str(data)], capsys)
+    run(["learn-spectral", "--data", str(data), "--nx", "2", "--nd", "2",
+         "-o", str(learned)], capsys)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([*GOOD[:3], f"0 1 {huge} 1", *GOOD]) + "\n")
+    for argv in (
+        ["learn-spectral", "--data", str(bad), "--nx", "2", "--nd", "2",
+         "-o", str(tmp_path / "out.bin")],
+        ["score", "--model", str(learned), "--data", str(bad),
+         "-o", str(tmp_path / "scores.csv")],
+        ["infer", "--model", str(learned), "--data", str(bad)],
+        ["infer", "--model", str(learned), "--sequence", f"0 1 {huge} 1"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2, (argv, err)
+        assert f"symbol {huge} does not fit in int64" in err, err
+        assert "Traceback" not in err
+        if "--data" in argv:
+            assert "line 4" in err, err

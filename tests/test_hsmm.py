@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hsmm_spectral import hsmm
 from hsmm_spectral.hsmm import (
     GenerationFailed,
     HsmmParams,
@@ -26,7 +27,12 @@ from hsmm_spectral.hsmm import (
 )
 from hsmm_spectral.tensors import ShapeMismatch
 
-from oracles import enumeration_likelihood, hmm_forward_loglik, segment_likelihood
+from oracles import (
+    enumeration_likelihood,
+    hmm_forward_loglik,
+    sample_many_per_step,
+    segment_likelihood,
+)
 
 
 def model_tuple(p):
@@ -135,6 +141,17 @@ def test_sample_many_matches_marginal_statistics():
         sd = math.sqrt(mix[s] * (1 - mix[s]) * total)
         # emissions within a sequence are correlated; allow a mixing margin
         assert abs(counts[s] - mix[s] * total) < 3 * sd * math.sqrt(2 * p.n_d)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (8, 3, 9), (4, 1, 3)])
+def test_sample_many_matches_per_step_reference(dims):
+    p = random_model(*dims, seed=12)
+    with_pi_d = HsmmParams(O=p.O, X=p.X, D=p.D, pi_x=p.pi_x, pi_d=p.D[::-1] / p.D[::-1].sum(0))
+    for model in (p, with_pi_d):
+        for n, T in ((1, 1), (7, 30), (500, 40)):
+            got = sample_many(model, n, T, np.random.default_rng([n, T]))
+            want = sample_many_per_step(model, n, T, np.random.default_rng([n, T]))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_enum_likelihood_single_state_product():
@@ -305,3 +322,87 @@ def test_next_state_table_layout():
     assert t0.shape == (2, 6)
     assert np.array_equal(t0[:, :2], p.X)
     assert np.array_equal(t0[:, 2:4], np.eye(2))
+
+
+# tokens the fast path reads, and ones only the per-line parser accepts or rejects
+PLAIN_TOKENS = ["0", "1", "2", "7", "10", "007", "1" * 18, "9" * 18]
+ODD_TOKENS = ["9223372036854775807", "9223372036854775808", "1" * 19, "1" * 20,
+              "+3", "1_0", "-1", "x", "\u0663"]
+
+
+def fuzzed_file(rng) -> str:
+    lines = []
+    for _ in range(int(rng.integers(0, 12))):
+        kind = rng.random()
+        if kind < 0.1:
+            line = ""
+        elif kind < 0.2:
+            line = str(rng.choice([" ", "  ", "\t", " \t "]))
+        elif kind < 0.3:
+            line = "# 1 2 comment"
+        else:
+            tokens = [
+                str(rng.choice(ODD_TOKENS if rng.random() < 0.03 else PLAIN_TOKENS))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            seps = rng.choice([" ", " ", " ", "  ", "\t"], size=len(tokens) + 1)
+            line = "".join(sep + tok for sep, tok in zip(seps, tokens))
+            line = line.lstrip(" ") if rng.random() < 0.7 else line
+            line += str(seps[-1]) if rng.random() < 0.2 else ""
+        lines.append(line + str(rng.choice(["\n", "\n", "\r\n"])))
+    text = "".join(lines)
+    return text[:-1] if text and rng.random() < 0.2 else text
+
+
+def read_per_line(path):
+    """The per-line parser over the whole file, with read_sequences' symbol check."""
+    with open(path) as fh:
+        seqs, lines, _ = hsmm._parse_lines(fh)
+    for seq, line in zip(seqs, lines):
+        if (seq < 0).any():
+            raise ValueError(f"line {line}: symbol {seq[seq < 0][0]} is negative")
+    return seqs, lines
+
+
+def outcome(read, path):
+    try:
+        seqs, lines = read(path)
+    except ValueError as exc:
+        return str(exc)
+    values = np.concatenate(list(seqs)) if len(seqs) else np.zeros(0, dtype=np.int64)
+    return values.dtype, values.tolist(), [len(s) for s in seqs], list(lines)
+
+
+def read_blocked(path):
+    seqs = read_sequences(path)
+    return seqs, seqs.lines
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+def test_tokenizer_matches_per_line_parser(monkeypatch, tmp_path, block):
+    monkeypatch.setattr(hsmm, "READ_BLOCK", block)
+    fast = []
+    parse = hsmm._fast_block
+    monkeypatch.setattr(hsmm, "_fast_block", lambda b: fast.append(parse(b)) or fast[-1])
+    rng = np.random.default_rng(block)
+    path = tmp_path / "seqs.txt"
+    texts = ["", "\n", "0", "0 1", "  \t\n# 5\n\n3  4\t5 \r\n", "1 2\r3\n"]
+    texts += [fuzzed_file(rng) for _ in range(300)]
+    errors = 0
+    for text in texts:
+        path.write_bytes(text.encode())
+        want = outcome(read_per_line, path)
+        assert outcome(read_blocked, path) == want, repr(text)
+        errors += isinstance(want, str)
+    assert 10 < errors < 150
+    assert any(f is None for f in fast) and any(f is not None for f in fast)
+
+
+def test_symbol_beyond_int64_names_its_line(tmp_path):
+    path = tmp_path / "seqs.txt"
+    path.write_text("0 1\n# x\n2 99999999999999999999 1\n")
+    with pytest.raises(ValueError, match="line 3: symbol 99999999999999999999 does not fit"):
+        read_sequences(path)
+    path.write_text("0 1\n-99999999999999999999\n")
+    with pytest.raises(ValueError, match="line 2: symbol -99999999999999999999 does not fit"):
+        read_sequences(path)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hsmm_spectral import moments
-from hsmm_spectral.hsmm import HsmmParams, random_model, sample_many
+from hsmm_spectral.hsmm import (
+    HsmmParams,
+    random_model,
+    read_sequences,
+    sample_many,
+    write_sequences,
+)
 from hsmm_spectral.moments import (
     OL,
     OR,
@@ -167,7 +173,7 @@ def loop_counts(sequences, n_o, sched, per_anchor=False):
 
 @pytest.mark.parametrize("block", [None, 5])
 @pytest.mark.parametrize("n_x,n_d", [(2, 2), (3, 9)])
-def test_pooled_counts_match_plain_loop(monkeypatch, n_x, n_d, block):
+def test_pooled_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, block):
     if block:
         monkeypatch.setattr(moments, "BLOCK", block)
     sched = build_schedule(n_x, n_d)
@@ -177,21 +183,26 @@ def test_pooled_counts_match_plain_loop(monkeypatch, n_x, n_d, block):
     lengths += [60, 3 * sched.min_sequence_length, 41]
     seqs = [rng.integers(0, n_o, size=T) for T in rng.permutation(lengths)]
     expect = loop_counts(seqs, n_o, sched)
-    got = count_cooccurrences(seqs, n_o, sched)
-    for g, e in zip(got, expect):
-        assert np.array_equal(g, e)
+    # the ragged stream read back from a file (its empty lines are skipped)
+    write_sequences(seqs, tmp_path / "seqs.txt")
+    stream = read_sequences(tmp_path / "seqs.txt")
+    for form in (seqs, stream):
+        got = count_cooccurrences(form, n_o, sched)
+        for g, e in zip(got, expect):
+            assert np.array_equal(g, e)
 
-    m = estimate_moments(seqs, n_o, sched)
     lr, lr_shift, lro, oo, start, windows, pairs, starts = expect
-    assert (m.window_count, m.pair_count, m.start_count) == (windows, pairs, starts)
-    for field, table, count in (
-        ("m_lr", lr, windows),
-        ("m_lr_shift", lr_shift, windows),
-        ("m_lro", lro, windows),
-        ("m_oo", oo, pairs),
-        ("m_start", start, starts),
-    ):
-        assert np.array_equal(getattr(m, field).data, table / count)
+    for form in (seqs, stream):
+        m = estimate_moments(form, n_o, sched)
+        assert (m.window_count, m.pair_count, m.start_count) == (windows, pairs, starts)
+        for field, table, count in (
+            ("m_lr", lr, windows),
+            ("m_lr_shift", lr_shift, windows),
+            ("m_lro", lro, windows),
+            ("m_oo", oo, pairs),
+            ("m_start", start, starts),
+        ):
+            assert np.array_equal(getattr(m, field).data, table / count)
 
     short = [s for s in seqs if len(s) < sched.min_sequence_length]
     with pytest.raises(InsufficientData) as err:
@@ -201,24 +212,28 @@ def test_pooled_counts_match_plain_loop(monkeypatch, n_x, n_d, block):
 
 @pytest.mark.parametrize("as_array", [False, True])
 @pytest.mark.parametrize("n_x,n_d,T", [(2, 2, 12), (3, 9, 25)])
-def test_per_anchor_counts_match_plain_loop(monkeypatch, n_x, n_d, T, as_array):
+def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, as_array):
     monkeypatch.setattr(moments, "BLOCK", 7)
     sched = build_schedule(n_x, n_d)
     n_o = 3
     obs = sample_many(random_model(n_o, n_x, n_d, seed=6), 300, T, np.random.default_rng(6))
     seqs = obs if as_array else list(obs)
+    write_sequences(obs, tmp_path / "seqs.txt")
+    stream = read_sequences(tmp_path / "seqs.txt")
     n_anchor = len(sched.anchor_range(T))
     expect = loop_counts(list(obs), n_o, sched, per_anchor=True)
-    got = count_cooccurrences(seqs, n_o, sched, anchors=n_anchor)
-    for g, e in zip(got, expect):
-        assert np.array_equal(g, e)
-    assert got.windows == got.pairs == 300 * n_anchor
-    assert got.starts == 300
+    for form in (seqs, stream):
+        got = count_cooccurrences(form, n_o, sched, anchors=n_anchor)
+        for g, e in zip(got, expect):
+            assert np.array_equal(g, e)
+        assert got.windows == got.pairs == 300 * n_anchor
+        assert got.starts == 300
 
-    pooled = estimate_moments(seqs, n_o, sched)
     listed = estimate_moments(list(obs), n_o, sched)
-    for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
-        assert np.array_equal(getattr(pooled, field).data, getattr(listed, field).data)
+    for form in (seqs, stream):
+        pooled = estimate_moments(form, n_o, sched)
+        for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
+            assert np.array_equal(getattr(pooled, field).data, getattr(listed, field).data)
 
     if n_d > 2:
         return  # too few sequences for a full-rank per-anchor build

@@ -7,6 +7,7 @@ import pytest
 
 from hsmm_spectral.hsmm import (
     HsmmParams,
+    SequenceFile,
     forward_likelihood,
     random_model,
     sample_many,
@@ -509,20 +510,24 @@ def test_score_file_keeps_row_order_with_interleaved_errors(tmp_path):
         else:
             seqs.append(rng.integers(0, 3, size=int(rng.integers(3, 25))))
     out = tmp_path / "scores.csv"
-    sink = io.StringIO()
-    assert score_file(model, seqs, out, error_sink=sink) == 30
-    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
-    for i, (row, obs) in enumerate(zip(rows, seqs)):
-        assert int(row[0]) == i
-        if i % 7 in (3, 5):
-            assert row[1] == "nan"
-        else:
-            res = infer(model, obs)
-            assert int(row[2]) == res.sign
-            assert np.isclose(float(row[1]), res.log_value, rtol=1e-12, atol=0)
-    errors = sink.getvalue().splitlines()
-    assert errors[0].startswith("line 4: SequenceTooShort")
-    assert errors[1].startswith("line 6: UnknownSymbol") and "symbol -1" in errors[1]
+    written = set()
+    for form in (seqs, SequenceFile.of(seqs)):
+        sink = io.StringIO()
+        assert score_file(model, form, out, error_sink=sink) == 30
+        written.add(out.read_text())
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        for i, (row, obs) in enumerate(zip(rows, seqs)):
+            assert int(row[0]) == i
+            if i % 7 in (3, 5):
+                assert row[1] == "nan"
+            else:
+                res = infer(model, obs)
+                assert int(row[2]) == res.sign
+                assert np.isclose(float(row[1]), res.log_value, rtol=1e-12, atol=0)
+        errors = sink.getvalue().splitlines()
+        assert errors[0].startswith("line 4: SequenceTooShort")
+        assert errors[1].startswith("line 6: UnknownSymbol") and "symbol -1" in errors[1]
+    assert len(written) == 1
 
 
 def test_model_file_without_variant_or_tensor_is_rejected(tmp_path):
