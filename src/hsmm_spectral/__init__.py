@@ -59,9 +59,7 @@ from .spectral import (
     infer_batch,
     infer_per_t,
     learn_spectral,
-    load_moments,
     load_observable,
-    save_moments,
     save_observable,
     score_file,
 )

@@ -36,7 +36,6 @@ from .spectral import (
     infer,
     infer_per_t,
     load_observable,
-    save_moments,
     save_observable,
     score_file,
 )
@@ -97,9 +96,6 @@ def _build_parser() -> _Parser:
                     help="keep directions below the sampling-noise level")
     ls.add_argument("--basic", action="store_true",
                     help="per-anchor variant instead of the pooled build")
-    ls.add_argument("--save-moments", default=None)
-    ls.add_argument("--seed", type=int, default=0,
-                    help="accepted for interface uniformity; learning is deterministic")
     ls.add_argument("-o", "--output", required=True)
 
     le = sub.add_parser("learn-em", help="fit parameters by EM")
@@ -186,11 +182,9 @@ def _cmd_learn_spectral(args) -> int:
             seqs, n_o, sched, args.rtol, noise_floor=not args.no_noise_floor
         )
     else:
-        moments = estimate_moments(seqs, n_o, sched)
-        if args.save_moments:
-            save_moments(args.save_moments, moments)
         model = build_observable(
-            moments, args.rtol, noise_floor=not args.no_noise_floor
+            estimate_moments(seqs, n_o, sched), args.rtol,
+            noise_floor=not args.no_noise_floor,
         )
     save_observable(args.output, model)
     return 0

@@ -699,5 +699,5 @@ def _parse_lines(text_lines, first: int = 1) -> tuple[list[np.ndarray], list[int
 def write_sequences(sequences: Iterable[np.ndarray], path) -> None:
     with open(path, "w") as fh:
         for seq in sequences:
-            fh.write(" ".join(str(int(s)) for s in np.asarray(seq)))
+            fh.write(" ".join(map(str, np.asarray(seq, dtype=np.int64).tolist())))
             fh.write("\n")

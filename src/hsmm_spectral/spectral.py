@@ -9,20 +9,24 @@ of observable co-occurrences only:
 * ``o_tilde`` is the symbol-pair table times its own pseudo-inverse (a
   projector onto the reachable emission subspace),
 * ``start_factor`` is the boundary joint of the first two symbols with the
-  first right window, estimable directly as a probability table,
-* ``end_factor`` is ``x_tilde`` with its data-side window marginalized out,
-  closing the chain at the final symbol.
+  first right window, estimable directly as a probability table.
+
+The chain closes at the final symbol with ``x_tilde``'s data-side window
+marginalized out.
 
 With population moments the chained product reproduces the exact sequence
 likelihood; with finite samples it is a consistent estimator whose values
 may leave [0, 1], so results carry a sign and a log magnitude.
 
 The build solves in a rank-``r`` space with orthonormal basis ``V``
-(``basis``), so ``d_tilde = V Y_d``.  Inference therefore never touches the
-``k``-space tensors: each symbol folds into one ``r x r`` observable
-operator ``B_o = (V' d_tilde)(x_tilde . o_tilde[:, o] V)`` (Hsu, Kakade &
-Zhang, "A spectral algorithm for learning hidden Markov models"), and one
-batched kernel advances every sequence through them.
+(``basis``), so ``d_tilde = V Y_d`` and ``x_tilde = V Y_x``.  The model holds
+and stores ``d_tilde``, ``o_tilde``, ``start_factor``, ``V`` and the
+``r x k x n_o`` coefficients ``Y_x`` (``y_x``); ``x_tilde`` is derived on
+demand and never formed by the build, loading or inference.  Each symbol
+folds into one ``r x r`` observable operator
+``B_o = (V' d_tilde)(x_tilde . o_tilde[:, o] V)`` (Hsu, Kakade & Zhang, "A
+spectral algorithm for learning hidden Markov models"), and one batched
+kernel advances every sequence through them.
 
 The pseudo-inverse products are float64 truncated-SVD solves.  Each moment
 matrix is decomposed once, and the rank check, the noise floor and the
@@ -58,7 +62,7 @@ from .moments import (
     count_cooccurrences,
     estimate_moments,
 )
-from .tensors import ModeLabel, NamedTensor, RankZero, TensorError, spectrum_rank
+from .tensors import ModeLabel, NamedTensor, RankZero, spectrum_rank
 
 OR_IN = ModeLabel("or_in")
 
@@ -102,12 +106,18 @@ class Operators(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ObservableModel:
+    """A learned model: exactly the tensors a model file stores.
+
+    ``x_tilde = basis @ y_x`` is derived on demand (``k x k x n_o``, for
+    reference checks only); ``d_tilde`` is held in ``k`` space because
+    callers perturb it through ``dataclasses.replace``.
+    """
+
     d_tilde: NamedTensor
-    x_tilde: NamedTensor
+    y_x: np.ndarray  # (r, k, n_o): x_tilde's coefficients in the basis
     o_tilde: NamedTensor
     start_factor: NamedTensor
-    end_factor: NamedTensor
-    basis: np.ndarray  # (k, r) orthonormal; d_tilde and x_tilde = basis @ (...)
+    basis: np.ndarray  # (k, r) orthonormal; d_tilde = basis @ (...)
     pinv_rtol: float
     n_o: int
     ell: int
@@ -119,21 +129,29 @@ class ObservableModel:
         """The rank the build kept."""
         return self.basis.shape[1]
 
+    @property
+    def x_tilde(self) -> NamedTensor:
+        """``basis @ y_x``, the symbol operator in window space."""
+        r, k, n_o = self.y_x.shape
+        x_flat = self.basis @ self.y_x.reshape(r, k * n_o)
+        return NamedTensor(x_flat.reshape(k, k, n_o), [OR_IN, OR, SYM])
+
     @cached_property
     def halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(V' d_tilde, x_tilde . o_tilde V, end_factor . o_tilde)``.
+        """``(V' d_tilde, x_tilde . o_tilde V, x_tilde.sum(axis=1) @ o_tilde)``.
 
         The factors on either side of the basis: an operator is a left half
-        times a right half, possibly of a neighbouring anchor's model.
+        times a right half, possibly of a neighbouring anchor's model.  The
+        right halves come from ``y_x`` without forming ``x_tilde``.
         Derived from the fields, so ``dataclasses.replace`` re-derives them.
         """
         v = self.basis
         o_mat = self.o_tilde.data
-        xv = np.einsum("qps,pj->qsj", self.x_tilde.data, v)
+        yv = np.einsum("jps,pi->jsi", self.y_x, v)
         return (
             v.T @ self.d_tilde.data,
-            np.einsum("qsj,so->oqj", xv, o_mat),
-            self.end_factor.data @ o_mat,
+            v @ np.einsum("jsi,so->oji", yv, o_mat),
+            v @ (self.y_x.sum(axis=1) @ o_mat),
         )
 
     @cached_property
@@ -161,7 +179,8 @@ def _pinv_product(
     most ``max_rank`` directions are kept (the moment matrices have a known
     population rank; anything beyond it is sampling noise that the chain
     would amplify).  Returns the orthonormal basis ``V`` of the retained row
-    space and the products ``V @ Y`` with ``Y = diag(1/s_r) u_r' rhs``.
+    space and the coefficients ``Y = diag(1/s_r) u_r' rhs``, so that
+    ``pinv(a) @ rhs = V @ Y``.
     """
     u, s, vt = svd
     if s.size == 0 or s[0] == 0.0:
@@ -173,7 +192,7 @@ def _pinv_product(
         raise RankZero("all singular values truncated")
     v = vt[:r].T
     w = u[:, :r].T / s[:r, None]
-    return v, [v @ (w @ r_mat) for r_mat in rhs]
+    return v, [w @ r_mat for r_mat in rhs]
 
 
 def _noise_rtol(s: np.ndarray, count: int) -> float:
@@ -213,7 +232,7 @@ def build_observable(
     eff_lr = max(rtol, _noise_rtol(lr_svd[1], m.window_count)) if noise_floor else rtol
     eff_oo = max(rtol, _noise_rtol(oo_svd[1], m.pair_count)) if noise_floor else rtol
     try:
-        basis, (d_mat, x_flat) = _pinv_product(
+        basis, (y_d, y_x) = _pinv_product(
             lr_svd,
             [m.m_lr_shift.data, m.m_lro.data.reshape(k, k * m.n_o)],
             eff_lr,
@@ -222,16 +241,14 @@ def build_observable(
     except RankZero as exc:
         raise DegenerateMoments("m_lr", detail=str(exc)) from None
     try:
-        _, (o_mat,) = _pinv_product(oo_svd, [m.m_oo.data.T], eff_oo, max_rank=sched.n_x)
+        v_oo, (y_o,) = _pinv_product(oo_svd, [m.m_oo.data.T], eff_oo, max_rank=sched.n_x)
     except RankZero as exc:
         raise DegenerateMoments("m_oo", detail=str(exc)) from None
-    x_cube = x_flat.reshape(k, k, m.n_o)
     return ObservableModel(
-        d_tilde=NamedTensor(d_mat, [OR_IN, OR]),
-        x_tilde=NamedTensor(x_cube, [OR_IN, OR, SYM]),
-        o_tilde=NamedTensor(o_mat, [SYM, SYM2]),
+        d_tilde=NamedTensor(basis @ y_d, [OR_IN, OR]),
+        y_x=y_x.reshape(-1, k, m.n_o),
+        o_tilde=NamedTensor(v_oo @ y_o, [SYM, SYM2]),
         start_factor=m.m_start,
-        end_factor=NamedTensor(x_cube.sum(axis=1), [OR_IN, SYM]),
         basis=basis,
         pinv_rtol=rtol,
         n_o=m.n_o,
@@ -334,7 +351,7 @@ def _per_anchor_operators(models: Sequence[ObservableModel]) -> Operators:
         raise DegenerateMoments("m_lr", detail="empty per-anchor model list")
     anchors = np.array([m.anchor for m in models])
     r = max(m.rank for m in models)
-    k, n_o = models[0].end_factor.data.shape
+    _, k, n_o = models[0].y_x.shape
     left = np.zeros((len(models), r, k))
     right = np.zeros((len(models), n_o, k, r))
     close = np.zeros((len(models), k, n_o))
@@ -522,41 +539,39 @@ def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
 def _model_tensors(model: ObservableModel, prefix: str = ""):
     return [
         (prefix + "d_tilde", model.d_tilde.data),
-        (prefix + "x_tilde", model.x_tilde.data),
+        (prefix + "y_x", model.y_x),
         (prefix + "o_tilde", model.o_tilde.data),
         (prefix + "start_factor", model.start_factor.data),
-        (prefix + "end_factor", model.end_factor.data),
         (prefix + "basis", model.basis),
     ]
 
 
-def _entry(mapping, key, what: str, kind: str = "model"):
+def _entry(mapping, key, what: str):
     try:
         return mapping[key]
     except KeyError:
-        raise SpectralError(f"{kind} file has no {what} {key!r}") from None
+        raise SpectralError(f"model file has no {what} {key!r}") from None
 
 
-def _window_space(n_o: int, ell: int, kind: str = "model") -> int:
+def _window_space(n_o: int, ell: int) -> int:
     """``k = n_o**ell`` of a file's fields, refused unless it fits an array dimension."""
     if n_o < 1 or ell < 1 or ell * math.log2(n_o) >= 63:
-        raise SpectralError(f"{kind} file fields n_o={n_o}, ell={ell} are out of range")
+        raise SpectralError(f"model file fields n_o={n_o}, ell={ell} are out of range")
     return n_o**ell
 
 
-def _tensor(
-    tensors, name: str, shape: tuple, labels, kind: str = "model"
-) -> NamedTensor:
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise SpectralError(f"model file tensor {name!r} has non-finite entries")
+    return arr
+
+
+def _array(tensors, name: str, shape: tuple) -> np.ndarray:
     """The stored tensor ``name``, checked to have ``shape`` and finite entries."""
-    arr = _entry(tensors, name, "tensor", kind)
+    arr = _entry(tensors, name, "tensor")
     if arr.shape != shape:
-        raise SpectralError(
-            f"{kind} file tensor {name!r} has shape {arr.shape}, need {shape}"
-        )
-    try:
-        return NamedTensor(arr, labels)
-    except TensorError:
-        raise SpectralError(f"{kind} file tensor {name!r} has non-finite entries") from None
+        raise SpectralError(f"model file tensor {name!r} has shape {arr.shape}, need {shape}")
+    return _finite(name, arr)
 
 
 def _basis(tensors, name: str, k: int) -> np.ndarray:
@@ -567,27 +582,27 @@ def _basis(tensors, name: str, k: int) -> np.ndarray:
             f"model file tensor {name!r} has shape {basis.shape}, "
             f"need ({k}, r) with 1 <= r <= {k}"
         )
-    if not np.isfinite(basis).all():
-        raise SpectralError(f"model file tensor {name!r} has non-finite entries")
-    return basis
+    return _finite(name, basis)
 
 
 def _model_from_tensors(tensors, meta, prefix: str = "", anchor=None):
-    """One model's tensors, each checked against ``k = n_o**ell`` of the fields."""
+    """One model's tensors, checked against ``k = n_o**ell`` of the fields and,
+    for ``y_x``, against the rank ``r`` of the stored basis."""
     n_o = int(_entry(meta, "n_o", "field"))
     ell = int(_entry(meta, "ell", "field"))
     k = _window_space(n_o, ell)
 
     def tensor(name, shape, labels):
-        return _tensor(tensors, prefix + name, shape, labels)
+        return NamedTensor(_array(tensors, prefix + name, shape), labels)
 
+    d_tilde = tensor("d_tilde", (k, k), [OR_IN, OR])
+    basis = _basis(tensors, prefix + "basis", k)
     return ObservableModel(
-        d_tilde=tensor("d_tilde", (k, k), [OR_IN, OR]),
-        x_tilde=tensor("x_tilde", (k, k, n_o), [OR_IN, OR, SYM]),
+        d_tilde=d_tilde,
+        y_x=_array(tensors, prefix + "y_x", (basis.shape[1], k, n_o)),
         o_tilde=tensor("o_tilde", (n_o, n_o), [SYM, SYM2]),
         start_factor=tensor("start_factor", (n_o, n_o, k), [SYM, SYM2, OR]),
-        end_factor=tensor("end_factor", (k, n_o), [OR_IN, SYM]),
-        basis=_basis(tensors, prefix + "basis", k),
+        basis=basis,
         pinv_rtol=float(_entry(meta, "rtol", "field")),
         n_o=n_o,
         ell=ell,
@@ -635,58 +650,3 @@ def load_observable(path):
         raise SpectralError(f"unknown model variant {variant!r}")
     return _model_from_tensors(tensors, meta)
 
-
-def save_moments(path, m: MomentSet) -> None:
-    meta = {
-        "n_o": m.n_o,
-        "n_x": m.schedule.n_x,
-        "n_d": m.schedule.n_d,
-        "ell": m.schedule.ell,
-        "right_offsets": list(m.schedule.right_offsets),
-        "left_offsets": list(m.schedule.left_offsets),
-        "window_count": m.window_count,
-        "pair_count": m.pair_count,
-        "start_count": m.start_count,
-    }
-    tensors = [
-        ("m_lr", m.m_lr.data),
-        ("m_lr_shift", m.m_lr_shift.data),
-        ("m_lro", m.m_lro.data),
-        ("m_oo", m.m_oo.data),
-        ("m_start", m.m_start.data),
-    ]
-    write_container(path, "moments", meta, tensors)
-
-
-def load_moments(path) -> MomentSet:
-    kind, meta, tensors = read_container(path)
-    if kind != "moments":
-        raise SpectralError(f"not a moments file (kind={kind})")
-
-    def field(name):
-        return _entry(meta, name, "field", "moments")
-
-    def tensor(name, shape, labels):
-        return _tensor(tensors, name, shape, labels, "moments")
-
-    n_o = int(field("n_o"))
-    sched = ObservationSchedule(
-        n_x=int(field("n_x")),
-        n_d=int(field("n_d")),
-        ell=int(field("ell")),
-        right_offsets=tuple(field("right_offsets")),
-        left_offsets=tuple(field("left_offsets")),
-    )
-    k = _window_space(n_o, sched.ell, "moments")
-    return MomentSet(
-        m_lr=tensor("m_lr", (k, k), [OL, OR]),
-        m_lr_shift=tensor("m_lr_shift", (k, k), [OL, OR]),
-        m_lro=tensor("m_lro", (k, k, n_o), [OL, OR, SYM]),
-        m_oo=tensor("m_oo", (n_o, n_o), [SYM, SYM2]),
-        m_start=tensor("m_start", (n_o, n_o, k), [SYM, SYM2, OR]),
-        n_o=n_o,
-        schedule=sched,
-        window_count=int(field("window_count")),
-        pair_count=int(field("pair_count")),
-        start_count=int(field("start_count")),
-    )

@@ -33,6 +33,11 @@ def test_usage_error_exits_one(capsys):
     assert code == 1
     code, _, _ = run(["bench", "--bogus-flag"], capsys)
     assert code == 1
+    # learn-spectral options that no longer exist
+    learn = ["learn-spectral", "--data", "d.txt", "--nx", "2", "--nd", "2", "-o", "m.bin"]
+    for removed in (["--seed", "0"], ["--save-moments", "moments.bin"]):
+        code, _, err = run(learn + removed, capsys)
+        assert code == 1 and f"unrecognized arguments: {' '.join(removed)}" in err
 
 
 def test_missing_file_exits_two(capsys):
@@ -45,7 +50,6 @@ def test_full_pipeline(tmp_path, capsys):
     data = tmp_path / "train.txt"
     learned = tmp_path / "spec.bin"
     scores = tmp_path / "scores.csv"
-    moments = tmp_path / "moments.bin"
     assert run(
         ["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "2",
          "-o", str(model)], capsys
@@ -57,7 +61,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert len(read_sequences(data)) == 400
     assert run(
         ["learn-spectral", "--data", str(data), "--nx", "2", "--nd", "2",
-         "--rtol", "1e-6", "--save-moments", str(moments), "-o", str(learned)],
+         "--rtol", "1e-6", "-o", str(learned)],
         capsys,
     )[0] == 0
     code, out, _ = run(
@@ -75,7 +79,6 @@ def test_full_pipeline(tmp_path, capsys):
     assert len(lines) == 401
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(np.isfinite(v) for v in values)
-    assert moments.exists()
 
 
 def test_infer_short_sequence_exits_two(tmp_path, capsys):

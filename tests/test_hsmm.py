@@ -314,6 +314,11 @@ def test_sequence_file_roundtrip(tmp_path):
     assert len(back) == 2
     assert np.array_equal(back[0], seqs[0])
     assert np.array_equal(back[1], seqs[1])
+    # rows of a 2-D array, one of them with a multi-digit symbol
+    grid = np.array([[0, 12, 3], [40506070809012, 0, 7]])
+    write_sequences(grid, path)
+    assert path.read_text() == "0 12 3\n40506070809012 0 7\n"
+    assert np.array_equal(np.stack(list(read_sequences(path))), grid)
 
 
 def test_next_state_table_layout():

@@ -33,9 +33,7 @@ from hsmm_spectral.spectral import (
     infer,
     infer_batch,
     infer_per_t,
-    load_moments,
     load_observable,
-    save_moments,
     save_observable,
     score_file,
     SpectralError,
@@ -230,7 +228,7 @@ def test_chain_direction_is_irrelevant():
     rng = np.random.default_rng(20)
     for _ in range(8):
         obs = rng.integers(0, 3, size=int(rng.integers(3, 9)))
-        w = model.end_factor.data @ o_mat[:, obs[-1]]
+        w = x_cube.sum(axis=1) @ o_mat[:, obs[-1]]
         w = d_mat @ w
         for t in range(len(obs) - 2, 1, -1):
             w = d_mat @ ((x_cube @ o_mat[:, obs[t]]) @ w)
@@ -323,20 +321,20 @@ def test_score_empty_input(tmp_path):
 
 def test_observable_roundtrip_bit_exact(tmp_path):
     p = random_model(3, 2, 2, seed=13)
-    model, m, _ = analytic_model(p)
+    model, _, _ = analytic_model(p)
     path = tmp_path / "model.bin"
     save_observable(path, model)
     back = load_observable(path)
-    for field in ("d_tilde", "x_tilde", "o_tilde", "start_factor", "end_factor"):
+    for field in ("d_tilde", "o_tilde", "start_factor"):
         assert np.array_equal(getattr(back, field).data, getattr(model, field).data)
+    assert np.array_equal(back.y_x, model.y_x)
     assert np.array_equal(back.basis, model.basis)
     assert back.pinv_rtol == model.pinv_rtol
-    mpath = tmp_path / "moments.bin"
-    save_moments(mpath, m)
-    m2 = load_moments(mpath)
-    for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
-        assert np.array_equal(getattr(m2, field).data, getattr(m, field).data)
-    assert m2.schedule == m.schedule
+    # the rank-r form: no k x k x n_o tensor is stored
+    k = model.basis.shape[0]
+    _, _, stored = read_container(path)
+    assert sorted(stored) == ["basis", "d_tilde", "o_tilde", "start_factor", "y_x"]
+    assert all(arr.size != k * k * 3 for arr in stored.values())
 
 
 def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path):
@@ -371,6 +369,10 @@ def test_per_t_roundtrip(tmp_path):
     assert isinstance(back, list)
     assert [m.anchor for m in back] == [m.anchor for m in models]
     assert np.array_equal(back[0].d_tilde.data, models[0].d_tilde.data)
+    assert all(np.array_equal(b.y_x, m.y_x) for b, m in zip(back, models))
+    k = models[0].basis.shape[0]
+    _, _, stored = read_container(path)
+    assert all(arr.size != k * k * 3 for arr in stored.values())
     # sequences beyond the trained anchor range clamp to the nearest anchor
     long_obs = sample_many(p, 1, 30, np.random.default_rng(15))[0]
     res = infer_per_t(back, long_obs)
@@ -399,7 +401,8 @@ def kspace_chain(obs, at_d, at_x, start):
 def pooled_kspace(model, obs):
     def at_x(t, sym, close=False):
         o = model.o_tilde.data[:, sym]
-        return model.end_factor.data @ o if close else model.x_tilde.data @ o
+        x_cube = model.x_tilde.data
+        return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
         obs, lambda t: model.d_tilde.data, at_x, model.start_factor.data
@@ -415,7 +418,8 @@ def per_anchor_kspace(models, obs):
     def at_x(t, sym, close=False):
         m = at(t)
         o = m.o_tilde.data[:, sym]
-        return m.end_factor.data @ o if close else m.x_tilde.data @ o
+        x_cube = m.x_tilde.data
+        return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
         obs, lambda t: at(t).d_tilde.data, at_x, models[0].start_factor.data
@@ -467,11 +471,12 @@ def test_per_anchor_kernel_pads_unequal_ranks():
     sched = build_schedule(2, 2)
     obs = list(sample_many(p, 300, 12, np.random.default_rng(35)))
     models = build_observable_per_t(obs, 3, sched, 1e-6)
-    # keep two directions of one anchor's transfer, so the ranks differ
+    # keep two directions of one anchor's model, so the ranks differ
     m = models[1]
     v = m.basis[:, :2]
     models[1] = dataclasses.replace(
-        m, basis=v, d_tilde=NamedTensor(v @ (v.T @ m.d_tilde.data), m.d_tilde.labels)
+        m, basis=v, y_x=m.y_x[:2],
+        d_tilde=NamedTensor(v @ (v.T @ m.d_tilde.data), m.d_tilde.labels),
     )
     assert sorted({mm.rank for mm in models}) == [2, sched.joint_rank]
     rng = np.random.default_rng(36)
@@ -544,6 +549,13 @@ def test_model_file_without_variant_or_tensor_is_rejected(tmp_path):
     write_container(path, kind, meta, old)
     with pytest.raises(SpectralError, match="basis"):
         load_observable(path)
+    # a file holding the k-space x_tilde and its marginal instead of y_x
+    x_cube = model.x_tilde.data
+    k_space = [(k, v) for k, v in tensors.items() if k != "y_x"]
+    k_space += [("x_tilde", x_cube), ("end_factor", x_cube.sum(axis=1))]
+    write_container(path, kind, meta, k_space)
+    with pytest.raises(SpectralError, match="model file has no tensor 'y_x'"):
+        load_observable(path)
 
 
 def test_model_file_with_bad_basis_is_rejected(tmp_path, capsys):
@@ -585,12 +597,17 @@ def test_model_file_with_inconsistent_tensors_is_rejected(tmp_path, capsys, per_
     path = tmp_path / "model.bin"
     save_observable(path, model)
     kind, meta, tensors = read_container(path)
-    x_nan = tensors[prefix + "x_tilde"].copy()
-    x_nan[0, 0, 0] = np.nan
+    y_x = tensors[prefix + "y_x"]
+    r = y_x.shape[0]
+    y_nan = y_x.copy()
+    y_nan[0, 0, 0] = np.nan
     cases = [
         # the fields say 4 symbols over 3-symbol tensors
         ({**meta, "n_o": 4}, {}, "d_tilde", r"shape \(9, 9\), need \(16, 16\)"),
-        (meta, {"x_tilde": x_nan}, "x_tilde", "non-finite entries"),
+        (meta, {"y_x": y_nan}, "y_x", "non-finite entries"),
+        # one row more than the basis has columns
+        (meta, {"y_x": np.concatenate([y_x, y_x[:1]])}, "y_x",
+         rf"shape \({r + 1}, 9, 3\), need \({r}, 9, 3\)"),
         (meta, {"start_factor": tensors[prefix + "start_factor"][..., :5]},
          "start_factor", r"shape \(3, 3, 5\), need \(3, 3, 9\)"),
     ]
@@ -612,33 +629,6 @@ def test_model_file_with_inconsistent_tensors_is_rejected(tmp_path, capsys, per_
         load_observable(path)
 
 
-def test_moments_file_errors_name_what_is_wrong(tmp_path):
-    p = random_model(3, 2, 2, seed=13)
-    _, m, _ = analytic_model(p)
-    path = tmp_path / "moments.bin"
-    save_moments(path, m)
-    kind, meta, tensors = read_container(path)
-    m_oo = tensors["m_oo"].copy()
-    m_oo[1, 0] = np.inf
-    k = 3**m.schedule.ell
-    cases = [
-        (meta, {name: arr for name, arr in tensors.items() if name != "m_lro"},
-         "moments file has no tensor 'm_lro'"),
-        ({key: val for key, val in meta.items() if key != "n_x"}, tensors,
-         "moments file has no field 'n_x'"),
-        (meta, {**tensors, "m_oo": m_oo},
-         "moments file tensor 'm_oo' has non-finite entries"),
-        ({**meta, "ell": 10**9}, tensors,
-         "moments file fields n_o=3, ell=1000000000 are out of range"),
-        (meta, {**tensors, "m_lr": tensors["m_lr"][:, :-1]},
-         rf"moments file tensor 'm_lr' has shape \({k}, {k - 1}\), need \({k}, {k}\)"),
-    ]
-    for case_meta, case_tensors, match in cases:
-        write_container(path, kind, case_meta, list(case_tensors.items()))
-        with pytest.raises(SpectralError, match=match):
-            load_moments(path)
-
-
 def test_pinv_product_is_the_truncated_pseudo_inverse():
     # a 9 x 7 matrix with a known spectrum
     rng = np.random.default_rng(41)
@@ -653,7 +643,8 @@ def test_pinv_product_is_the_truncated_pseudo_inverse():
         (1e-3, None, 3, 1e-3),
         (1e-8, 2, 2, 0.1),  # the cap keeps what rcond 0.1 keeps
     ):
-        v, (got,) = spectral._pinv_product(svd, [rhs], rtol, max_rank=max_rank)
+        v, (y,) = spectral._pinv_product(svd, [rhs], rtol, max_rank=max_rank)
+        got = v @ y
         assert v.shape == (7, rank)
         assert np.allclose(v.T @ v, np.eye(rank), rtol=0, atol=1e-14)
         assert np.allclose(v @ (v.T @ got), got, rtol=0, atol=1e-10)
