@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .em import EmConfig, em_fit
-from .hsmm import forward_loglik_batch, random_model, sample_many
+from .hsmm import InvalidModel, forward_loglik_batch, random_model, sample_many
 from .moments import InsufficientData, build_schedule, estimate_moments
 from .spectral import DegenerateMoments, build_observable, infer_batch
 
@@ -52,6 +52,16 @@ class BenchConfig:
     em: EmConfig = field(default_factory=EmConfig)
     run_em: bool = True
     em_max_n: int | None = None  # skip EM on larger training sets
+
+    def __post_init__(self):
+        if self.rtol <= 0:
+            raise InvalidModel("rtol must be positive")
+        if self.T < 1:
+            raise InvalidModel("T must be at least 1")
+        if self.n_test < 1:
+            raise InvalidModel("n_test must be at least 1")
+        if not self.seeds:
+            raise InvalidModel("seeds must not be empty")
 
 
 def preset(name: str) -> BenchConfig:

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .bench import BenchConfig, preset, run_synthetic_bench
+from .bench import preset, run_synthetic_bench
 from .container import ContainerError
 from .em import EmConfig, MonotonicityViolation, em_fit
 from .hsmm import (
@@ -256,31 +257,23 @@ def _cmd_rank_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = preset(args.preset)
     overrides = {}
-    if args.sizes:
+    if args.sizes is not None:
         overrides["sizes"] = tuple(
             tuple(int(x) for x in part.split(",")) for part in args.sizes.split(";")
         )
-    if args.n_list:
+    if args.n_list is not None:
         overrides["n_list"] = tuple(args.n_list)
-    if args.length:
+    if args.length is not None:
         overrides["T"] = args.length
-    if args.n_test:
+    if args.n_test is not None:
         overrides["n_test"] = args.n_test
-    if args.rtol:
+    if args.rtol is not None:
         overrides["rtol"] = args.rtol
     if args.no_em:
         overrides["run_em"] = False
     overrides["seeds"] = tuple(range(args.seed, args.seed + args.seeds))
-    cfg = BenchConfig(
-        **{
-            **{f: getattr(cfg, f) for f in (
-                "sizes", "n_list", "T", "n_test", "seeds", "rtol", "em",
-                "run_em", "em_max_n")},
-            **overrides,
-        }
-    )
+    cfg = dataclasses.replace(preset(args.preset), **overrides)
     report = run_synthetic_bench(
         cfg, progress=lambda msg: print(msg, file=sys.stderr)
     )

@@ -20,13 +20,17 @@ may leave [0, 1], so results carry a sign and a log magnitude.
 
 The build solves in a rank-``r`` space with orthonormal basis ``V``
 (``basis``), so ``d_tilde = V Y_d`` and ``x_tilde = V Y_x``.  The model holds
-and stores ``d_tilde``, ``o_tilde``, ``start_factor``, ``V`` and the
-``r x k x n_o`` coefficients ``Y_x`` (``y_x``); ``x_tilde`` is derived on
-demand and never formed by the build, loading or inference.  Each symbol
-folds into one ``r x r`` observable operator
-``B_o = (V' d_tilde)(x_tilde . o_tilde[:, o] V)`` (Hsu, Kakade & Zhang, "A
-spectral algorithm for learning hidden Markov models"), and one batched
-kernel advances every sequence through them.
+``d_tilde``, ``o_tilde``, ``start_factor``, ``V`` and the ``r x k x n_o``
+coefficients ``Y_x`` (``y_x``); ``x_tilde`` is derived on demand and never
+formed by the build, loading or inference.  Each symbol folds into one
+``r x r`` observable operator ``B_o = (V' d_tilde)(x_tilde . o_tilde[:, o] V)``
+(Hsu, Kakade & Zhang, "A spectral algorithm for learning hidden Markov
+models"), and one batched kernel advances every sequence through them.
+
+The per-anchor ("basic") variant is the same model once per anchor, and a
+pooled model is its one-anchor case: one builder turns either into operator
+tables, and one file layout stores either, with each tensor stacked along a
+leading anchor axis and the shared start table stored once.
 
 The pseudo-inverse products are float64 truncated-SVD solves.  Each moment
 matrix is decomposed once, and the rank check, the noise floor and the
@@ -95,18 +99,21 @@ class Operators(NamedTuple):
 
     ``step[c]`` holds one ``r x r`` operator per symbol and ``end[c]`` the
     closing vector per symbol.  Position ``t`` of a sequence uses table
-    ``c = min(t, len(step) + 1) - 2``: a pooled model has one table, a
-    per-anchor model one per position up to where the anchors run out.
+    ``c = clip(t - first, 0, A)`` of ``A`` anchors: it transfers with anchor
+    ``c - 1`` and consumes its symbol with anchor ``c``, both clipped to
+    ``[0, A)``, so table ``c`` is the left half of the one times the right
+    half of the other.  There are ``A + 1`` tables whatever the anchors' values.
     """
 
     start: np.ndarray  # (n_o, n_o, r): first two symbols -> message
-    step: np.ndarray  # (P, n_o, r, r)
-    end: np.ndarray  # (P, r, n_o)
+    step: np.ndarray  # (A + 1, n_o, r, r)
+    end: np.ndarray  # (A + 1, r, n_o)
+    first: int  # position of the first anchor
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableModel:
-    """A learned model: exactly the tensors a model file stores.
+    """A learned model in its rank-``r`` form: pooled, or one anchor's if ``anchor`` is set.
 
     ``x_tilde = basis @ y_x`` is derived on demand (``k x k x n_o``, for
     reference checks only); ``d_tilde`` is held in ``k`` space because
@@ -121,7 +128,6 @@ class ObservableModel:
     pinv_rtol: float
     n_o: int
     ell: int
-    variant: str = "batched"
     anchor: int | None = None
 
     @property
@@ -157,12 +163,7 @@ class ObservableModel:
     @cached_property
     def operators(self) -> Operators:
         """The stationary chain as rank-``r`` observable operators."""
-        left, right, close = self.halves
-        return Operators(
-            self.start_factor.data @ self.basis,
-            (left @ right)[None],
-            (left @ close)[None],
-        )
+        return _operators([self])
 
 
 def _pinv_product(
@@ -253,7 +254,6 @@ def build_observable(
         pinv_rtol=rtol,
         n_o=m.n_o,
         ell=sched.ell,
-        variant="batched",
     )
 
 
@@ -308,7 +308,7 @@ def build_observable_per_t(
             model = build_observable(m, rtol, noise_floor)
         except DegenerateMoments as exc:
             raise DegenerateMoments(exc.tensor, anchor=s_pos, detail=exc.detail) from None
-        models.append(replace(model, variant="per_t", anchor=s_pos))
+        models.append(replace(model, anchor=s_pos))
     return models
 
 
@@ -339,41 +339,48 @@ def _check_sequence(model_n_o: int, obs: np.ndarray) -> None:
         raise UnknownSymbol(f"symbol {int(bad)} outside alphabet of size {model_n_o}")
 
 
-def _per_anchor_operators(models: Sequence[ObservableModel]) -> Operators:
-    """Per-anchor operators stacked by position, ranks zero-padded to the largest.
-
-    Position ``t`` transfers with the anchor nearest ``t - 1`` and consumes
-    its symbol with the anchor nearest ``t``, so its operator is the left
-    half of the one times the right half of the other.  Past the last anchor
-    both are the last anchor, and the last table serves every later position.
-    """
+def _first_anchor(models: Sequence[ObservableModel]) -> int:
+    """The first anchor of consecutive per-anchor models; 1 for a pooled model."""
     if not models:
         raise DegenerateMoments("m_lr", detail="empty per-anchor model list")
-    anchors = np.array([m.anchor for m in models])
+    first = 1 if models[0].anchor is None else models[0].anchor
+    if [m.anchor for m in models[1:]] != list(range(first + 1, first + len(models))):
+        raise SpectralError("per-anchor models need consecutive anchors")
+    return first
+
+
+def _padded(arrays: Sequence[np.ndarray], axis: int, size: int) -> np.ndarray:
+    """``arrays`` stacked on a new leading axis, zero-padded along ``axis`` to ``size``."""
+    shape = list(arrays[0].shape)
+    shape[axis] = size
+    out = np.zeros((len(arrays), *shape))
+    for dst, arr in zip(out, arrays):
+        dst[(slice(None),) * axis + (slice(arr.shape[axis]),)] = arr
+    return out
+
+
+def _operators(models: Sequence[ObservableModel]) -> Operators:
+    """Per-anchor models, or one pooled model, as :class:`Operators` (ranks zero-padded)."""
+    first = _first_anchor(models)
     r = max(m.rank for m in models)
-    _, k, n_o = models[0].y_x.shape
-    left = np.zeros((len(models), r, k))
-    right = np.zeros((len(models), n_o, k, r))
-    close = np.zeros((len(models), k, n_o))
-    basis = np.zeros((len(models), k, r))
-    for i, m in enumerate(models):
-        lh, rh, ch = m.halves
-        left[i, : m.rank] = lh
-        right[i, ..., : m.rank] = rh
-        close[i] = ch
-        basis[i, :, : m.rank] = m.basis
-    cap = max(int(anchors.max()) + 1, 2)
-    nearest = np.abs(anchors[None, :] - np.arange(1, cap + 1)[:, None]).argmin(axis=1)
-    prev, cur = nearest[:-1], nearest[1:]  # positions 2..cap
+    left, right, close = zip(*(m.halves for m in models))
+    left = _padded(left, 0, r)
+
+    def tables(lhs, rhs):
+        # anchor pairs (0, 0), (0, 1), ..., (A - 2, A - 1), (A - 1, A - 1), from
+        # slices, so no k-sized operand is gathered
+        return np.concatenate([lhs[:1] @ rhs[:1], lhs[:-1] @ rhs[1:], lhs[-1:] @ rhs[-1:]])
+
     return Operators(
-        models[0].start_factor.data @ basis[nearest[0]],
-        left[prev][:, None] @ right[cur],
-        left[prev] @ close[cur],
+        models[0].start_factor.data @ _padded([models[0].basis], 1, r)[0],
+        tables(left[:, None], _padded(right, 2, r)),
+        tables(left, np.stack(close)),
+        first,
     )
 
 
 def _chain(
-    ops: Operators, seqs, renormalize: bool = True, rows: np.ndarray | None = None
+    ops: Operators, seqs, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log magnitudes and signs of the chained products of a batch of sequences.
 
@@ -389,7 +396,7 @@ def _chain(
     at once.  Per-step renormalization only moves scale into the log
     accumulator; it never changes the result.
     """
-    start, step, end = ops
+    start, step, end, first = ops
     if isinstance(seqs, np.ndarray):
         obs = seqs
         n, T = obs.shape
@@ -405,7 +412,7 @@ def _chain(
         n, T = lengths.size, int(lengths[0])
         obs = np.zeros((n, T), dtype=np.int64)
         obs[np.arange(T) < lengths[:, None]] = seqs.values[_ranges(starts, starts + lengths)]
-    cap = step.shape[0] + 1
+    table = np.minimum(np.maximum(np.arange(T) - first, 0), step.shape[0] - 1)
     positions = range(2, T - 1)
     # rows with at least t + 2 symbols advance at position t
     active = np.searchsorted(-lengths, -np.arange(4, T + 1), side="right").tolist()
@@ -414,14 +421,11 @@ def _chain(
     last = lengths - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for t, m in zip(positions, active):
-            w = v[:m] @ step[min(t, cap) - 2][obs[:m, t]]
-            if renormalize:
-                norm = np.abs(w).sum(axis=2, keepdims=True)
-                np.divide(w, norm, out=v[:m])
-                norms[t - 2, :m] = norm[:, 0, 0]
-            else:
-                v[:m] = w
-        closing = end[np.minimum(last, cap) - 2, :, obs[np.arange(n), last]]
+            w = v[:m] @ step[table[t]][obs[:m, t]]
+            norm = np.abs(w).sum(axis=2, keepdims=True)
+            np.divide(w, norm, out=v[:m])
+            norms[t - 2, :m] = norm[:, 0, 0]
+        closing = end[table[last], :, obs[np.arange(n), last]]
         scalar = np.einsum("nr,nr->n", v[:, 0], closing)
         log = np.log(np.abs(scalar)) + np.log(norms).sum(axis=0)
     sign = np.where(scalar > 0, 1, -1)
@@ -439,13 +443,11 @@ def _results(log: np.ndarray, sign: np.ndarray) -> list[InferenceResult]:
     ]
 
 
-def infer(
-    model: ObservableModel, obs: Sequence[int], renormalize: bool = True
-) -> InferenceResult:
+def infer(model: ObservableModel, obs: Sequence[int]) -> InferenceResult:
     """Probability estimate of one observation sequence (a batch of one)."""
     obs = np.asarray(obs, dtype=np.int64)
     _check_sequence(model.n_o, obs)
-    return _results(*_chain(model.operators, obs[None, :], renormalize))[0]
+    return _results(*_chain(model.operators, obs[None, :]))[0]
 
 
 def infer_batch(model: ObservableModel, obs: np.ndarray) -> list[InferenceResult]:
@@ -460,7 +462,7 @@ def infer_per_t(
 ) -> InferenceResult:
     """Inference with per-anchor tensors (nearest anchor at the edges)."""
     obs = np.asarray(obs, dtype=np.int64)
-    ops = _per_anchor_operators(models)
+    ops = _operators(models)
     _check_sequence(models[0].n_o, obs)
     return _results(*_chain(ops, obs[None, :]))[0]
 
@@ -498,7 +500,7 @@ def score_sequences(model, sequences: Iterable, error_sink=None):
     """
     sink = error_sink if error_sink is not None else sys.stderr
     if isinstance(model, (list, tuple)):
-        ops = _per_anchor_operators(model)
+        ops = _operators(model)
         n_o = model[0].n_o
     else:
         ops = model.operators
@@ -536,16 +538,6 @@ def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
     return count
 
 
-def _model_tensors(model: ObservableModel, prefix: str = ""):
-    return [
-        (prefix + "d_tilde", model.d_tilde.data),
-        (prefix + "y_x", model.y_x),
-        (prefix + "o_tilde", model.o_tilde.data),
-        (prefix + "start_factor", model.start_factor.data),
-        (prefix + "basis", model.basis),
-    ]
-
-
 def _entry(mapping, key, what: str):
     try:
         return mapping[key]
@@ -560,93 +552,97 @@ def _window_space(n_o: int, ell: int) -> int:
     return n_o**ell
 
 
-def _finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise SpectralError(f"model file tensor {name!r} has non-finite entries")
-    return arr
-
-
 def _array(tensors, name: str, shape: tuple) -> np.ndarray:
     """The stored tensor ``name``, checked to have ``shape`` and finite entries."""
     arr = _entry(tensors, name, "tensor")
     if arr.shape != shape:
         raise SpectralError(f"model file tensor {name!r} has shape {arr.shape}, need {shape}")
-    return _finite(name, arr)
+    if not np.isfinite(arr).all():
+        raise SpectralError(f"model file tensor {name!r} has non-finite entries")
+    return arr
 
 
-def _basis(tensors, name: str, k: int) -> np.ndarray:
-    """The stored basis, checked to be finite and ``k x r`` with ``1 <= r <= k``."""
-    basis = _entry(tensors, name, "tensor")
-    if basis.ndim != 2 or basis.shape[0] != k or not 1 <= basis.shape[1] <= k:
+def _integer(name: str, value, low: int, high: int) -> int:
+    """A value of the field ``name``, refused unless an integer in ``[low, high]``."""
+    if type(value) is not int or not low <= value <= high:
         raise SpectralError(
-            f"model file tensor {name!r} has shape {basis.shape}, "
-            f"need ({k}, r) with 1 <= r <= {k}"
+            f"model file field {name!r} has {value!r}, need an integer in [{low}, {high}]"
         )
-    return _finite(name, basis)
-
-
-def _model_from_tensors(tensors, meta, prefix: str = "", anchor=None):
-    """One model's tensors, checked against ``k = n_o**ell`` of the fields and,
-    for ``y_x``, against the rank ``r`` of the stored basis."""
-    n_o = int(_entry(meta, "n_o", "field"))
-    ell = int(_entry(meta, "ell", "field"))
-    k = _window_space(n_o, ell)
-
-    def tensor(name, shape, labels):
-        return NamedTensor(_array(tensors, prefix + name, shape), labels)
-
-    d_tilde = tensor("d_tilde", (k, k), [OR_IN, OR])
-    basis = _basis(tensors, prefix + "basis", k)
-    return ObservableModel(
-        d_tilde=d_tilde,
-        y_x=_array(tensors, prefix + "y_x", (basis.shape[1], k, n_o)),
-        o_tilde=tensor("o_tilde", (n_o, n_o), [SYM, SYM2]),
-        start_factor=tensor("start_factor", (n_o, n_o, k), [SYM, SYM2, OR]),
-        basis=basis,
-        pinv_rtol=float(_entry(meta, "rtol", "field")),
-        n_o=n_o,
-        ell=ell,
-        variant=meta["variant"],
-        anchor=anchor,
-    )
+    return value
 
 
 def save_observable(path, model) -> None:
-    """Persist a batched model or a per-anchor model list."""
-    if isinstance(model, (list, tuple)):
-        first = model[0]
-        meta = {
-            "variant": "per_t",
-            "n_o": first.n_o,
-            "ell": first.ell,
-            "rtol": first.pinv_rtol,
-            "anchors": [m.anchor for m in model],
-        }
-        tensors = []
-        for m in model:
-            tensors.extend(_model_tensors(m, prefix=f"a{m.anchor}."))
-        write_container(path, "observable-model", meta, tensors)
-    else:
-        meta = {
-            "variant": "batched",
-            "n_o": model.n_o,
-            "ell": model.ell,
-            "rtol": model.pinv_rtol,
-        }
-        write_container(path, "observable-model", meta, _model_tensors(model))
+    """Persist a pooled model or a per-anchor model list in one layout.
+
+    ``d_tilde``, ``y_x``, ``o_tilde`` and ``basis`` carry a leading anchor axis
+    (length 1 for a pooled model), the last two zero-padded to the largest of
+    the field ``ranks``; the shared ``start_factor`` is stored once.
+    """
+    per_anchor = isinstance(model, (list, tuple))
+    models = list(model) if per_anchor else [model]
+    ranks = [m.rank for m in models]
+    meta = {
+        "variant": "per_t" if per_anchor else "batched",
+        "n_o": models[0].n_o,
+        "ell": models[0].ell,
+        "rtol": models[0].pinv_rtol,
+        "ranks": ranks,
+        "first_anchor": _first_anchor(models),
+    }
+    write_container(path, "observable-model", meta, [
+        ("d_tilde", np.stack([m.d_tilde.data for m in models])),
+        ("y_x", _padded([m.y_x for m in models], 0, max(ranks))),
+        ("o_tilde", np.stack([m.o_tilde.data for m in models])),
+        ("start_factor", models[0].start_factor.data),
+        ("basis", _padded([m.basis for m in models], 1, max(ranks))),
+    ])
 
 
 def load_observable(path):
+    """A pooled model, or a per-anchor model list if ``variant`` is ``per_t``.
+
+    Each field is checked, then each tensor once, for its shape against
+    ``k = n_o**ell``, the anchor count and the largest rank, and for finite
+    entries; a failure is a :class:`SpectralError` naming the field or tensor.
+    """
     kind, meta, tensors = read_container(path)
     if kind != "observable-model":
         raise SpectralError(f"not an observable-model file (kind={kind})")
     variant = _entry(meta, "variant", "field")
-    if variant == "per_t":
-        return [
-            _model_from_tensors(tensors, meta, prefix=f"a{a}.", anchor=int(a))
-            for a in _entry(meta, "anchors", "field")
-        ]
-    if variant != "batched":
+    if variant not in ("batched", "per_t"):
         raise SpectralError(f"unknown model variant {variant!r}")
-    return _model_from_tensors(tensors, meta)
-
+    n_o = int(_entry(meta, "n_o", "field"))
+    ell = int(_entry(meta, "ell", "field"))
+    k = _window_space(n_o, ell)
+    ranks = _entry(meta, "ranks", "field")
+    if not isinstance(ranks, list) or not ranks or (variant == "batched" and len(ranks) > 1):
+        raise SpectralError(
+            f"model file field 'ranks' has {ranks!r}, "
+            "need one rank per anchor (one if batched)"
+        )
+    for rank in ranks:
+        _integer("ranks", rank, 1, k)
+    # an anchor is a sequence position, which the chain holds in int64
+    first = _integer("first_anchor", _entry(meta, "first_anchor", "field"), 1, 2**63 - 1)
+    a, r = len(ranks), max(ranks)
+    d_tilde = _array(tensors, "d_tilde", (a, k, k))
+    y_x = _array(tensors, "y_x", (a, r, k, n_o))
+    o_tilde = _array(tensors, "o_tilde", (a, n_o, n_o))
+    start = NamedTensor(_array(tensors, "start_factor", (n_o, n_o, k)), [SYM, SYM2, OR])
+    basis = _array(tensors, "basis", (a, k, r))
+    rtol = float(_entry(meta, "rtol", "field"))
+    models = [
+        ObservableModel(
+            d_tilde=NamedTensor(d_tilde[i], [OR_IN, OR]),
+            y_x=y_x[i, :rank],
+            o_tilde=NamedTensor(o_tilde[i], [SYM, SYM2]),
+            start_factor=start,
+            basis=basis[i, :, :rank],
+            pinv_rtol=rtol,
+            n_o=n_o,
+            ell=ell,
+            anchor=None if variant == "batched" else first + i,
+        )
+        for i, rank in enumerate(ranks)
+    ]
+    return models if variant == "per_t" else models[0]

@@ -183,6 +183,15 @@ def test_bench_cli_smoke(tmp_path, capsys):
     assert len(lines) == 2
     cfg = json.loads((tmp_path / "report.csv.config.json").read_text())
     assert cfg["seeds"] == [0, 1]
+    assert (cfg["T"], cfg["n_test"]) == (25, 20)
+    # a zero override is applied, and refused, not replaced by the default
+    base = ["bench", "--sizes", "3,2,2", "--n-list", "200", "--no-em",
+            "-o", str(tmp_path / "zero.csv")]
+    for bad, field in ((["--rtol", "0"], "rtol"), (["-T", "0"], "T"),
+                       (["--n-test", "0"], "n_test"), (["--seeds", "0"], "seeds")):
+        code, _, err = run(base + bad, capsys)
+        assert code == 2 and f"InvalidModel: {field} must" in err, (bad, err)
+        assert not (tmp_path / "zero.csv.config.json").exists()
 
 
 def _learn_bad_input(tmp_path, capsys, lines, extra):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def test_per_anchor_inference_close_to_truth_on_analytic_moments():
     for a in sched.anchor_range(T):
         m, _ = analytic_moments(p, sched, T, anchors=[a])
         built = build_observable(m, RTOL)
-        models.append(dataclasses.replace(built, variant="per_t", anchor=a))
+        models.append(dataclasses.replace(built, anchor=a))
     rng = np.random.default_rng(6)
     for _ in range(10):
         L = int(rng.integers(3, 9))
@@ -233,20 +234,8 @@ def test_chain_direction_is_irrelevant():
         for t in range(len(obs) - 2, 1, -1):
             w = d_mat @ ((x_cube @ o_mat[:, obs[t]]) @ w)
         scalar = float(model.start_factor.data[obs[0], obs[1], :] @ w)
-        res = infer(model, obs, renormalize=False)
+        res = infer(model, obs)
         assert np.isclose(scalar, res.value, rtol=1e-12)
-
-
-def test_renormalization_does_not_change_result():
-    p = random_model(3, 2, 2, seed=7)
-    model, _, _ = analytic_model(p)
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        obs = rng.integers(0, 3, size=8)
-        a = infer(model, obs, renormalize=True)
-        b = infer(model, obs, renormalize=False)
-        assert np.isclose(a.log_value, b.log_value, rtol=1e-10)
-        assert a.sign == b.sign
 
 
 def test_infer_batch_matches_scalar_path():
@@ -373,6 +362,10 @@ def test_per_t_roundtrip(tmp_path):
     k = models[0].basis.shape[0]
     _, _, stored = read_container(path)
     assert all(arr.size != k * k * 3 for arr in stored.values())
+    # one stack per tensor, and the shared start table once
+    assert sorted(stored) == ["basis", "d_tilde", "o_tilde", "start_factor", "y_x"]
+    assert stored["start_factor"].shape == models[0].start_factor.data.shape
+    assert stored["d_tilde"].shape == (len(models), k, k)
     # sequences beyond the trained anchor range clamp to the nearest anchor
     long_obs = sample_many(p, 1, 30, np.random.default_rng(15))[0]
     res = infer_per_t(back, long_obs)
@@ -457,6 +450,18 @@ def test_per_anchor_kernel_matches_kspace_chain_beyond_anchor_range():
     obs = list(sample_many(p, 400, 14, np.random.default_rng(33)))
     models = build_observable_per_t(obs, 3, sched, 1e-6)
     assert max(m.anchor for m in models) == 10  # longer sequences run past it
+    # one table per anchor plus one, whatever the anchors' values
+    far = [dataclasses.replace(m, anchor=m.anchor + 10**12) for m in models]
+    ops = spectral._operators(far)
+    assert ops.step.shape[0] == ops.end.shape[0] == len(models) + 1
+    assert ops.first == models[0].anchor + 10**12
+    before = [0, 1, 2, 2, 1, 0, 1, 2, 0]  # every position falls before the first anchor
+    res = infer_per_t(far, before)
+    ref_log, ref_sign = per_anchor_kspace(far, before)
+    assert res.sign == ref_sign
+    assert np.isclose(res.log_value, ref_log, rtol=1e-12, atol=0)
+    with pytest.raises(SpectralError, match="consecutive anchors"):
+        infer_per_t(models[::2], [0, 1, 2, 1])
     rng = np.random.default_rng(34)
     for T in (3, 4, 7, 13, 14, 20, 35):
         seq = rng.integers(0, 3, size=T)
@@ -535,7 +540,7 @@ def test_score_file_keeps_row_order_with_interleaved_errors(tmp_path):
     assert len(written) == 1
 
 
-def test_model_file_without_variant_or_tensor_is_rejected(tmp_path):
+def test_model_file_without_variant_or_tensor_is_rejected(tmp_path, capsys):
     model, _, _ = analytic_model(random_model(3, 2, 2, seed=39))
     path = tmp_path / "model.bin"
     save_observable(path, model)
@@ -556,6 +561,23 @@ def test_model_file_without_variant_or_tensor_is_rejected(tmp_path):
     write_container(path, kind, meta, k_space)
     with pytest.raises(SpectralError, match="model file has no tensor 'y_x'"):
         load_observable(path)
+    # files from before the anchor axis: a pooled one with unstacked tensors,
+    # and a per-anchor one with an `a<anchor>.` prefix on every tensor
+    flat = [(name, arr if name == "start_factor" else arr[0]) for name, arr in tensors.items()]
+    old_meta = {key: v for key, v in meta.items() if key not in ("ranks", "first_anchor")}
+    prefixed = [(f"a{a}.{name}", arr) for a in (2, 3) for name, arr in flat]
+    data = tmp_path / "d.txt"
+    data.write_text("0 1 2 1 0\n")
+    for old in (
+        (old_meta, flat),
+        ({**old_meta, "variant": "per_t", "anchors": [2, 3]}, prefixed),
+    ):
+        write_container(path, kind, *old)
+        with pytest.raises(SpectralError, match="model file has no field 'ranks'"):
+            load_observable(path)
+        code = main(["score", "--model", str(path), "--data", str(data),
+                     "-o", str(tmp_path / "s.csv")])
+        assert code == 2 and "'ranks'" in capsys.readouterr().err
 
 
 def test_model_file_with_bad_basis_is_rejected(tmp_path, capsys):
@@ -564,14 +586,15 @@ def test_model_file_with_bad_basis_is_rejected(tmp_path, capsys):
     save_observable(path, model)
     kind, meta, tensors = read_container(path)
     k, r = model.basis.shape
-    nan = model.basis.copy()
-    nan[0, 0] = np.nan
+    nan = tensors["basis"].copy()
+    nan[0, 0, 0] = np.nan
+    need = rf"need \(1, {k}, {r}\)"
     bad = {
         "non-finite": nan,
-        "shape": np.ones(k),
-        f"\\({k}, r\\)": np.ones((k + 1, r)),
-        "1 <= r": np.ones((k, 0)),
-        f"r <= {k}": np.ones((k, k + 1)),
+        rf"shape \({k},\), {need}": np.ones(k),
+        rf"shape \(1, {k + 1}, {r}\), {need}": np.ones((1, k + 1, r)),
+        rf"shape \(1, {k}, 0\), {need}": np.ones((1, k, 0)),
+        rf"shape \(1, {k}, {k + 1}\), {need}": np.ones((1, k, k + 1)),
     }
     data = tmp_path / "d.txt"
     data.write_text("0 1 2 1 0\n")
@@ -590,39 +613,48 @@ def test_model_file_with_inconsistent_tensors_is_rejected(tmp_path, capsys, per_
     if per_anchor:
         obs = list(sample_many(p, 300, 12, np.random.default_rng(6)))
         model = build_observable_per_t(obs, 3, build_schedule(2, 2), 1e-6)
-        prefix = f"a{model[0].anchor}."
     else:
         model, _, _ = analytic_model(p)
-        prefix = ""
     path = tmp_path / "model.bin"
     save_observable(path, model)
     kind, meta, tensors = read_container(path)
-    y_x = tensors[prefix + "y_x"]
-    r = y_x.shape[0]
+    y_x = tensors["y_x"]
+    a, r = y_x.shape[:2]
     y_nan = y_x.copy()
-    y_nan[0, 0, 0] = np.nan
+    y_nan[0, 0, 0, 0] = np.nan
     cases = [
         # the fields say 4 symbols over 3-symbol tensors
-        ({**meta, "n_o": 4}, {}, "d_tilde", r"shape \(9, 9\), need \(16, 16\)"),
-        (meta, {"y_x": y_nan}, "y_x", "non-finite entries"),
-        # one row more than the basis has columns
-        (meta, {"y_x": np.concatenate([y_x, y_x[:1]])}, "y_x",
-         rf"shape \({r + 1}, 9, 3\), need \({r}, 9, 3\)"),
-        (meta, {"start_factor": tensors[prefix + "start_factor"][..., :5]},
-         "start_factor", r"shape \(3, 3, 5\), need \(3, 3, 9\)"),
+        ({**meta, "n_o": 4}, {}, "tensor 'd_tilde'",
+         rf"shape \({a}, 9, 9\), need \({a}, 16, 16\)"),
+        (meta, {"y_x": y_nan}, "tensor 'y_x'", "non-finite entries"),
+        # one row more than the largest rank
+        (meta, {"y_x": np.concatenate([y_x, y_x[:, :1]], axis=1)}, "tensor 'y_x'",
+         rf"shape \({a}, {r + 1}, 9, 3\), need \({a}, {r}, 9, 3\)"),
+        (meta, {"start_factor": tensors["start_factor"][..., :5]},
+         "tensor 'start_factor'", r"shape \(3, 3, 5\), need \(3, 3, 9\)"),
+        # anchors count from 1; each rank is an integer in [1, k]
+        *[({**meta, "first_anchor": bad}, {}, "field 'first_anchor'",
+           rf"{re.escape(repr(bad))}, need an integer in \[1, ")
+          for bad in (0, -7, 1.5, "5", True, None)],
+        *[({**meta, "ranks": [bad] * a}, {}, "field 'ranks'",
+           rf"{re.escape(repr(bad))}, need an integer in \[1, 9\]")
+          for bad in (0, 10, "2", 2.0)],
+        ({**meta, "ranks": []}, {}, "field 'ranks'", r"\[\], need one rank per anchor"),
+        # a pooled model has one rank
+        ({**meta, "variant": "batched", "ranks": [r, r]}, {}, "field 'ranks'",
+         rf"\[{r}, {r}\], need one rank per anchor \(one if batched\)"),
     ]
     data = tmp_path / "d.txt"
     data.write_text("0 1 2 3 1 0\n")
     for case_meta, replaced, name, match in cases:
-        bad = {**tensors, **{prefix + key: arr for key, arr in replaced.items()}}
-        write_container(path, kind, case_meta, list(bad.items()))
-        with pytest.raises(SpectralError, match=f"tensor '{prefix}{name}' has {match}"):
+        write_container(path, kind, case_meta, list({**tensors, **replaced}.items()))
+        with pytest.raises(SpectralError, match=f"{name} has {match}"):
             load_observable(path)
         for argv in (["score", "--data", str(data), "-o", str(tmp_path / "s.csv")],
                      ["infer", "--sequence", "0 1 2 3 1 0"]):
             assert main(argv + ["--model", str(path)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("SpectralError:") and f"'{prefix}{name}'" in err
+            assert err.startswith("SpectralError:") and name in err
     # refused before n_o**ell is computed
     write_container(path, kind, {**meta, "ell": 10**9}, list(tensors.items()))
     with pytest.raises(SpectralError, match="fields n_o=3, ell=1000000000 are out of range"):
