@@ -35,7 +35,6 @@ from .spectral import (
     build_observable,
     build_observable_per_t,
     infer,
-    infer_per_t,
     load_observable,
     save_observable,
     score_file,
@@ -216,11 +215,7 @@ def _cmd_infer(args) -> int:
         if not 0 <= args.index < len(seqs):
             raise InvalidModel(f"--index {args.index} out of range")
         obs = seqs[args.index]
-    res = (
-        infer_per_t(model, obs)
-        if isinstance(model, list)
-        else infer(model, obs)
-    )
+    res = infer(model, obs)
     print(
         f"log_value={res.log_value:.12g} sign={res.sign} "
         f"clamped={str(res.clamped).lower()} "

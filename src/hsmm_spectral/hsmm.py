@@ -465,8 +465,18 @@ def save_model(p: HsmmParams, path) -> None:
 
 
 def load_model(path) -> HsmmParams:
+    """Read a model written by :func:`save_model`.
+
+    A document that is not a JSON object, or lacks one of ``O``, ``X``,
+    ``D`` and ``pi_x``, is :class:`InvalidModel` naming what is missing.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidModel(f"model file holds a JSON {type(doc).__name__}, need an object")
+    missing = [key for key in ("O", "X", "D", "pi_x") if key not in doc]
+    if missing:
+        raise InvalidModel(f"model file has no {', '.join(map(repr, missing))}")
     p = HsmmParams(
         O=np.array(doc["O"]),
         X=np.array(doc["X"]),
@@ -532,7 +542,7 @@ class SequenceFile(Sequence):
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1

@@ -23,9 +23,13 @@ The build solves in a rank-``r`` space with orthonormal basis ``V``
 ``d_tilde``, ``o_tilde``, ``start_factor``, ``V`` and the ``r x k x n_o``
 coefficients ``Y_x`` (``y_x``); ``x_tilde`` is derived on demand and never
 formed by the build, loading or inference.  Each symbol folds into one
-``r x r`` observable operator ``B_o = (V' d_tilde)(x_tilde . o_tilde[:, o] V)``
-(Hsu, Kakade & Zhang, "A spectral algorithm for learning hidden Markov
-models"), and one batched kernel advances every sequence through them.
+``r x r`` observable operator ``B_o = G core[o]`` (Hsu, Kakade & Zhang, "A
+spectral algorithm for learning hidden Markov models"), built in ``r``
+space from the transfer ``G = (V' d_tilde) V`` and
+``core[o] = sum_s o_tilde[s, o] Y_x[:, :, s] V``.  :func:`infer`,
+:func:`infer_batch` and :func:`score_sequences` take a pooled model or a
+per-anchor list alike, refuse the same rows with the same errors, and run
+one batched kernel over the ragged sequence stream.
 
 The per-anchor ("basic") variant is the same model once per anchor, and a
 pooled model is its one-anchor case: one builder turns either into operator
@@ -100,9 +104,8 @@ class Operators(NamedTuple):
     ``step[c]`` holds one ``r x r`` operator per symbol and ``end[c]`` the
     closing vector per symbol.  Position ``t`` of a sequence uses table
     ``c = clip(t - first, 0, A)`` of ``A`` anchors: it transfers with anchor
-    ``c - 1`` and consumes its symbol with anchor ``c``, both clipped to
-    ``[0, A)``, so table ``c`` is the left half of the one times the right
-    half of the other.  There are ``A + 1`` tables whatever the anchors' values.
+    ``p = c - 1`` and consumes its symbol with anchor ``q = c``, both clipped
+    to ``[0, A)``.  There are ``A + 1`` tables whatever the anchors' values.
     """
 
     start: np.ndarray  # (n_o, n_o, r): first two symbols -> message
@@ -143,27 +146,9 @@ class ObservableModel:
         return NamedTensor(x_flat.reshape(k, k, n_o), [OR_IN, OR, SYM])
 
     @cached_property
-    def halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(V' d_tilde, x_tilde . o_tilde V, x_tilde.sum(axis=1) @ o_tilde)``.
-
-        The factors on either side of the basis: an operator is a left half
-        times a right half, possibly of a neighbouring anchor's model.  The
-        right halves come from ``y_x`` without forming ``x_tilde``.
-        Derived from the fields, so ``dataclasses.replace`` re-derives them.
-        """
-        v = self.basis
-        o_mat = self.o_tilde.data
-        yv = np.einsum("jps,pi->jsi", self.y_x, v)
-        return (
-            v.T @ self.d_tilde.data,
-            v @ np.einsum("jsi,so->oji", yv, o_mat),
-            v @ (self.y_x.sum(axis=1) @ o_mat),
-        )
-
-    @cached_property
     def operators(self) -> Operators:
-        """The stationary chain as rank-``r`` observable operators."""
-        return _operators([self])
+        """The stationary chain as rank-``r`` observable operators, built once."""
+        return _operators(self)
 
 
 def _pinv_product(
@@ -330,13 +315,24 @@ class InferenceResult:
         return self.sign * math.exp(self.log_value) if self.sign else 0.0
 
 
-def _check_sequence(model_n_o: int, obs: np.ndarray) -> None:
-    """Reject a sequence (or an equal-length batch of rows) the chain cannot score."""
-    if obs.shape[-1] < 3:
-        raise SequenceTooShort(f"need at least 3 symbols, got {obs.shape[-1]}")
-    if obs.min() < 0 or obs.max() >= model_n_o:
-        bad = obs[(obs < 0) | (obs >= model_n_o)].flat[0]
-        raise UnknownSymbol(f"symbol {int(bad)} outside alphabet of size {model_n_o}")
+def _models(model: ObservableModel | Sequence[ObservableModel]) -> list[ObservableModel]:
+    """A per-anchor model list as a list, and a pooled model as the one-anchor list."""
+    return [model] if isinstance(model, ObservableModel) else list(model)
+
+
+def _row_errors(seqs: SequenceFile, n_o: int) -> list[tuple[int, SpectralError]]:
+    """Each row the chain cannot score, in order: too short, else its first unknown symbol."""
+    lengths = seqs.lengths
+    outside = seqs.outside(n_o)
+    if not outside.size and lengths.min(initial=3) >= 3:
+        return []
+    errors = {}
+    rows, first = np.unique(seqs.row_of(outside), return_index=True)
+    for row, symbol in zip(rows.tolist(), seqs.values[outside[first]].tolist()):
+        errors[row] = UnknownSymbol(f"symbol {symbol} outside alphabet of size {n_o}")
+    for row in np.flatnonzero(lengths < 3).tolist():
+        errors[row] = SequenceTooShort(f"need at least 3 symbols, got {lengths[row]}")
+    return sorted(errors.items())
 
 
 def _first_anchor(models: Sequence[ObservableModel]) -> int:
@@ -359,35 +355,51 @@ def _padded(arrays: Sequence[np.ndarray], axis: int, size: int) -> np.ndarray:
     return out
 
 
-def _operators(models: Sequence[ObservableModel]) -> Operators:
-    """Per-anchor models, or one pooled model, as :class:`Operators` (ranks zero-padded)."""
+def _operators(model: ObservableModel | Sequence[ObservableModel]) -> Operators:
+    """A pooled model or a per-anchor list as :class:`Operators` (ranks zero-padded).
+
+    Table ``c`` holds ``G_c core_q[o]`` and closes with ``G_c close_q``, where
+    ``G_c = (V_p' d_tilde_p) V_q`` and ``close_q = Y_x,q.sum(axis=1) @ o_tilde_q``.
+    """
+    models = _models(model)
     first = _first_anchor(models)
-    r = max(m.rank for m in models)
-    left, right, close = zip(*(m.halves for m in models))
-    left = _padded(left, 0, r)
-
-    def tables(lhs, rhs):
-        # anchor pairs (0, 0), (0, 1), ..., (A - 2, A - 1), (A - 1, A - 1), from
-        # slices, so no k-sized operand is gathered
-        return np.concatenate([lhs[:1] @ rhs[:1], lhs[:-1] @ rhs[1:], lhs[-1:] @ rhs[-1:]])
-
+    a, r = len(models), max(m.rank for m in models)
+    basis = _padded([m.basis for m in models], 1, r)
+    y_x = _padded([m.y_x for m in models], 0, r)
+    o_tilde = np.stack([m.o_tilde.data for m in models])
+    left = _padded([m.basis.T @ m.d_tilde.data for m in models], 0, r)
+    # y_x[a, j].T @ basis[a] for every anchor a and row j: (A, r, n_o, r)
+    yv = y_x.swapaxes(2, 3) @ basis[:, None]
+    core = (o_tilde.swapaxes(1, 2)[:, None] @ yv).swapaxes(1, 2)
+    close = y_x.sum(axis=2) @ o_tilde
+    c = np.arange(a + 1)
+    q = np.minimum(c, a - 1)
+    transfer = left[np.maximum(c - 1, 0)] @ basis[q]
     return Operators(
-        models[0].start_factor.data @ _padded([models[0].basis], 1, r)[0],
-        tables(left[:, None], _padded(right, 2, r)),
-        tables(left, np.stack(close)),
+        models[0].start_factor.data @ basis[0],
+        transfer[:, None] @ core[q],
+        transfer @ close[q],
         first,
     )
 
 
+def _prepared(model: ObservableModel | Sequence[ObservableModel]) -> tuple[Operators, int]:
+    """Operators and alphabet size of a model or list; one model's operators are cached."""
+    models = _models(model)
+    ops = models[0].operators if len(models) == 1 else _operators(models)
+    return ops, models[0].n_o
+
+
 def _chain(
-    ops: Operators, seqs, rows: np.ndarray | None = None
+    ops: Operators, seqs: SequenceFile, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log magnitudes and signs of the chained products of a batch of sequences.
 
-    ``seqs`` is an equal-length 2-D array, or validated sequences of any
-    lengths in any form :meth:`SequenceFile.of` takes, of which the
-    sequences ``rows`` (default all) are chained; those are scattered from
-    the ragged stream into one zero-padded batch at once.
+    ``seqs`` is a stream of validated sequences of any lengths (or what
+    :meth:`SequenceFile.of` takes), of which the sequences ``rows`` (ascending,
+    default all) are chained.  Rows of one length stored back to back are
+    viewed as an ``(n, T)`` array; others are scattered from the stream,
+    longest first, into one zero-padded batch at once.
     The message starts as the start table at the first two symbols, takes
     one gathered ``r x r`` product per interior symbol, and closes with the
     end table at the last symbol.  Rows run longest first,
@@ -397,19 +409,20 @@ def _chain(
     accumulator; it never changes the result.
     """
     start, step, end, first = ops
-    if isinstance(seqs, np.ndarray):
-        obs = seqs
-        n, T = obs.shape
-        lengths = np.full(n, T)
-        order = None
+    seqs = SequenceFile.of(seqs)
+    starts, lengths = seqs.offsets[:-1], seqs.lengths
+    if rows is not None:
+        starts, lengths = starts[rows], lengths[rows]
+    n = lengths.size
+    if not n:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    T = int(lengths.max())
+    order = None
+    if (lengths == T).all() and starts[-1] - starts[0] == (n - 1) * T:
+        obs = seqs.values[starts[0] : starts[0] + n * T].reshape(n, T)
     else:
-        seqs = SequenceFile.of(seqs)
-        starts, lengths = seqs.offsets[:-1], seqs.lengths
-        if rows is not None:
-            starts, lengths = starts[rows], lengths[rows]
         order = np.argsort(-lengths, kind="stable")
         starts, lengths = starts[order], lengths[order]
-        n, T = lengths.size, int(lengths[0])
         obs = np.zeros((n, T), dtype=np.int64)
         obs[np.arange(T) < lengths[:, None]] = seqs.values[_ranges(starts, starts + lengths)]
     table = np.minimum(np.maximum(np.arange(T) - first, 0), step.shape[0] - 1)
@@ -443,28 +456,27 @@ def _results(log: np.ndarray, sign: np.ndarray) -> list[InferenceResult]:
     ]
 
 
-def infer(model: ObservableModel, obs: Sequence[int]) -> InferenceResult:
+def infer_batch(model: ObservableModel | Sequence[ObservableModel], obs) -> list[InferenceResult]:
+    """Estimates of the rows of a 2-D array, or of a :class:`SequenceFile`.
+
+    ``model`` is a pooled model or a per-anchor list.  The first row the
+    chain cannot score raises its :class:`SequenceTooShort` or
+    :class:`UnknownSymbol`; no rows give ``[]``.
+    """
+    ops, n_o = _prepared(model)
+    seqs = SequenceFile.of(obs)
+    errors = _row_errors(seqs, n_o)
+    if errors:
+        raise errors[0][1]
+    return _results(*_chain(ops, seqs))
+
+
+def infer(model: ObservableModel | Sequence[ObservableModel], obs: Sequence[int]) -> InferenceResult:
     """Probability estimate of one observation sequence (a batch of one)."""
-    obs = np.asarray(obs, dtype=np.int64)
-    _check_sequence(model.n_o, obs)
-    return _results(*_chain(model.operators, obs[None, :]))[0]
+    return infer_batch(model, np.asarray(obs, dtype=np.int64)[None, :])[0]
 
 
-def infer_batch(model: ObservableModel, obs: np.ndarray) -> list[InferenceResult]:
-    """:func:`infer` over equal-length sequences (rows)."""
-    obs = np.asarray(obs, dtype=np.int64)
-    _check_sequence(model.n_o, obs)
-    return _results(*_chain(model.operators, obs))
-
-
-def infer_per_t(
-    models: Sequence[ObservableModel], obs: Sequence[int]
-) -> InferenceResult:
-    """Inference with per-anchor tensors (nearest anchor at the edges)."""
-    obs = np.asarray(obs, dtype=np.int64)
-    ops = _operators(models)
-    _check_sequence(models[0].n_o, obs)
-    return _results(*_chain(ops, obs[None, :]))[0]
+infer_per_t = infer  # a per-anchor list is a model infer takes
 
 
 def learn_spectral(
@@ -489,9 +501,9 @@ SCORE_HEADER = ["id", "log_value", "sign", "clamped", "norm_loglik"]
 def score_sequences(model, sequences: Iterable, error_sink=None):
     """Yield one score row per sequence, in input order; failures become NaN rows.
 
-    ``model`` is a batched :class:`ObservableModel` or a per-anchor list.
+    ``model`` is a pooled :class:`ObservableModel` or a per-anchor list.
     The sequences are read as one ragged stream (see :meth:`SequenceFile.of`);
-    short rows and rows with unknown symbols are found over the whole stream
+    the rows :func:`infer_batch` would refuse are found over the whole stream
     at once, and all well-formed rows are scored by one batched chain.
     Row-level errors are reported to ``error_sink`` (default stderr) and do
     not stop the stream; each names the stream's line of its sequence (the
@@ -499,24 +511,15 @@ def score_sequences(model, sequences: Iterable, error_sink=None):
     for sequence ``i``).
     """
     sink = error_sink if error_sink is not None else sys.stderr
-    if isinstance(model, (list, tuple)):
-        ops = _operators(model)
-        n_o = model[0].n_o
-    else:
-        ops = model.operators
-        n_o = model.n_o
+    ops, n_o = _prepared(model)
     seqs = SequenceFile.of(sequences)
-    lengths = seqs.lengths
-    failed = lengths < 3
-    failed[seqs.row_of(seqs.outside(n_o))] = True
-    for idx in np.flatnonzero(failed).tolist():
-        try:
-            _check_sequence(n_o, seqs[idx])
-        except SpectralError as exc:
-            print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=sink)
-    ok = np.flatnonzero(~failed)
-    results = iter(_results(*_chain(ops, seqs, rows=ok)) if ok.size else [])
-    for idx, (bad, T) in enumerate(zip(failed.tolist(), lengths.tolist())):
+    errors = _row_errors(seqs, n_o)
+    failed = np.zeros(len(seqs), dtype=bool)
+    for idx, exc in errors:
+        failed[idx] = True
+        print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=sink)
+    results = iter(_results(*_chain(ops, seqs, rows=np.flatnonzero(~failed))))
+    for idx, (bad, T) in enumerate(zip(failed.tolist(), seqs.lengths.tolist())):
         if bad:
             yield [idx, "nan", 0, "true", "nan"]
             continue
@@ -545,13 +548,6 @@ def _entry(mapping, key, what: str):
         raise SpectralError(f"model file has no {what} {key!r}") from None
 
 
-def _window_space(n_o: int, ell: int) -> int:
-    """``k = n_o**ell`` of a file's fields, refused unless it fits an array dimension."""
-    if n_o < 1 or ell < 1 or ell * math.log2(n_o) >= 63:
-        raise SpectralError(f"model file fields n_o={n_o}, ell={ell} are out of range")
-    return n_o**ell
-
-
 def _array(tensors, name: str, shape: tuple) -> np.ndarray:
     """The stored tensor ``name``, checked to have ``shape`` and finite entries."""
     arr = _entry(tensors, name, "tensor")
@@ -574,15 +570,15 @@ def _integer(name: str, value, low: int, high: int) -> int:
 def save_observable(path, model) -> None:
     """Persist a pooled model or a per-anchor model list in one layout.
 
+    A model without an anchor is pooled (``variant`` ``batched``).
     ``d_tilde``, ``y_x``, ``o_tilde`` and ``basis`` carry a leading anchor axis
     (length 1 for a pooled model), the last two zero-padded to the largest of
     the field ``ranks``; the shared ``start_factor`` is stored once.
     """
-    per_anchor = isinstance(model, (list, tuple))
-    models = list(model) if per_anchor else [model]
+    models = _models(model)
     ranks = [m.rank for m in models]
     meta = {
-        "variant": "per_t" if per_anchor else "batched",
+        "variant": "batched" if models[0].anchor is None else "per_t",
         "n_o": models[0].n_o,
         "ell": models[0].ell,
         "rtol": models[0].pinv_rtol,
@@ -611,9 +607,16 @@ def load_observable(path):
     variant = _entry(meta, "variant", "field")
     if variant not in ("batched", "per_t"):
         raise SpectralError(f"unknown model variant {variant!r}")
-    n_o = int(_entry(meta, "n_o", "field"))
-    ell = int(_entry(meta, "ell", "field"))
-    k = _window_space(n_o, ell)
+    n_o = _integer("n_o", _entry(meta, "n_o", "field"), 1, 2**63 - 1)
+    ell = _integer("ell", _entry(meta, "ell", "field"), 1, 2**63 - 1)
+    if ell * math.log2(n_o) >= 63:  # k = n_o**ell would not fit an array dimension
+        raise SpectralError(f"model file fields n_o={n_o}, ell={ell} are out of range")
+    k = n_o**ell
+    rtol = _entry(meta, "rtol", "field")
+    if type(rtol) not in (int, float) or not 0 < rtol <= sys.float_info.max:
+        raise SpectralError(
+            f"model file field 'rtol' has {rtol!r}, need a positive finite number"
+        )
     ranks = _entry(meta, "ranks", "field")
     if not isinstance(ranks, list) or not ranks or (variant == "batched" and len(ranks) > 1):
         raise SpectralError(
@@ -630,7 +633,6 @@ def load_observable(path):
     o_tilde = _array(tensors, "o_tilde", (a, n_o, n_o))
     start = NamedTensor(_array(tensors, "start_factor", (n_o, n_o, k)), [SYM, SYM2, OR])
     basis = _array(tensors, "basis", (a, k, r))
-    rtol = float(_entry(meta, "rtol", "field"))
     models = [
         ObservableModel(
             d_tilde=NamedTensor(d_tilde[i], [OR_IN, OR]),
@@ -638,7 +640,7 @@ def load_observable(path):
             o_tilde=NamedTensor(o_tilde[i], [SYM, SYM2]),
             start_factor=start,
             basis=basis[i, :, :rank],
-            pinv_rtol=rtol,
+            pinv_rtol=float(rtol),
             n_o=n_o,
             ell=ell,
             anchor=None if variant == "batched" else first + i,

@@ -281,3 +281,21 @@ def test_symbol_beyond_int64_exits_two(tmp_path, capsys):
         assert "Traceback" not in err
         if "--data" in argv:
             assert "line 4" in err, err
+
+
+def test_model_json_that_is_not_a_model_exits_two(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "-o", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    cases = [
+        ([doc["O"]], "model file holds a JSON list, need an object"),
+        ({key: v for key, v in doc.items() if key != "O"}, "model file has no 'O'"),
+        ({"n_o": 3, "X": doc["X"]}, "model file has no 'O', 'D', 'pi_x'"),
+    ]
+    for bad, message in cases:
+        path.write_text(json.dumps(bad))
+        for argv in (["validate", str(path)],
+                     ["gen-data", "--model", str(path), "-n", "2", "-T", "5",
+                      "-o", str(tmp_path / "d.txt")]):
+            code, _, err = run(argv, capsys)
+            assert code == 2 and err == f"InvalidModel: {message}\n"

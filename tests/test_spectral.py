@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import re
 
@@ -241,16 +242,22 @@ def test_chain_direction_is_irrelevant():
 def test_infer_batch_matches_scalar_path():
     p = random_model(3, 2, 2, seed=8)
     sched = build_schedule(2, 2)
-    obs = sample_many(p, 40, 25, np.random.default_rng(8))
-    model = build_observable(
-        estimate_moments(list(obs), 3, sched), 1e-6
-    )
+    obs = sample_many(p, 300, 12, np.random.default_rng(8))
+    pooled = build_observable(estimate_moments(list(obs), 3, sched), 1e-6)
+    per_anchor = build_observable_per_t(list(obs), 3, sched, 1e-6)
     tests = sample_many(p, 12, 9, np.random.default_rng(9))
-    batch = infer_batch(model, tests)
-    for i in range(12):
-        single = infer(model, tests[i])
-        assert np.isclose(batch[i].log_value, single.log_value, rtol=1e-12)
-        assert batch[i].sign == single.sign
+    rng = np.random.default_rng(10)
+    ragged = [rng.integers(0, 3, size=int(n)) for n in rng.integers(3, 30, size=9)]
+    # either form of model, equal-length rows or a ragged stream, and no rows
+    for model in (pooled, per_anchor, per_anchor[3:4]):
+        for rows in (tests, SequenceFile.of(ragged)):
+            batch = infer_batch(model, rows)
+            for res, row in zip(batch, rows, strict=True):
+                single = infer(model, row)
+                assert np.isclose(res.log_value, single.log_value, rtol=1e-12, atol=0)
+                assert res.sign == single.sign
+        assert infer_batch(model, np.zeros((0, 7), dtype=np.int64)) == []
+        assert infer_batch(model, SequenceFile.of([])) == []
 
 
 def test_infer_guards():
@@ -264,6 +271,39 @@ def test_infer_guards():
         infer(model, [0, 1, -1, 2, 0, 1])
     with pytest.raises(UnknownSymbol, match="symbol 5 outside"):
         infer_batch(model, np.array([[0, 1, 2], [0, 5, 1]]))
+
+
+def test_every_entry_point_refuses_a_bad_row_alike():
+    p = random_model(3, 2, 2, seed=9)
+    pooled, _, _ = analytic_model(p)
+    obs = list(sample_many(p, 300, 12, np.random.default_rng(9)))
+    per_anchor = build_observable_per_t(obs, 3, build_schedule(2, 2), 1e-6)
+    bad_rows = [
+        (SequenceTooShort, "need at least 3 symbols, got 2", [0, 1]),
+        (SequenceTooShort, "need at least 3 symbols, got 0", []),
+        # too short wins over an unknown symbol
+        (SequenceTooShort, "need at least 3 symbols, got 2", [0, 7]),
+        (UnknownSymbol, "symbol -1 outside alphabet of size 3", [0, 1, -1, 2, -4]),
+        (UnknownSymbol, "symbol 3 outside alphabet of size 3", [0, 1, 2, 3, 1]),
+    ]
+    good = [2, 1, 0, 0, 1]
+    for model in (pooled, per_anchor):
+        for cls, message, row in bad_rows:
+            row = np.array(row, dtype=np.int64)
+            calls = [lambda: infer(model, row), lambda: infer_per_t(model, row),
+                     lambda: infer_batch(model, SequenceFile.of([good, row, row]))]
+            if row.size:
+                calls.append(lambda: infer_batch(model, np.stack([good[:row.size], row])))
+            for call in calls:
+                with pytest.raises(SpectralError) as err:
+                    call()
+                assert (type(err.value), str(err.value)) == (cls, message)
+            sink = io.StringIO()
+            rows = list(spectral.score_sequences(model, [good, row, good, row], sink))
+            assert [r[1] == "nan" for r in rows] == [False, True, False, True]
+            assert sink.getvalue().splitlines() == [
+                f"line {i}: {cls.__name__}: {message}" for i in (2, 4)
+            ]
 
 
 def test_kept_rank_is_the_joint_rank_on_population_moments():
@@ -326,7 +366,7 @@ def test_observable_roundtrip_bit_exact(tmp_path):
     assert all(arr.size != k * k * 3 for arr in stored.values())
 
 
-def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path):
+def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path, capsys):
     rng = np.random.default_rng(0)
     tensors = [("scalar", np.array(2.5)), ("empty", np.zeros((0, 3))),
                ("cube", rng.standard_normal((2, 3, 4)))]
@@ -345,6 +385,30 @@ def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path):
     path.write_bytes(raw + b"\0")
     with pytest.raises(ContainerError, match="trailing bytes"):
         read_container(path)
+    # malformed headers and directories, refused before any payload is read
+    data = tmp_path / "d.txt"
+    data.write_text("0 1 2 1 0\n")
+    for header, match in (
+        ([1, 2], "header is a JSON list, need an object"),
+        ("model", "header is a JSON str, need an object"),
+        ({"tensors": {"name": "x"}}, "header field 'tensors' is not a list"),
+        ({"tensors": [{"shape": [2]}]}, r"entry \{'shape': \[2\]\} has no name"),
+        ({"tensors": [[2]]}, r"entry \[2\] has no name"),
+        ({"tensors": [{"name": 7, "shape": [2]}]}, "has no name"),
+        *[({"tensors": [{"name": "x", "shape": bad}]},
+           rf"tensor 'x' has shape {re.escape(repr(bad))}, need a list of non-negative")
+          for bad in ("3", None, [-1], [2.0], [True], [[2]])],
+        # a shape the file cannot hold is refused before it is allocated
+        ({"tensors": [{"name": "x", "shape": [2**40, 2**40]}]},
+         "truncated payload for tensor x"),
+    ):
+        path.write_bytes(b"HSPECBIN 1 observable-model\n"
+                         + json.dumps(header).encode() + b"\n" + bytes(16))
+        with pytest.raises(ContainerError, match=match):
+            read_container(path)
+        code = main(["score", "--model", str(path), "--data", str(data),
+                     "-o", str(tmp_path / "s.csv")])
+        assert code == 2 and capsys.readouterr().err.startswith("ContainerError:")
 
 
 def test_per_t_roundtrip(tmp_path):
@@ -640,6 +704,13 @@ def test_model_file_with_inconsistent_tensors_is_rejected(tmp_path, capsys, per_
            rf"{re.escape(repr(bad))}, need an integer in \[1, 9\]")
           for bad in (0, 10, "2", 2.0)],
         ({**meta, "ranks": []}, {}, "field 'ranks'", r"\[\], need one rank per anchor"),
+        # n_o and ell are integers, rtol a positive finite number
+        *[({**meta, field: bad}, {}, f"field '{field}'",
+           rf"{re.escape(repr(bad))}, need an integer in \[1, ")
+          for field in ("n_o", "ell") for bad in (None, [3], 3.7, "3", True, 0)],
+        *[({**meta, "rtol": bad}, {}, "field 'rtol'",
+           rf"{re.escape(repr(bad))}, need a positive finite number")
+          for bad in (None, 0, -1e-6, "1e-06", math.inf, math.nan, True, 10**400)],
         # a pooled model has one rank
         ({**meta, "variant": "batched", "ranks": [r, r]}, {}, "field 'ranks'",
          rf"\[{r}, {r}\], need one rank per anchor \(one if batched\)"),
