@@ -39,8 +39,8 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise InvalidModel("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise InvalidModel("tol must be positive")
+        if not self.tol > 0:  # NaN too
+            raise InvalidModel(f"tol must be positive, got {self.tol!r}")
         if self.restarts < 1:
             raise InvalidModel("restarts must be at least 1")
 
@@ -148,6 +148,8 @@ def em_fit(
     :class:`MonotonicityViolation`.  With ``init`` given, a single run
     starts from those parameters instead of random restarts.
     """
+    if n_x < 1 or n_d < 1:
+        raise InvalidModel(f"n_x={n_x} and n_d={n_d} must be at least 1")
     if n_x > n_o:
         raise InvalidModel(f"n_x={n_x} exceeds n_o={n_o}")
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]

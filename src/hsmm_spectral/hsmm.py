@@ -334,8 +334,13 @@ def sample_many(
     """Sample ``n_sequences`` independent length-``T`` sequences, vectorized.
 
     Each table's cumulative sums are formed once per call; every step only
-    gathers the rows of the current states.
+    gathers the rows of the current states.  ``T < 1`` and a negative count
+    raise :class:`InvalidModel`, as in :func:`sample`.
     """
+    if T < 1:
+        raise InvalidModel("T must be at least 1")
+    if n_sequences < 0:
+        raise InvalidModel(f"n_sequences must be non-negative, got {n_sequences}")
     obs = np.empty((n_sequences, T), dtype=np.int64)
     O, X, D = _cumulative(p.O), _cumulative(p.X), _cumulative(p.D)
     x = _draw(_cumulative(p.pi_x[:, None]), np.zeros(n_sequences, dtype=int), rng)

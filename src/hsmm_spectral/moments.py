@@ -25,11 +25,14 @@ multiply-add per window offset, reads each anchor's windows as shifted
 lookups into them, and tallies integer counts of composite indices with
 ``np.bincount`` (or ``np.unique`` when the table is larger than the block).
 Tables are divided by their counts once, at the end, so they equal the
-placement frequencies exactly.
+placement frequencies exactly.  Each moment table is that one quotient,
+marked read-only.  Count tables over :data:`TABLE_BYTES` are refused before
+any is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -46,13 +49,7 @@ from .hsmm import (
     state_update_matrix,
     validate,
 )
-from .tensors import ModeLabel, NamedTensor
-
-OL = ModeLabel("ol")
-OR = ModeLabel("or")
-SYM = ModeLabel("sym", 0)
-SYM2 = ModeLabel("sym", 1)
-XD = ModeLabel("xd")
+from .tensors import NamedTensor, read_only
 
 
 class InsufficientData(Exception):
@@ -151,14 +148,14 @@ class MomentSet:
     ``m_lr_shift`` shifts the right window one anchor forward, ``m_lro``
     adds the anchor's own symbol, ``m_oo`` pools all adjacent symbol pairs,
     and ``m_start`` is the boundary joint of the first two symbols with the
-    right window anchored at position 1.
+    right window anchored at position 1.  Each is a read-only float64 array.
     """
 
-    m_lr: NamedTensor
-    m_lr_shift: NamedTensor
-    m_lro: NamedTensor
-    m_oo: NamedTensor
-    m_start: NamedTensor
+    m_lr: np.ndarray  # (k, k)
+    m_lr_shift: np.ndarray  # (k, k)
+    m_lro: np.ndarray  # (k, k, n_o)
+    m_oo: np.ndarray  # (n_o, n_o)
+    m_start: np.ndarray  # (n_o, n_o, k)
     n_o: int
     schedule: ObservationSchedule
     window_count: int
@@ -176,6 +173,7 @@ class AnalyticFactorContext:
     holds that pair's marginal for every pooled anchor.
     """
 
+    # NamedTensor because the benchmark reads f_left.data and k_marginals[i].data
     f_right: NamedTensor
     f_left: NamedTensor
     k_marginals: tuple[NamedTensor, ...]
@@ -185,6 +183,11 @@ class AnalyticFactorContext:
 # arrays of about this length, so they stay small whatever the input size
 # (0.8 MB at most here); 2**16 held 2.8 MB and counted no faster.
 BLOCK = 1 << 14
+
+# Bytes the dense count tables of one call may take.  They grow as
+# n_o**(2 * ell + 1), so a large alphabet asks for terabytes; the largest
+# benchmarked tables (k = 512) take 21 MB.
+TABLE_BYTES = 1 << 30
 
 
 class Counts(NamedTuple):
@@ -353,15 +356,22 @@ def count_cooccurrences(
     composite indices are tallied with ``np.bincount``.  Per-anchor counting
     (equal-length sequences with ``anchors`` anchors each) makes the anchor
     the leading digit of every windowed index.  A symbol outside
-    ``[0, n_o)`` raises ``ValueError`` naming its sequence.
+    ``[0, n_o)`` raises ``ValueError`` naming its sequence, and so do
+    tables over :data:`TABLE_BYTES`, before any is allocated.
     """
+    n_o = int(n_o)  # table sizes in Python integers, which cannot overflow
     k = n_o**sched.ell
     lead = () if anchors is None else (anchors,)
-    lr, lr_shift, lro, oo, start = (
-        np.zeros(shape, dtype=np.int64)
-        for shape in (lead + (k, k), lead + (k, k), lead + (k, k, n_o),
-                      lead + (n_o, n_o), (n_o, n_o, k))
-    )
+    shapes = (lead + (k, k), lead + (k, k), lead + (k, k, n_o),
+              lead + (n_o, n_o), (n_o, n_o, k))
+    size = 8 * sum(math.prod(shape) for shape in shapes)
+    if size > TABLE_BYTES:
+        raise ValueError(
+            f"count tables for n_o={n_o}, ell={sched.ell} (k={k}"
+            f"{'' if anchors is None else f', {anchors} anchors'}) need {size} bytes, "
+            f"over the cap of {TABLE_BYTES}"
+        )
+    lr, lr_shift, lro, oo, start = (np.zeros(shape, dtype=np.int64) for shape in shapes)
     windows = pairs = starts = 0
     seqs = SequenceFile.of(sequences)
     _check_symbols(seqs, n_o)
@@ -379,7 +389,7 @@ def estimate_moments(
 
     Raises :class:`InsufficientData` when no sequence is long enough to host
     a single common-anchor placement, and ``ValueError`` on a symbol outside
-    ``[0, n_o)``.
+    ``[0, n_o)`` or on count tables over :data:`TABLE_BYTES`.
     """
     c = count_cooccurrences(sequences, n_o, sched)
     if c.windows == 0:
@@ -389,11 +399,11 @@ def estimate_moments(
             sched.min_sequence_length,
         )
     return MomentSet(
-        m_lr=NamedTensor(c.lr / c.windows, [OL, OR]),
-        m_lr_shift=NamedTensor(c.lr_shift / c.windows, [OL, OR]),
-        m_lro=NamedTensor(c.lro / c.windows, [OL, OR, SYM]),
-        m_oo=NamedTensor(c.oo / c.pairs, [SYM, SYM2]),
-        m_start=NamedTensor(c.start / max(c.starts, 1), [SYM, SYM2, OR]),
+        m_lr=read_only(c.lr / c.windows),
+        m_lr_shift=read_only(c.lr_shift / c.windows),
+        m_lro=read_only(c.lro / c.windows),
+        m_oo=read_only(c.oo / c.pairs),
+        m_start=read_only(c.start / max(c.starts, 1)),
         n_o=n_o,
         schedule=sched,
         window_count=c.windows,
@@ -515,23 +525,21 @@ def analytic_moments(
     phi2 = XL @ (ks[0][:, None] * em.T)  # [(x, d_prev=d_0), o_0]
     m_start = np.einsum("sa,os,rs->aor", phi2, em, f_mid)
 
-    k_marginals = tuple(
-        NamedTensor(XL @ ks[a - 1], [XD]) for a in anchors
-    )
+    k_marginals = tuple(NamedTensor(XL @ ks[a - 1], ["xd"]) for a in anchors)
     with np.errstate(divide="ignore", invalid="ignore"):
         cols = left.sum(axis=0)
         f_left = np.where(cols[None, :] > 0, left / cols[None, :], 0.0)
     context = AnalyticFactorContext(
-        f_right=NamedTensor(f_mid, [OR, XD]),
-        f_left=NamedTensor(f_left, [OL, XD]),
+        f_right=NamedTensor(f_mid, ["or", "xd"]),
+        f_left=NamedTensor(f_left, ["ol", "xd"]),
         k_marginals=k_marginals,
     )
     moments = MomentSet(
-        m_lr=NamedTensor(m_lr, [OL, OR]),
-        m_lr_shift=NamedTensor(m_lr_shift, [OL, OR]),
-        m_lro=NamedTensor(m_lro, [OL, OR, SYM]),
-        m_oo=NamedTensor(m_oo, [SYM, SYM2]),
-        m_start=NamedTensor(m_start, [SYM, SYM2, OR]),
+        m_lr=read_only(m_lr),
+        m_lr_shift=read_only(m_lr_shift),
+        m_lro=read_only(m_lro),
+        m_oo=read_only(m_oo),
+        m_start=read_only(m_start),
         n_o=p.n_o,
         schedule=sched,
         window_count=len(anchors),

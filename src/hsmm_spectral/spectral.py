@@ -35,6 +35,8 @@ The per-anchor ("basic") variant is the same model once per anchor, and a
 pooled model is its one-anchor case: one builder turns either into operator
 tables, and one file layout stores either, with each tensor stacked along a
 leading anchor axis and the shared start table stored once.
+Every model table is a plain read-only float64 array (for a loaded model,
+a view of the checked stack) except ``d_tilde``, a ``NamedTensor``.
 
 The pseudo-inverse products are float64 truncated-SVD solves.  Each moment
 matrix is decomposed once, and the rank check, the noise floor and the
@@ -60,19 +62,13 @@ import numpy as np
 from .container import read_container, write_container
 from .hsmm import SequenceFile
 from .moments import (
-    OL,
-    OR,
-    SYM,
-    SYM2,
     MomentSet,
     ObservationSchedule,
     _ranges,
     count_cooccurrences,
     estimate_moments,
 )
-from .tensors import ModeLabel, NamedTensor, RankZero, spectrum_rank
-
-OR_IN = ModeLabel("or_in")
+from .tensors import NamedTensor, RankZero, read_only, spectrum_rank
 
 
 class SpectralError(Exception):
@@ -118,15 +114,15 @@ class Operators(NamedTuple):
 class ObservableModel:
     """A learned model in its rank-``r`` form: pooled, or one anchor's if ``anchor`` is set.
 
-    ``x_tilde = basis @ y_x`` is derived on demand (``k x k x n_o``, for
-    reference checks only); ``d_tilde`` is held in ``k`` space because
-    callers perturb it through ``dataclasses.replace``.
+    Every array is read-only.  ``x_tilde = basis @ y_x`` is derived on
+    demand (``k x k x n_o``, for reference checks only).
     """
 
+    # NamedTensor in k space: the benchmark replaces it through dataclasses.replace
     d_tilde: NamedTensor
     y_x: np.ndarray  # (r, k, n_o): x_tilde's coefficients in the basis
-    o_tilde: NamedTensor
-    start_factor: NamedTensor
+    o_tilde: np.ndarray  # (n_o, n_o)
+    start_factor: np.ndarray  # (n_o, n_o, k)
     basis: np.ndarray  # (k, r) orthonormal; d_tilde = basis @ (...)
     pinv_rtol: float
     n_o: int
@@ -139,11 +135,10 @@ class ObservableModel:
         return self.basis.shape[1]
 
     @property
-    def x_tilde(self) -> NamedTensor:
+    def x_tilde(self) -> np.ndarray:
         """``basis @ y_x``, the symbol operator in window space."""
         r, k, n_o = self.y_x.shape
-        x_flat = self.basis @ self.y_x.reshape(r, k * n_o)
-        return NamedTensor(x_flat.reshape(k, k, n_o), [OR_IN, OR, SYM])
+        return read_only((self.basis @ self.y_x.reshape(r, k * n_o)).reshape(k, k, n_o))
 
     @cached_property
     def operators(self) -> Operators:
@@ -210,32 +205,32 @@ def build_observable(
     sched = m.schedule
     k = m.n_o**sched.ell
     needed = min(sched.joint_rank, k)
-    lr_svd = np.linalg.svd(m.m_lr.data, full_matrices=False)
+    lr_svd = np.linalg.svd(m.m_lr, full_matrices=False)
     rank = spectrum_rank(lr_svd[1], rtol)
     if rank < needed:
         raise DegenerateMoments("m_lr", detail=f"rank {rank} < {needed} at rtol {rtol}")
-    oo_svd = np.linalg.svd(m.m_oo.data.T, full_matrices=False)
+    oo_svd = np.linalg.svd(m.m_oo.T, full_matrices=False)
     eff_lr = max(rtol, _noise_rtol(lr_svd[1], m.window_count)) if noise_floor else rtol
     eff_oo = max(rtol, _noise_rtol(oo_svd[1], m.pair_count)) if noise_floor else rtol
     try:
         basis, (y_d, y_x) = _pinv_product(
             lr_svd,
-            [m.m_lr_shift.data, m.m_lro.data.reshape(k, k * m.n_o)],
+            [m.m_lr_shift, m.m_lro.reshape(k, k * m.n_o)],
             eff_lr,
             max_rank=needed,
         )
     except RankZero as exc:
         raise DegenerateMoments("m_lr", detail=str(exc)) from None
     try:
-        v_oo, (y_o,) = _pinv_product(oo_svd, [m.m_oo.data.T], eff_oo, max_rank=sched.n_x)
+        v_oo, (y_o,) = _pinv_product(oo_svd, [m.m_oo.T], eff_oo, max_rank=sched.n_x)
     except RankZero as exc:
         raise DegenerateMoments("m_oo", detail=str(exc)) from None
     return ObservableModel(
-        d_tilde=NamedTensor(basis @ y_d, [OR_IN, OR]),
-        y_x=y_x.reshape(-1, k, m.n_o),
-        o_tilde=NamedTensor(v_oo @ y_o, [SYM, SYM2]),
+        d_tilde=NamedTensor(basis @ y_d, ["or_in", "or"]),
+        y_x=read_only(y_x.reshape(-1, k, m.n_o)),
+        o_tilde=read_only(v_oo @ y_o),
         start_factor=m.m_start,
-        basis=basis,
+        basis=read_only(basis),
         pinv_rtol=rtol,
         n_o=m.n_o,
         ell=sched.ell,
@@ -274,15 +269,15 @@ def build_observable_per_t(
         )
     n = len(seqs)
     counts = count_cooccurrences(seqs, n_o, sched, anchors=len(anchors))
-    m_start = NamedTensor(counts.start / n, [SYM, SYM2, OR])
+    lr, lr_shift, lro, oo, start = (read_only(table / n) for table in counts[:5])
     models = []
     for j, s_pos in enumerate(anchors):
         m = MomentSet(
-            m_lr=NamedTensor(counts.lr[j] / n, [OL, OR]),
-            m_lr_shift=NamedTensor(counts.lr_shift[j] / n, [OL, OR]),
-            m_lro=NamedTensor(counts.lro[j] / n, [OL, OR, SYM]),
-            m_oo=NamedTensor(counts.oo[j] / n, [SYM, SYM2]),
-            m_start=m_start,
+            m_lr=lr[j],
+            m_lr_shift=lr_shift[j],
+            m_lro=lro[j],
+            m_oo=oo[j],
+            m_start=start,
             n_o=n_o,
             schedule=sched,
             window_count=n,
@@ -366,7 +361,7 @@ def _operators(model: ObservableModel | Sequence[ObservableModel]) -> Operators:
     a, r = len(models), max(m.rank for m in models)
     basis = _padded([m.basis for m in models], 1, r)
     y_x = _padded([m.y_x for m in models], 0, r)
-    o_tilde = np.stack([m.o_tilde.data for m in models])
+    o_tilde = np.stack([m.o_tilde for m in models])
     left = _padded([m.basis.T @ m.d_tilde.data for m in models], 0, r)
     # y_x[a, j].T @ basis[a] for every anchor a and row j: (A, r, n_o, r)
     yv = y_x.swapaxes(2, 3) @ basis[:, None]
@@ -376,7 +371,7 @@ def _operators(model: ObservableModel | Sequence[ObservableModel]) -> Operators:
     q = np.minimum(c, a - 1)
     transfer = left[np.maximum(c - 1, 0)] @ basis[q]
     return Operators(
-        models[0].start_factor.data @ basis[0],
+        models[0].start_factor @ basis[0],
         transfer[:, None] @ core[q],
         transfer @ close[q],
         first,
@@ -549,13 +544,13 @@ def _entry(mapping, key, what: str):
 
 
 def _array(tensors, name: str, shape: tuple) -> np.ndarray:
-    """The stored tensor ``name``, checked to have ``shape`` and finite entries."""
+    """The stored tensor ``name``, checked to have ``shape`` and finite entries, read-only."""
     arr = _entry(tensors, name, "tensor")
     if arr.shape != shape:
         raise SpectralError(f"model file tensor {name!r} has shape {arr.shape}, need {shape}")
     if not np.isfinite(arr).all():
         raise SpectralError(f"model file tensor {name!r} has non-finite entries")
-    return arr
+    return read_only(arr)
 
 
 def _integer(name: str, value, low: int, high: int) -> int:
@@ -588,8 +583,8 @@ def save_observable(path, model) -> None:
     write_container(path, "observable-model", meta, [
         ("d_tilde", np.stack([m.d_tilde.data for m in models])),
         ("y_x", _padded([m.y_x for m in models], 0, max(ranks))),
-        ("o_tilde", np.stack([m.o_tilde.data for m in models])),
-        ("start_factor", models[0].start_factor.data),
+        ("o_tilde", np.stack([m.o_tilde for m in models])),
+        ("start_factor", models[0].start_factor),
         ("basis", _padded([m.basis for m in models], 1, max(ranks))),
     ])
 
@@ -631,13 +626,13 @@ def load_observable(path):
     d_tilde = _array(tensors, "d_tilde", (a, k, k))
     y_x = _array(tensors, "y_x", (a, r, k, n_o))
     o_tilde = _array(tensors, "o_tilde", (a, n_o, n_o))
-    start = NamedTensor(_array(tensors, "start_factor", (n_o, n_o, k)), [SYM, SYM2, OR])
+    start = _array(tensors, "start_factor", (n_o, n_o, k))
     basis = _array(tensors, "basis", (a, k, r))
     models = [
         ObservableModel(
-            d_tilde=NamedTensor(d_tilde[i], [OR_IN, OR]),
+            d_tilde=NamedTensor(d_tilde[i], ["or_in", "or"]),
             y_x=y_x[i, :rank],
-            o_tilde=NamedTensor(o_tilde[i], [SYM, SYM2]),
+            o_tilde=o_tilde[i],
             start_factor=start,
             basis=basis[i, :, :rank],
             pinv_rtol=float(rtol),

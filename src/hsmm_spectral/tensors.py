@@ -1,9 +1,12 @@
-"""Labeled read-only arrays and the rank helpers of the verification layer.
+"""Read-only arrays and the rank helpers of the verification layer.
 
-A :class:`NamedTensor` is a float64 array that carries one
-:class:`ModeLabel`, a ``(name, occurrence)`` pair, per axis, is read-only
-after construction and rejects non-finite entries.  The pipeline stores its
-moment and model tensors in it; no operation reads the labels.
+The pipeline holds its moment and model tables as plain float64 arrays,
+marked read-only in place by :func:`read_only`.  A :class:`NamedTensor` is a
+float64 copy that carries one :class:`ModeLabel`, a ``(name, occurrence)``
+pair, per axis, is read-only and rejects non-finite entries.  Only the
+tables that callers perturb or read through ``.data`` keep it: a learned
+model's ``d_tilde`` and the analytic factor context; no operation reads the
+labels.
 """
 
 from __future__ import annotations
@@ -112,6 +115,12 @@ class NamedTensor:
     def __repr__(self) -> str:
         modes = ", ".join(f"{l!r}:{d}" for l, d in zip(self._labels, self.shape))
         return f"NamedTensor({modes})"
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, marked read-only (a view of it stays read-only too)."""
+    a.flags.writeable = False
+    return a
 
 
 def khatri_rao_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -305,8 +305,8 @@ def test_criterion_8_batched_beats_per_anchor(verdict):
         def dist(model):
             return (
                 np.linalg.norm(model.d_tilde.data - ref.d_tilde.data)
-                + np.linalg.norm(model.x_tilde.data - ref.x_tilde.data)
-                + np.linalg.norm(model.o_tilde.data - ref.o_tilde.data)
+                + np.linalg.norm(model.x_tilde - ref.x_tilde)
+                + np.linalg.norm(model.o_tilde - ref.o_tilde)
             )
 
         if dist(batched) <= float(np.mean([dist(m) for m in per_t])):

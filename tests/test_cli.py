@@ -299,3 +299,41 @@ def test_model_json_that_is_not_a_model_exits_two(tmp_path, capsys):
                       "-o", str(tmp_path / "d.txt")]):
             code, _, err = run(argv, capsys)
             assert code == 2 and err == f"InvalidModel: {message}\n"
+
+
+def test_learn_em_refuses_empty_dimensions(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    data.write_text("0 1 2 1 0\n1 2 0 0 1\n")
+    base = ["learn-em", "--data", str(data), "--no", "3", "-o", str(tmp_path / "em.json")]
+    for dims, message in (
+        (["--nx", "0", "--nd", "2"], "n_x=0 and n_d=2 must be at least 1"),
+        (["--nx", "2", "--nd", "0"], "n_x=2 and n_d=0 must be at least 1"),
+        (["--nx", "2", "--nd", "2", "--tol", "nan"], "tol must be positive, got nan"),
+    ):
+        code, _, err = run(base + dims, capsys)
+        assert code == 2, (dims, err)
+        assert f"InvalidModel: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "em.json").exists()
+
+
+def test_gen_data_refuses_empty_length_and_negative_count(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    out = tmp_path / "d.txt"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "-o", str(model)], capsys)
+    for bad, message in ((["-n", "4", "-T", "0"], "T must be at least 1"),
+                         (["-n", "-1", "-T", "5"], "n_sequences must be non-negative")):
+        code, _, err = run(["gen-data", "--model", str(model), *bad, "-o", str(out)], capsys)
+        assert code == 2 and f"InvalidModel: {message}" in err, (bad, err)
+        assert not out.exists()
+
+
+def test_learn_refuses_count_tables_over_the_cap(tmp_path, capsys):
+    # n_o = 300 at ell = 2 asks for a 90000 x 90000 window table (60 GiB)
+    for extra in (["--no", "300"], ["--basic", "--no", "300"]):
+        code, _, err = _learn_bad_input(tmp_path, capsys, GOOD, extra)
+        assert code == 2, (extra, err)
+        assert "ValueError: count tables for n_o=300, ell=2 (k=90000" in err, err
+        assert "over the cap of 1073741824" in err and "Traceback" not in err
+    code, _, err = _learn_bad_input(tmp_path, capsys, [*GOOD, "0 1 999999999 1 0 2"], [])
+    assert code == 2 and "count tables for n_o=1000000000, ell=2" in err, err
+    assert not (tmp_path / "s.bin").exists()

@@ -20,6 +20,8 @@ def test_config_validation():
         EmConfig(max_iter=0)
     with pytest.raises(InvalidModel):
         EmConfig(tol=0.0)
+    with pytest.raises(InvalidModel):
+        EmConfig(tol=float("nan"))
 
 
 def test_matches_reference_baum_welch_when_durations_trivial():
@@ -101,3 +103,6 @@ def test_dimension_guard():
 
     with pytest.raises(InvalidModel):
         em_fit([np.zeros(5, dtype=int)], 2, 3, 2, EmConfig())
+    for n_x, n_d in ((0, 2), (2, 0)):
+        with pytest.raises(InvalidModel, match="must be at least 1"):
+            em_fit([np.zeros(5, dtype=int)], 2, n_x, n_d, EmConfig())

@@ -143,6 +143,16 @@ def test_sample_many_matches_marginal_statistics():
         assert abs(counts[s] - mix[s] * total) < 3 * sd * math.sqrt(2 * p.n_d)
 
 
+def test_sample_many_refuses_what_sample_refuses():
+    p = random_model(3, 2, 2, seed=13)
+    for n, T, message in ((3, 0, "T must be at least 1"), (-1, 5, "non-negative")):
+        with pytest.raises(InvalidModel, match=message):
+            sample_many(p, n, T, np.random.default_rng(0))
+    with pytest.raises(InvalidModel):
+        sample(p, 0, np.random.default_rng(0))
+    assert sample_many(p, 0, 5, np.random.default_rng(0)).shape == (0, 5)
+
+
 @pytest.mark.parametrize("dims", [(3, 2, 2), (8, 3, 9), (4, 1, 3)])
 def test_sample_many_matches_per_step_reference(dims):
     p = random_model(*dims, seed=12)

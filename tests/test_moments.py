@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,6 @@ from hsmm_spectral.hsmm import (
     write_sequences,
 )
 from hsmm_spectral.moments import (
-    OL,
-    OR,
-    SYM,
-    SYM2,
     InsufficientData,
     MomentSet,
     analytic_moments,
@@ -23,7 +21,7 @@ from hsmm_spectral.moments import (
     window_conditional,
 )
 from hsmm_spectral.spectral import build_observable, build_observable_per_t
-from hsmm_spectral.tensors import NamedTensor, numerical_rank
+from hsmm_spectral.tensors import numerical_rank
 
 from oracles import brute_window_joint
 
@@ -96,7 +94,7 @@ def test_adjacent_pair_counting_by_hand():
         for a, b in zip(seq, list(seq)[1:]):
             expect[a, b] += 1
     expect /= 10
-    assert np.allclose(m.m_oo.data, expect, atol=1e-15)
+    assert np.allclose(m.m_oo, expect, atol=1e-15)
 
 
 def test_insufficient_data_reports_minimum():
@@ -112,8 +110,8 @@ def test_estimated_tensors_are_distributions():
     obs = sample_many(p, 200, 12, np.random.default_rng(0))
     m = estimate_moments(list(obs), 3, sched)
     for t in (m.m_lr, m.m_lr_shift, m.m_lro, m.m_oo, m.m_start):
-        assert t.data.min() >= 0
-        assert abs(t.data.sum() - 1.0) < 1e-12
+        assert t.min() >= 0
+        assert abs(t.sum() - 1.0) < 1e-12
 
 
 def test_marginal_consistency_empirical():
@@ -121,7 +119,7 @@ def test_marginal_consistency_empirical():
     sched = build_schedule(2, 2)
     obs = sample_many(p, 100, 14, np.random.default_rng(1))
     m = estimate_moments(list(obs), 3, sched)
-    assert np.allclose(m.m_lro.data.sum(axis=2), m.m_lr.data, atol=1e-15)
+    assert np.allclose(m.m_lro.sum(axis=2), m.m_lr, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def test_pooled_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, block):
             ("m_oo", oo, pairs),
             ("m_start", start, starts),
         ):
-            assert np.array_equal(getattr(m, field).data, table / count)
+            assert np.array_equal(getattr(m, field), table / count)
 
     short = [s for s in seqs if len(s) < sched.min_sequence_length]
     with pytest.raises(InsufficientData) as err:
@@ -233,7 +231,7 @@ def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, 
     for form in (seqs, stream):
         pooled = estimate_moments(form, n_o, sched)
         for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
-            assert np.array_equal(getattr(pooled, field).data, getattr(listed, field).data)
+            assert np.array_equal(getattr(pooled, field), getattr(listed, field))
 
     if n_d > 2:
         return  # too few sequences for a full-rank per-anchor build
@@ -243,11 +241,11 @@ def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, 
     for j, model in enumerate(models):
         alone = build_observable(
             MomentSet(
-                m_lr=NamedTensor(lr[j] / 300, [OL, OR]),
-                m_lr_shift=NamedTensor(lr_shift[j] / 300, [OL, OR]),
-                m_lro=NamedTensor(lro[j] / 300, [OL, OR, SYM]),
-                m_oo=NamedTensor(oo[j] / 300, [SYM, SYM2]),
-                m_start=NamedTensor(start / 300, [SYM, SYM2, OR]),
+                m_lr=lr[j] / 300,
+                m_lr_shift=lr_shift[j] / 300,
+                m_lro=lro[j] / 300,
+                m_oo=oo[j] / 300,
+                m_start=start / 300,
                 n_o=n_o,
                 schedule=sched,
                 window_count=300,
@@ -256,10 +254,51 @@ def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, 
             ),
             1e-6,
         )
-        for field in ("d_tilde", "o_tilde", "start_factor"):
-            assert np.array_equal(getattr(model, field).data, getattr(alone, field).data)
-        assert np.array_equal(model.y_x, alone.y_x)
-        assert np.array_equal(model.basis, alone.basis)
+        assert np.array_equal(model.d_tilde.data, alone.d_tilde.data)
+        for field in ("y_x", "o_tilde", "start_factor", "basis"):
+            assert np.array_equal(getattr(model, field), getattr(alone, field))
+
+
+def _peak(fn, *args) -> int:
+    """Peak bytes traced while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_tables_are_one_quotient_of_the_counts():
+    # k = 512: the lro table (k x k x n_o) is 16.8 MB, and dividing it into
+    # the moment table may add one float copy of it, not more
+    sched = build_schedule(3, 9)
+    obs = sample_many(random_model(8, 3, 9, seed=1), 200, 100, np.random.default_rng(1))
+    lro_bytes = 8 * (8**sched.ell) ** 2 * 8
+    extra = _peak(estimate_moments, obs, 8, sched) - _peak(count_cooccurrences, obs, 8, sched)
+    assert extra < 1.5 * lro_bytes, extra / lro_bytes
+
+
+def test_count_tables_are_capped_before_allocation(monkeypatch):
+    sched = build_schedule(2, 2)
+    seqs = [np.random.default_rng(i).integers(0, 3, size=12) for i in range(6)]
+    # n_o = 300 at ell = 2: a 90000 x 90000 window table, 60 GiB
+    for anchors in (None, 6):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n_o=300, ell=2 \(k=90000.* over the cap"):
+                count_cooccurrences(seqs, 300, sched, anchors=anchors)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+    # the cap is on the bytes of all five tables: at the size it passes
+    k = 3**sched.ell
+    size = 8 * (2 * k * k + k * k * 3 + 3 * 3 + 3 * 3 * k)
+    monkeypatch.setattr(moments, "TABLE_BYTES", size)
+    count_cooccurrences(seqs, 3, sched)
+    monkeypatch.setattr(moments, "TABLE_BYTES", size - 1)
+    with pytest.raises(ValueError, match=f"need {size} bytes, over the cap of {size - 1}"):
+        estimate_moments(seqs, 3, sched)
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -300,16 +339,16 @@ def test_analytic_moments_match_brute_force_single_anchor():
     ]
     lr, lr_shift, lro_perm, start = brute_window_joint(model_tuple(p), groups, T)
     k = n_o**sched.ell
-    assert np.allclose(m.m_lr.data, lr.reshape(k, k), atol=1e-12)
-    assert np.allclose(m.m_lr_shift.data, lr_shift.reshape(k, k), atol=1e-12)
+    assert np.allclose(m.m_lr, lr.reshape(k, k), atol=1e-12)
+    assert np.allclose(m.m_lr_shift, lr_shift.reshape(k, k), atol=1e-12)
     lro = np.moveaxis(lro_perm, 4, 4)  # axes already (l0,l1,r0,r1,o)
-    assert np.allclose(m.m_lro.data, lro.reshape(k, k, n_o), atol=1e-12)
-    assert np.allclose(m.m_start.data, start.reshape(n_o, n_o, k), atol=1e-12)
+    assert np.allclose(m.m_lro, lro.reshape(k, k, n_o), atol=1e-12)
+    assert np.allclose(m.m_start, start.reshape(n_o, n_o, k), atol=1e-12)
     # m_oo averages every adjacent pair
     pairs = brute_window_joint(
         model_tuple(p), [(t, t + 1) for t in range(T - 1)], T
     )
-    assert np.allclose(m.m_oo.data, np.mean(pairs, axis=0), atol=1e-12)
+    assert np.allclose(m.m_oo, np.mean(pairs, axis=0), atol=1e-12)
 
 
 def test_analytic_moments_average_multiple_anchors():
@@ -323,7 +362,7 @@ def test_analytic_moments_average_multiple_anchors():
             model_tuple(p), [(s - 2, s - 1, s + 1, s + 2)], T
         )
         tables.append(tab.reshape(4, 4))
-    assert np.allclose(m.m_lr.data, np.mean(tables, axis=0), atol=1e-12)
+    assert np.allclose(m.m_lr, np.mean(tables, axis=0), atol=1e-12)
 
 
 def test_analytic_moments_single_state_outer_product():
@@ -337,8 +376,8 @@ def test_analytic_moments_single_state_outer_product():
     m, _ = analytic_moments(p, sched, sched.min_sequence_length)
     marg = p.O[:, 0]
     window = np.kron(marg, marg)
-    assert np.allclose(m.m_lr.data, np.outer(window, window), atol=1e-14)
-    assert np.allclose(m.m_oo.data, np.outer(marg, marg), atol=1e-14)
+    assert np.allclose(m.m_lr, np.outer(window, window), atol=1e-14)
+    assert np.allclose(m.m_oo, np.outer(marg, marg), atol=1e-14)
 
 
 def test_empirical_converges_to_analytic():
@@ -356,7 +395,7 @@ def test_empirical_converges_to_analytic():
         ("m_oo", m_hat.pair_count),
         ("m_start", m_hat.start_count),
     ):
-        gap = np.max(np.abs(getattr(m_hat, field).data - getattr(m_true, field).data))
+        gap = np.max(np.abs(getattr(m_hat, field) - getattr(m_true, field)))
         assert gap <= 5.0 / np.sqrt(count), (field, gap, count)
 
 
@@ -369,7 +408,7 @@ def test_empirical_error_shrinks_at_monte_carlo_rate():
     for n in (1_000, 10_000, 100_000):
         obs = sample_many(p, n, T, np.random.default_rng(4))
         m_hat = estimate_moments(list(obs), 3, sched)
-        errs.append(np.max(np.abs(m_hat.m_lr.data - m_true.m_lr.data)))
+        errs.append(np.max(np.abs(m_hat.m_lr - m_true.m_lr)))
     assert errs[0] > errs[1] > errs[2]
     # max error over fixed cells scales ~ 1/sqrt(n); allow generous slack
     assert errs[0] / errs[2] > np.sqrt(100) / 4
@@ -400,5 +439,5 @@ def test_analytic_m_lr_rank_is_joint_dimension():
         p = random_model(n_x + 1, n_x, n_d, seed=seed)
         sched = build_schedule(n_x, n_d)
         m, ctx = analytic_moments(p, sched, sched.min_sequence_length + 4)
-        assert numerical_rank(m.m_lr.data, 1e-10) == n_x * n_d
+        assert numerical_rank(m.m_lr, 1e-10) == n_x * n_d
         assert numerical_rank(ctx.f_right.data, 1e-10) == n_x * n_d

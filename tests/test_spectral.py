@@ -16,10 +16,6 @@ from hsmm_spectral.hsmm import (
 )
 from hsmm_spectral.moments import (
     MomentSet,
-    OL,
-    OR,
-    SYM,
-    SYM2,
     analytic_moments,
     build_schedule,
     estimate_moments,
@@ -111,29 +107,29 @@ def test_population_consistency_single_state_fallback_schedule():
 def test_o_tilde_is_projector_onto_pair_column_space():
     p = random_model(3, 2, 2, seed=1)
     model, m, _ = analytic_model(p)
-    proj = model.o_tilde.data
+    proj = model.o_tilde
     # idempotent, symmetric, rank n_x, and fixes the pair table
     assert np.allclose(proj @ proj, proj, atol=1e-10)
     assert np.allclose(proj, proj.T, atol=1e-10)
     assert numerical_rank(proj, 1e-8) == p.n_x
-    assert np.allclose(proj.T @ m.m_oo.data, m.m_oo.data, atol=1e-12)
+    assert np.allclose(proj.T @ m.m_oo, m.m_oo, atol=1e-12)
 
 
 def test_o_tilde_identity_when_square_full_rank():
     p = random_model(2, 2, 2, seed=3)  # n_o == n_x: pair table invertible
     model, _, _ = analytic_model(p)
-    assert np.allclose(model.o_tilde.data, np.eye(2), atol=1e-8)
+    assert np.allclose(model.o_tilde, np.eye(2), atol=1e-8)
 
 
 def test_zero_moments_raise_degenerate():
     sched = build_schedule(2, 2)
     k = 2**sched.ell
     zero = MomentSet(
-        m_lr=NamedTensor(np.zeros((k, k)), [OL, OR]),
-        m_lr_shift=NamedTensor(np.zeros((k, k)), [OL, OR]),
-        m_lro=NamedTensor(np.zeros((k, k, 2)), [OL, OR, SYM]),
-        m_oo=NamedTensor(np.zeros((2, 2)), [SYM, SYM2]),
-        m_start=NamedTensor(np.zeros((2, 2, k)), [SYM, SYM2, OR]),
+        m_lr=np.zeros((k, k)),
+        m_lr_shift=np.zeros((k, k)),
+        m_lro=np.zeros((k, k, 2)),
+        m_oo=np.zeros((2, 2)),
+        m_start=np.zeros((2, 2, k)),
         n_o=2,
         schedule=sched,
         window_count=1,
@@ -174,8 +170,8 @@ def test_per_anchor_analytic_tensors_are_anchor_invariant():
         models.append(build_observable(m, RTOL))
     for other in models[1:]:
         assert np.allclose(models[0].d_tilde.data, other.d_tilde.data, atol=1e-10)
-        assert np.allclose(models[0].x_tilde.data, other.x_tilde.data, atol=1e-10)
-        assert np.allclose(models[0].o_tilde.data, other.o_tilde.data, atol=1e-10)
+        assert np.allclose(models[0].x_tilde, other.x_tilde, atol=1e-10)
+        assert np.allclose(models[0].o_tilde, other.o_tilde, atol=1e-10)
 
 
 def test_batched_beats_per_anchor_on_sampled_data():
@@ -191,8 +187,8 @@ def test_batched_beats_per_anchor_on_sampled_data():
     def dist(m):
         return (
             np.linalg.norm(m.d_tilde.data - ref.d_tilde.data)
-            + np.linalg.norm(m.x_tilde.data - ref.x_tilde.data)
-            + np.linalg.norm(m.o_tilde.data - ref.o_tilde.data)
+            + np.linalg.norm(m.x_tilde - ref.x_tilde)
+            + np.linalg.norm(m.o_tilde - ref.o_tilde)
         )
 
     per_t_dist = float(np.mean([dist(m) for m in per_t]))
@@ -225,8 +221,8 @@ def test_chain_direction_is_irrelevant():
     p = random_model(3, 2, 2, seed=20)
     model, _, _ = analytic_model(p)
     d_mat = model.d_tilde.data
-    x_cube = model.x_tilde.data
-    o_mat = model.o_tilde.data
+    x_cube = model.x_tilde
+    o_mat = model.o_tilde
     rng = np.random.default_rng(20)
     for _ in range(8):
         obs = rng.integers(0, 3, size=int(rng.integers(3, 9)))
@@ -234,7 +230,7 @@ def test_chain_direction_is_irrelevant():
         w = d_mat @ w
         for t in range(len(obs) - 2, 1, -1):
             w = d_mat @ ((x_cube @ o_mat[:, obs[t]]) @ w)
-        scalar = float(model.start_factor.data[obs[0], obs[1], :] @ w)
+        scalar = float(model.start_factor[obs[0], obs[1], :] @ w)
         res = infer(model, obs)
         assert np.isclose(scalar, res.value, rtol=1e-12)
 
@@ -354,16 +350,56 @@ def test_observable_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "model.bin"
     save_observable(path, model)
     back = load_observable(path)
-    for field in ("d_tilde", "o_tilde", "start_factor"):
-        assert np.array_equal(getattr(back, field).data, getattr(model, field).data)
-    assert np.array_equal(back.y_x, model.y_x)
-    assert np.array_equal(back.basis, model.basis)
+    assert np.array_equal(back.d_tilde.data, model.d_tilde.data)
+    for field in ("y_x", "o_tilde", "start_factor", "basis"):
+        assert np.array_equal(getattr(back, field), getattr(model, field))
     assert back.pinv_rtol == model.pinv_rtol
     # the rank-r form: no k x k x n_o tensor is stored
     k = model.basis.shape[0]
     _, _, stored = read_container(path)
     assert sorted(stored) == ["basis", "d_tilde", "o_tilde", "start_factor", "y_x"]
     assert all(arr.size != k * k * 3 for arr in stored.values())
+
+
+def test_moment_and_model_tables_are_read_only(tmp_path, monkeypatch):
+    p = random_model(3, 2, 2, seed=15)
+    sched = build_schedule(2, 2)
+    obs = sample_many(p, 300, 12, np.random.default_rng(15))
+    seen = []
+    build = spectral.build_observable
+
+    def capture(m, rtol, noise_floor=False):
+        seen.append(m)
+        return build(m, rtol, noise_floor)
+
+    monkeypatch.setattr(spectral, "build_observable", capture)
+    per_anchor = build_observable_per_t(obs, 3, sched, 1e-6)
+    monkeypatch.undo()
+    analytic, _ = analytic_moments(p, sched, 12)
+    pooled = estimate_moments(obs, 3, sched)
+    for m in [pooled, analytic, *seen]:
+        for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
+            table = getattr(m, field)
+            assert type(table) is np.ndarray and table.dtype == np.float64, field
+            assert not table.flags.writeable, field
+    # the per-anchor tables are views of one stack per table, divided once
+    assert len(seen) == len(per_anchor) > 1
+    for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo"):
+        stack = getattr(seen[0], field).base
+        assert stack is not None and all(getattr(m, field).base is stack for m in seen)
+    assert all(m.m_start is seen[0].m_start for m in seen)
+
+    models = [build_observable(pooled, 1e-6), *per_anchor]
+    save_observable(tmp_path / "pooled.bin", models[0])
+    save_observable(tmp_path / "per_t.bin", per_anchor)
+    models += [load_observable(tmp_path / "pooled.bin"), *load_observable(tmp_path / "per_t.bin")]
+    for model in models:
+        assert not model.d_tilde.data.flags.writeable
+        for field in ("y_x", "o_tilde", "start_factor", "basis", "x_tilde"):
+            arr = getattr(model, field)
+            assert type(arr) is np.ndarray and not arr.flags.writeable, field
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
 
 
 def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path, capsys):
@@ -428,7 +464,7 @@ def test_per_t_roundtrip(tmp_path):
     assert all(arr.size != k * k * 3 for arr in stored.values())
     # one stack per tensor, and the shared start table once
     assert sorted(stored) == ["basis", "d_tilde", "o_tilde", "start_factor", "y_x"]
-    assert stored["start_factor"].shape == models[0].start_factor.data.shape
+    assert stored["start_factor"].shape == models[0].start_factor.shape
     assert stored["d_tilde"].shape == (len(models), k, k)
     # sequences beyond the trained anchor range clamp to the nearest anchor
     long_obs = sample_many(p, 1, 30, np.random.default_rng(15))[0]
@@ -457,12 +493,12 @@ def kspace_chain(obs, at_d, at_x, start):
 
 def pooled_kspace(model, obs):
     def at_x(t, sym, close=False):
-        o = model.o_tilde.data[:, sym]
-        x_cube = model.x_tilde.data
+        o = model.o_tilde[:, sym]
+        x_cube = model.x_tilde
         return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
-        obs, lambda t: model.d_tilde.data, at_x, model.start_factor.data
+        obs, lambda t: model.d_tilde.data, at_x, model.start_factor
     )
 
 
@@ -474,12 +510,12 @@ def per_anchor_kspace(models, obs):
 
     def at_x(t, sym, close=False):
         m = at(t)
-        o = m.o_tilde.data[:, sym]
-        x_cube = m.x_tilde.data
+        o = m.o_tilde[:, sym]
+        x_cube = m.x_tilde
         return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
-        obs, lambda t: at(t).d_tilde.data, at_x, models[0].start_factor.data
+        obs, lambda t: at(t).d_tilde.data, at_x, models[0].start_factor
     )
 
 
@@ -619,7 +655,7 @@ def test_model_file_without_variant_or_tensor_is_rejected(tmp_path, capsys):
     with pytest.raises(SpectralError, match="basis"):
         load_observable(path)
     # a file holding the k-space x_tilde and its marginal instead of y_x
-    x_cube = model.x_tilde.data
+    x_cube = model.x_tilde
     k_space = [(k, v) for k, v in tensors.items() if k != "y_x"]
     k_space += [("x_tilde", x_cube), ("end_factor", x_cube.sum(axis=1))]
     write_container(path, kind, meta, k_space)
