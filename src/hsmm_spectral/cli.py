@@ -158,7 +158,12 @@ def _cmd_gen_model(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     p = load_model(args.model)
-    obs = sample_many(p, args.count, args.length, np.random.default_rng(args.seed))
+    try:
+        obs = sample_many(p, args.count, args.length, np.random.default_rng(args.seed))
+    except MemoryError:
+        raise InvalidModel(
+            f"{args.count} sequences of length {args.length} do not fit in memory"
+        ) from None
     write_sequences(list(obs), args.output)
     return 0
 

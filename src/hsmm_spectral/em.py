@@ -7,6 +7,18 @@ M-step only accumulates renewal statistics (transitions and duration draws
 out of ``d == 1``), the initial pair occupancy, and emission counts.  The
 initial duration is treated as a fresh renewal draw, matching the
 generative model's default prior.
+
+The time loops carry only the recursions: the forward loop scales and
+propagates ``alpha``; the backward loop turns each step's emissions into
+``beta[t+1] * E[t+1] / scale[t+1]`` in place and multiplies that by the
+transition matrix.  Every sufficient statistic is then formed once per
+chunk over all its steps and sequences: one ``(S, n_x)`` matmul holds both
+renewal tables, one matmul folds the posterior over durations, and a
+``bincount`` per state gives the emission counts.  Per step of a sequence a
+chunk holds three joint-space rows (emissions, ``alpha``, and ``beta``,
+which becomes the posterior), the folded posterior, and three scalars;
+:func:`_chunked` sizes chunks so that all of it stays within
+:data:`CHUNK_ENTRIES` float64 entries.
 """
 
 from __future__ import annotations
@@ -62,11 +74,22 @@ def _normalize_columns(acc: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked(groups, joint_dim: int):
-    """Split sequence batches so the forward-pass buffer stays modest."""
+# float64 entries one chunk of an EM pass may hold: 64 MB
+CHUNK_ENTRIES = 8_000_000
+
+
+def _chunked(groups, n_x: int, S: int):
+    """Split sequence batches so a pass holds at most ``CHUNK_ENTRIES`` entries.
+
+    Per step of each sequence :func:`_em_pass` holds ``3 * S`` entries
+    (emissions, ``alpha``, ``beta``), ``n_x`` for the folded posterior and 3
+    for the scale, the posterior's norm and the symbol.  A chunk is at least
+    one sequence.
+    """
+    per_step = 3 * S + n_x + 3
     for obs in groups:
         n, T = obs.shape
-        cap = max(1, 8_000_000 // (T * joint_dim))
+        cap = max(1, CHUNK_ENTRIES // (T * per_step))
         if n <= cap:
             yield obs
         else:
@@ -74,52 +97,70 @@ def _chunked(groups, joint_dim: int):
                 yield obs[start : start + cap]
 
 
+def _expectations(obs, V, em, k1, fold):
+    """E-step over one chunk of equal-length sequences.
+
+    Returns the log likelihood, the renewal products ``[(d', x'), x]`` (each
+    step's ``beta * E / scale`` against the ``d == 1`` block of ``alpha``),
+    the emission counts ``[symbol, x]`` and the first step's posterior
+    summed over sequences.  Its arrays are freed on return, before the next
+    chunk allocates its own.
+    """
+    n, T = obs.shape
+    n_o, S = em.shape
+    n_x = fold.shape[1]
+    VT = V.T
+    E = np.take(em, obs.T, axis=0)  # (T, n, S)
+    alphas = np.empty_like(E)
+    scales = np.empty((T, n, 1))
+    np.multiply(E[0], k1, out=alphas[0])
+    for t in range(T):
+        a, c = alphas[t], scales[t]
+        a.sum(axis=1, keepdims=True, out=c)
+        a /= c
+        if t < T - 1:
+            b = alphas[t + 1]
+            np.matmul(a, VT, out=b)
+            b *= E[t + 1]
+    loglik = float(np.sum(np.log(scales)))
+    # E[t + 1] becomes bnext[t] = beta[t + 1] * E[t + 1] / scale[t + 1]
+    E[1:] /= scales[1:]
+    betas = np.empty_like(E)
+    betas[-1] = 1.0
+    for t in range(T - 2, -1, -1):
+        b = E[t + 1]
+        b *= betas[t + 1]
+        np.matmul(b, V, out=betas[t])
+    rows = (T - 1) * n
+    renew = E[1:].reshape(rows, S).T @ alphas[:-1, :, :n_x].reshape(rows, n_x)
+    gamma = np.multiply(alphas, betas, out=betas).reshape(T * n, S)
+    gx = fold.T @ gamma.T  # [x, (t, sequence)]: posterior summed over d
+    norm = gx.sum(axis=0)  # 1 up to the recursions' rounding, which this removes
+    gx /= norm
+    symbols = obs.T.ravel()
+    counts = np.stack(
+        [np.bincount(symbols, weights=g, minlength=n_o) for g in gx], axis=1
+    )
+    gamma0 = gamma[:n].T @ (1.0 / norm[:n])
+    return loglik, renew, counts, gamma0
+
+
 def _em_pass(p: HsmmParams, groups) -> tuple[HsmmParams, float]:
     """One E+M step over sequence groups; returns (updated, loglik before)."""
-    n_x, n_d, n_o = p.n_x, p.n_d, p.n_o
-    S = p.n_joint
+    n_x, n_d = p.n_x, p.n_d
     V = joint_transition_matrix(p)
     em = np.concatenate([p.O] * n_d, axis=1)  # [symbol, (x, d)]
     k1 = initial_joint(p)
-    o_acc = np.zeros((n_o, n_x))
-    x_acc = np.zeros((n_x, n_x))
-    d_acc = np.zeros((n_d, n_x))
-    pi_acc = np.zeros(n_x)
-    loglik = 0.0
-    for obs in _chunked(groups, S):
-        n, T = obs.shape
-        alphas = np.empty((T, n, S))
-        scales = np.empty((T, n))
-        a = k1[None, :] * em[obs[:, 0], :]
-        for t in range(T):
-            c = a.sum(axis=1)
-            scales[t] = c
-            a = a / c[:, None]
-            alphas[t] = a
-            if t < T - 1:
-                a = (a @ V.T) * em[obs[:, t + 1], :]
-        loglik += float(np.sum(np.log(scales)))
-        beta = np.ones((n, S))
-        gamma0 = None
-        for t in range(T - 1, -1, -1):
-            if t < T - 1:
-                b_next = beta * em[obs[:, t + 1], :] / scales[t + 1][:, None]
-                # renewal statistics for the t -> t+1 step
-                a_renew = alphas[t][:, :n_x]  # d == 1 block
-                b_cube = b_next.reshape(n, n_d, n_x)
-                w = np.einsum("ndx,dx->nx", b_cube, p.D)
-                x_acc += p.X * (w.T @ a_renew)
-                u = a_renew @ p.X.T
-                d_acc += p.D * np.einsum("ndx,nx->dx", b_cube, u)
-                beta = b_next @ V
-            gamma = alphas[t] * beta
-            gamma /= gamma.sum(axis=1, keepdims=True)
-            gx = gamma.reshape(n, n_d, n_x).sum(axis=1)
-            np.add.at(o_acc, obs[:, t], gx)
-            if t == 0:
-                gamma0 = gamma
-        pi_acc += gamma0.reshape(n, n_d, n_x).sum(axis=(0, 1))
-        d_acc += gamma0.reshape(n, n_d, n_x).sum(axis=0)
+    fold = np.tile(np.eye(n_x), (n_d, 1))  # [(d, x), x]: sums over d
+    chunks = _chunked(groups, n_x, p.n_joint)
+    stats = [_expectations(obs, V, em, k1, fold) for obs in chunks]
+    loglik, renew, o_acc, gamma0 = (sum(parts) for parts in zip(*stats))
+    # x_acc[x', x] = X[x', x] sum_d' D[d', x'] r[d', x', x] and
+    # d_acc[d', x'] = D[d', x'] sum_x X[x', x] r[d', x', x], plus the first step
+    r = renew.reshape(n_d, n_x, n_x)  # [d', x', x]
+    x_acc = p.X * (r * p.D[:, :, None]).sum(axis=0)
+    d_acc = p.D * (r * p.X).sum(axis=2) + gamma0.reshape(n_d, n_x)
+    pi_acc = gamma0.reshape(n_d, n_x).sum(axis=0)
     updated = HsmmParams(
         O=_normalize_columns(o_acc, p.O),
         X=_normalize_columns(x_acc, p.X),
@@ -146,7 +187,8 @@ def em_fit(
     The trace holds the log likelihood evaluated *before* each update and is
     non-decreasing up to a 1e-9 relative guard, violation of which raises
     :class:`MonotonicityViolation`.  With ``init`` given, a single run
-    starts from those parameters instead of random restarts.
+    starts from those parameters instead of random restarts.  A symbol
+    outside ``[0, n_o)`` raises ``ValueError``.
     """
     if n_x < 1 or n_d < 1:
         raise InvalidModel(f"n_x={n_x} and n_d={n_d} must be at least 1")
@@ -159,6 +201,10 @@ def em_fit(
     for s in seqs:
         by_len.setdefault(s.shape[0], []).append(s)
     groups = [np.stack(v) for v in by_len.values()]
+    for obs in groups:
+        bad = obs[(obs < 0) | (obs >= n_o)]
+        if bad.size:
+            raise ValueError(f"symbol {bad[0]} outside alphabet of size {n_o}")
 
     rng = np.random.default_rng(cfg.seed)
     inits = (

@@ -252,3 +252,70 @@ def sample_many_per_step(p, n_sequences, T, rng):
                 d[renew] = draw(p.D, xr) + 1
         obs[:, t] = draw(p.O, x)
     return obs
+
+
+# ---------------------------------------------------------------------------
+# EM pass oracle
+#
+# The per-step E+M pass that ``em._em_pass`` replaced: every statistic is
+# accumulated inside the backward loop, one time step at a time.  It builds
+# the lattice from the library's own tables, so agreement checks the
+# restructured arithmetic, not the lattice.  Groups are not chunked.
+
+
+def em_pass_reference(p, groups):
+    """One E+M step over sequence groups; returns (updated, loglik before)."""
+    from hsmm_spectral.em import _normalize_columns
+    from hsmm_spectral.hsmm import HsmmParams, initial_joint, joint_transition_matrix
+
+    n_x, n_d, n_o = p.n_x, p.n_d, p.n_o
+    S = p.n_joint
+    V = joint_transition_matrix(p)
+    em = np.concatenate([p.O] * n_d, axis=1)  # [symbol, (x, d)]
+    k1 = initial_joint(p)
+    o_acc = np.zeros((n_o, n_x))
+    x_acc = np.zeros((n_x, n_x))
+    d_acc = np.zeros((n_d, n_x))
+    pi_acc = np.zeros(n_x)
+    loglik = 0.0
+    for obs in groups:
+        n, T = obs.shape
+        alphas = np.empty((T, n, S))
+        scales = np.empty((T, n))
+        a = k1[None, :] * em[obs[:, 0], :]
+        for t in range(T):
+            c = a.sum(axis=1)
+            scales[t] = c
+            a = a / c[:, None]
+            alphas[t] = a
+            if t < T - 1:
+                a = (a @ V.T) * em[obs[:, t + 1], :]
+        loglik += float(np.sum(np.log(scales)))
+        beta = np.ones((n, S))
+        gamma0 = None
+        for t in range(T - 1, -1, -1):
+            if t < T - 1:
+                b_next = beta * em[obs[:, t + 1], :] / scales[t + 1][:, None]
+                # renewal statistics for the t -> t+1 step
+                a_renew = alphas[t][:, :n_x]  # d == 1 block
+                b_cube = b_next.reshape(n, n_d, n_x)
+                w = np.einsum("ndx,dx->nx", b_cube, p.D)
+                x_acc += p.X * (w.T @ a_renew)
+                u = a_renew @ p.X.T
+                d_acc += p.D * np.einsum("ndx,nx->dx", b_cube, u)
+                beta = b_next @ V
+            gamma = alphas[t] * beta
+            gamma /= gamma.sum(axis=1, keepdims=True)
+            gx = gamma.reshape(n, n_d, n_x).sum(axis=1)
+            np.add.at(o_acc, obs[:, t], gx)
+            if t == 0:
+                gamma0 = gamma
+        pi_acc += gamma0.reshape(n, n_d, n_x).sum(axis=(0, 1))
+        d_acc += gamma0.reshape(n, n_d, n_x).sum(axis=0)
+    updated = HsmmParams(
+        O=_normalize_columns(o_acc, p.O),
+        X=_normalize_columns(x_acc, p.X),
+        D=_normalize_columns(d_acc, p.D),
+        pi_x=pi_acc / pi_acc.sum() if pi_acc.sum() > 0 else p.pi_x,
+    )
+    return updated, loglik

@@ -327,6 +327,20 @@ def test_gen_data_refuses_empty_length_and_negative_count(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_data_beyond_memory_exits_two(tmp_path, capsys):
+    # 10**12 x 100 int64 symbols is 728 TiB, beyond the address space, so
+    # the allocation is refused at once and nothing is allocated
+    model = tmp_path / "m.json"
+    out = tmp_path / "d.txt"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "-o", str(model)], capsys)
+    code, _, err = run(["gen-data", "--model", str(model), "-n", "1000000000000",
+                        "-T", "100", "-o", str(out)], capsys)
+    assert code == 2
+    assert err == ("InvalidModel: 1000000000000 sequences of length 100 "
+                   "do not fit in memory\n")
+    assert not out.exists()
+
+
 def test_learn_refuses_count_tables_over_the_cap(tmp_path, capsys):
     # n_o = 300 at ell = 2 asks for a 90000 x 90000 window table (60 GiB)
     for extra in (["--no", "300"], ["--basic", "--no", "300"]):
