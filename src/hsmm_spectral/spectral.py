@@ -29,7 +29,11 @@ space from the transfer ``G = (V' d_tilde) V`` and
 ``core[o] = sum_s o_tilde[s, o] Y_x[:, :, s] V``.  :func:`infer`,
 :func:`infer_batch` and :func:`score_sequences` take a pooled model or a
 per-anchor list alike, refuse the same rows with the same errors, and run
-one batched kernel over the ragged sequence stream.
+one batched kernel over the ragged sequence stream.  The kernel moves the
+message over blocks of positions: one position per numpy round while many
+rows advance, and, once ``m`` rows at rank ``r`` satisfy
+``m * (r*r + 4) <= 640``, whole rows whose gathered operators are multiplied
+pairwise, in about ``log2 T`` batched products (see :func:`_chain`).
 
 The per-anchor ("basic") variant is the same model once per anchor, and a
 pooled model is its one-anchor case: one builder turns either into operator
@@ -97,15 +101,16 @@ class UnknownSymbol(SpectralError):
 class Operators(NamedTuple):
     """A model in observable-operator form, over a rank-``r`` basis.
 
-    ``step[c]`` holds one ``r x r`` operator per symbol and ``end[c]`` the
-    closing vector per symbol.  Position ``t`` of a sequence uses table
+    ``step[c]`` holds one ``r x r`` operator per symbol and the identity as
+    symbol ``n_o`` (what the chain's blocks multiply past a row's end), and
+    ``end[c]`` the closing vector per symbol.  Position ``t`` of a sequence uses table
     ``c = clip(t - first, 0, A)`` of ``A`` anchors: it transfers with anchor
     ``p = c - 1`` and consumes its symbol with anchor ``q = c``, both clipped
     to ``[0, A)``.  There are ``A + 1`` tables whatever the anchors' values.
     """
 
     start: np.ndarray  # (n_o, n_o, r): first two symbols -> message
-    step: np.ndarray  # (A + 1, n_o, r, r)
+    step: np.ndarray  # (A + 1, n_o + 1, r, r)
     end: np.ndarray  # (A + 1, r, n_o)
     first: int  # position of the first anchor
 
@@ -370,9 +375,10 @@ def _operators(model: ObservableModel | Sequence[ObservableModel]) -> Operators:
     c = np.arange(a + 1)
     q = np.minimum(c, a - 1)
     transfer = left[np.maximum(c - 1, 0)] @ basis[q]
+    identity = np.broadcast_to(np.eye(r), (a + 1, 1, r, r))
     return Operators(
         models[0].start_factor @ basis[0],
-        transfer[:, None] @ core[q],
+        np.concatenate([transfer[:, None] @ core[q], identity], axis=1),
         transfer @ close[q],
         first,
     )
@@ -385,6 +391,30 @@ def _prepared(model: ObservableModel | Sequence[ObservableModel]) -> tuple[Opera
     return ops, models[0].n_o
 
 
+# A block of m rows at rank r chains a whole row while m * (r*r + 4) <= _TREE_WORK,
+# where one numpy round's dispatch outweighs the tree's extra arithmetic; fitted to a
+# sweep of the tree against the per-step loop at T = 100 on one BLAS thread (CHANGES.md).
+_TREE_WORK = 640
+_BLOCK_ENTRIES = 1 << 19  # operator entries one block gathers: 4 MB
+
+
+def _product(mats: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Each row's ordered product of the ``r x r`` matrices ``mats[i, :]``, pairwise.
+
+    A row holds a power of two ``b`` of them, reduced in ``log2(b)`` batched
+    products.  Each product is divided by its abs-sum, which goes to the next
+    row of ``scales`` (``b - 1`` rows, one column per row of ``mats``).
+    """
+    at = 0
+    while mats.shape[1] > 1:
+        mats = mats[:, 0::2] @ mats[:, 1::2]
+        scale = np.abs(mats).sum(axis=(2, 3))
+        mats /= scale[:, :, None, None]
+        scales[at : at + scale.shape[1]] = scale.T
+        at += scale.shape[1]
+    return mats[:, 0]
+
+
 def _chain(
     ops: Operators, seqs: SequenceFile, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -394,14 +424,25 @@ def _chain(
     :meth:`SequenceFile.of` takes), of which the sequences ``rows`` (ascending,
     default all) are chained.  Rows of one length stored back to back are
     viewed as an ``(n, T)`` array; others are scattered from the stream,
-    longest first, into one zero-padded batch at once.
-    The message starts as the start table at the first two symbols, takes
-    one gathered ``r x r`` product per interior symbol, and closes with the
-    end table at the last symbol.  Rows run longest first,
-    so the rows still advancing at a step are a prefix whose length is known
-    before the loop; a finished row keeps its message until every row closes
-    at once.  Per-step renormalization only moves scale into the log
-    accumulator; it never changes the result.
+    longest first, into one batch at once, padded with the identity.
+    The message starts as the start table at the first two symbols, moves
+    over the interior symbols in blocks, and closes with the end table at the
+    last symbol.  Rows run longest first, so the ``m`` rows still advancing
+    at a position are a prefix whose length is known before the loop; a
+    finished row keeps its message until every row closes at once.
+
+    While ``m * (r*r + 4) > _TREE_WORK`` a block is one position: the message
+    takes one gathered ``r x r`` product.  From the first position where
+    fewer rows advance, blocks span the rest of the rows, padded to a power
+    of two ``b`` that gathers at most ``_BLOCK_ENTRIES`` entries.  A block
+    gathers its ``m x b`` operators with one index and multiplies them
+    pairwise (``mats[:, 0::2] @ mats[:, 1::2]``) until one product per row
+    is left, which the message takes in one step: ``log2(b)`` batched
+    products instead of ``b`` numpy rounds (the tree reduction of Blelloch,
+    "Prefix sums and their applications", 1990).  Positions past a row's end
+    and the power-of-two tail take the identity, symbol ``n_o``.  Each
+    product and each message is divided by its abs-sum, which only moves
+    scale into the log accumulator and never changes the result.
     """
     start, step, end, first = ops
     seqs = SequenceFile.of(seqs)
@@ -412,29 +453,55 @@ def _chain(
     if not n:
         return np.zeros(0), np.zeros(0, dtype=np.int64)
     T = int(lengths.max())
+    equal = (lengths == T).all() and starts[-1] - starts[0] == (n - 1) * T
     order = None
-    if (lengths == T).all() and starts[-1] - starts[0] == (n - 1) * T:
-        obs = seqs.values[starts[0] : starts[0] + n * T].reshape(n, T)
-    else:
+    if not equal:
         order = np.argsort(-lengths, kind="stable")
         starts, lengths = starts[order], lengths[order]
-        obs = np.zeros((n, T), dtype=np.int64)
-        obs[np.arange(T) < lengths[:, None]] = seqs.values[_ranges(starts, starts + lengths)]
-    table = np.minimum(np.maximum(np.arange(T) - first, 0), step.shape[0] - 1)
-    positions = range(2, T - 1)
     # rows with at least t + 2 symbols advance at position t
     active = np.searchsorted(-lengths, -np.arange(4, T + 1), side="right").tolist()
+    r = step.shape[-1]
+    few = _TREE_WORK // (r * r + 4)
+    # more than `few` rows advance at the first `loop` positions
+    loop = max(int(lengths[few]) - 3, 0) if n > few else 0
+    rest, b, width = T - 3 - loop, 1, 0
+    if rest:
+        cap = max(_BLOCK_ENTRIES // (active[loop] * r * r), 1)
+        b = min(1 << (rest - 1).bit_length(), 1 << (cap.bit_length() - 1))
+        width = -(-rest // b) * b
+    span = max(T, loop + 2 + width)
+    identity = step.shape[1] - 1
+    if equal:
+        obs = seqs.values[starts[0] : starts[0] + n * T].reshape(n, T)
+    if width or not equal:
+        padded = np.full((n, span), identity)
+        if equal:
+            padded[:, :T] = obs
+        else:
+            inside = np.arange(T) < lengths[:, None]
+            padded[:, :T][inside] = seqs.values[_ranges(starts, starts + lengths)]
+        obs = padded
+    table = np.minimum(np.maximum(np.arange(span) - first, 0), step.shape[0] - 1)
+    ends = np.arange(n), lengths - 1
+    closing = end[table[ends[1]], :, obs[ends]]
+    if width:  # the blocks read the identity from each row's last symbol on
+        obs[ends] = identity
     v = start[obs[:, 0], obs[:, 1]][:, None, :]
-    norms = np.ones((len(positions), n))
-    last = lengths - 1
+    norms = np.ones((loop + width, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t, m in zip(positions, active):
+        for t, m in zip(range(2, loop + 2), active):
             w = v[:m] @ step[table[t]][obs[:m, t]]
             norm = np.abs(w).sum(axis=2, keepdims=True)
             np.divide(w, norm, out=v[:m])
             norms[t - 2, :m] = norm[:, 0, 0]
-        closing = end[table[last], :, obs[np.arange(n), last]]
-        scalar = np.einsum("nr,nr->n", v[:, 0], closing)
+        for t in range(loop + 2, loop + 2 + width, b):
+            m = active[t - 2]
+            mats = step[table[t : t + b], obs[:m, t : t + b]]
+            w = v[:m] @ _product(mats, norms[t - 2 : t + b - 3, :m])
+            norm = np.abs(w).sum(axis=2, keepdims=True)
+            np.divide(w, norm, out=v[:m])
+            norms[t + b - 3, :m] = norm[:, 0, 0]
+        scalar = (v[:, 0] * closing).sum(axis=1)
         log = np.log(np.abs(scalar)) + np.log(norms).sum(axis=0)
     sign = np.where(scalar > 0, 1, -1)
     dead = (scalar == 0.0) | (norms == 0.0).any(axis=0)

@@ -319,3 +319,59 @@ def em_pass_reference(p, groups):
         pi_x=pi_acc / pi_acc.sum() if pi_acc.sum() > 0 else p.pi_x,
     )
     return updated, loglik
+
+
+# ---------------------------------------------------------------------------
+# chain oracle
+#
+# The per-step chain that ``spectral._chain`` replaced with blocks: one
+# gathered ``r x r`` product per interior position, over the rows still
+# advancing there.  It closes with the same row sum as ``_chain``, so a
+# width-1 ``_chain`` must match it bit for bit.
+
+
+def chain_reference(ops, seqs, rows=None):
+    """Log magnitudes and signs of the chained products, one position at a time."""
+    from hsmm_spectral.hsmm import SequenceFile
+    from hsmm_spectral.moments import _ranges
+
+    start, step, end, first = ops
+    seqs = SequenceFile.of(seqs)
+    starts, lengths = seqs.offsets[:-1], seqs.lengths
+    if rows is not None:
+        starts, lengths = starts[rows], lengths[rows]
+    n = lengths.size
+    if not n:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    T = int(lengths.max())
+    order = None
+    if (lengths == T).all() and starts[-1] - starts[0] == (n - 1) * T:
+        obs = seqs.values[starts[0] : starts[0] + n * T].reshape(n, T)
+    else:
+        order = np.argsort(-lengths, kind="stable")
+        starts, lengths = starts[order], lengths[order]
+        obs = np.zeros((n, T), dtype=np.int64)
+        obs[np.arange(T) < lengths[:, None]] = seqs.values[_ranges(starts, starts + lengths)]
+    table = np.minimum(np.maximum(np.arange(T) - first, 0), step.shape[0] - 1)
+    positions = range(2, T - 1)
+    # rows with at least t + 2 symbols advance at position t
+    active = np.searchsorted(-lengths, -np.arange(4, T + 1), side="right").tolist()
+    v = start[obs[:, 0], obs[:, 1]][:, None, :]
+    norms = np.ones((len(positions), n))
+    last = lengths - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, m in zip(positions, active):
+            w = v[:m] @ step[table[t]][obs[:m, t]]
+            norm = np.abs(w).sum(axis=2, keepdims=True)
+            np.divide(w, norm, out=v[:m])
+            norms[t - 2, :m] = norm[:, 0, 0]
+        closing = end[table[last], :, obs[np.arange(n), last]]
+        scalar = (v[:, 0] * closing).sum(axis=1)
+        log = np.log(np.abs(scalar)) + np.log(norms).sum(axis=0)
+    sign = np.where(scalar > 0, 1, -1)
+    dead = (scalar == 0.0) | (norms == 0.0).any(axis=0)
+    log[dead] = -np.inf
+    sign[dead] = 0
+    if order is not None:
+        log[order], sign[order] = log.copy(), sign.copy()
+    return log, sign

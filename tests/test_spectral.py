@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from hsmm_spectral.tensors import (
     RankZero,
     numerical_rank,
 )
+from oracles import chain_reference
 
 RTOL = 1e-12
 
@@ -591,6 +593,116 @@ def test_per_anchor_kernel_pads_unequal_ranks():
         ref_log, ref_sign = per_anchor_kspace(models, seq)
         assert res.sign == ref_sign
         assert np.isclose(res.log_value, ref_log, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the chain's blocks against the per-step loop they replace
+
+
+CHAIN_MODELS = ["analytic", "sampled", "noise-floor", "per-anchor", "past-the-row",
+                "unequal-ranks"]
+
+
+@pytest.fixture(scope="module")
+def chain_models():
+    """Pooled models and per-anchor lists the block tests chain."""
+    p = random_model(3, 2, 2, seed=33)
+    sched = build_schedule(2, 2)
+    obs = list(sample_many(p, 400, 14, np.random.default_rng(33)))
+    per_anchor = build_observable_per_t(obs, 3, sched, 1e-6)
+    # one anchor kept at two directions, so the ranks differ
+    m = per_anchor[3]
+    v = m.basis[:, :2]
+    unequal = list(per_anchor)
+    unequal[3] = dataclasses.replace(
+        m, basis=v, y_x=m.y_x[:2],
+        d_tilde=NamedTensor(v @ (v.T @ m.d_tilde.data), m.d_tilde.labels),
+    )
+    return {
+        "analytic": analytic_model(random_model(3, 2, 2, seed=30))[0],
+        "sampled": sampled_model(31)[1],
+        "noise-floor": sampled_model(32, noise_floor=True)[1],
+        "per-anchor": per_anchor,
+        "past-the-row": [dataclasses.replace(m, anchor=m.anchor + 10**12) for m in per_anchor],
+        "unequal-ranks": unequal,
+    }
+
+
+def chain_batches(seed):
+    """Ragged rows (lengths 3 and 4, none a power of two past 4), equal rows, single rows."""
+    rng = np.random.default_rng(seed)
+    lengths = [35, 3, 4, 14, 5, 33, 9, 20, 4, 17, 6, 13, 3]
+    return [
+        [rng.integers(0, 3, size=n) for n in lengths],
+        rng.integers(0, 3, size=(6, 21)),
+        rng.integers(0, 3, size=(1, 4)),
+        rng.integers(0, 3, size=(1, 3)),
+        rng.integers(0, 3, size=(1, 100)),
+    ]
+
+
+def kspace(model, obs):
+    return (pooled_kspace if isinstance(model, spectral.ObservableModel)
+            else per_anchor_kspace)(model, obs)
+
+
+@pytest.mark.parametrize("name", CHAIN_MODELS)
+def test_chain_at_width_one_is_the_per_step_loop(chain_models, name, monkeypatch):
+    monkeypatch.setattr(spectral, "_TREE_WORK", 0)
+    ops, _ = spectral._prepared(chain_models[name])
+    for seqs in chain_batches(40):
+        log, sign = spectral._chain(ops, seqs)
+        ref_log, ref_sign = chain_reference(ops, seqs)
+        assert np.array_equal(log, ref_log) and np.array_equal(sign, ref_sign)
+
+
+@pytest.mark.parametrize("name", CHAIN_MODELS)
+@pytest.mark.parametrize("blocks", ["whole rows", "tail after the loop", "capped blocks"])
+def test_chain_tree_matches_the_loop_and_kspace(chain_models, name, blocks, monkeypatch):
+    model = chain_models[name]
+    ops, _ = spectral._prepared(model)
+    r = ops.step.shape[-1]
+    if blocks == "tail after the loop":  # the loop until three rows are left
+        monkeypatch.setattr(spectral, "_TREE_WORK", 3 * (r * r + 4))
+    else:
+        monkeypatch.setattr(spectral, "_TREE_WORK", 10**9)
+    if blocks == "capped blocks":  # two positions per block for the ragged rows
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 2 * 13 * r * r)
+    for seqs in chain_batches(41):
+        log, sign = spectral._chain(ops, seqs)
+        ref_log, ref_sign = chain_reference(ops, seqs)
+        assert np.array_equal(sign, ref_sign)
+        assert np.allclose(log, ref_log, rtol=1e-12, atol=0)
+        for i, obs in enumerate(seqs):
+            k_log, k_sign = kspace(model, obs)
+            assert sign[i] == k_sign
+            assert np.isclose(log[i], k_log, rtol=1e-12, atol=0)
+
+
+def test_chain_tree_keeps_scale_and_dead_rows_without_warnings(monkeypatch):
+    model = sampled_model(31)[1]
+    ops = model.operators
+    zero = ops._replace(step=ops.step.copy())
+    zero.step[:, 1] = 0.0  # symbol 1 inside a row zeroes its product
+    rng = np.random.default_rng(42)
+    long = rng.integers(0, 3, size=20_000)
+    seqs = [np.where(long == 1, 2, long), [0, 2, 1, 2, 0, 2, 2], [1, 1, 0, 2, 0, 1]]
+    results = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for work in (0, 10**9):
+            monkeypatch.setattr(spectral, "_TREE_WORK", work)
+            results[work] = spectral._chain(ops, [long]), spectral._chain(zero, seqs)
+    (loop_long, loop_zero), (tree_long, tree_zero) = results[0], results[10**9]
+    # exp(log) is far below the smallest float64
+    assert tree_long[0][0] < math.log(np.finfo(float).smallest_subnormal) * 10
+    assert np.isfinite(tree_long[0][0]) and tree_long[1][0] == loop_long[1][0] == 1
+    assert np.isclose(tree_long[0][0], loop_long[0][0], rtol=1e-12, atol=0)
+    for log, sign in (loop_zero, tree_zero):
+        assert log[1] == -np.inf and sign[1] == 0
+        assert np.isfinite(log[[0, 2]]).all() and (sign[[0, 2]] != 0).all()
+    assert np.allclose(tree_zero[0], loop_zero[0], rtol=1e-12, atol=0)
+    assert np.array_equal(tree_zero[1], loop_zero[1])
 
 
 def test_replaced_transfer_changes_the_result():
