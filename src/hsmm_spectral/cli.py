@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -32,10 +33,10 @@ from .moments import InsufficientData, build_schedule, estimate_moments
 from .rank_analysis import rank_grid
 from .spectral import (
     SpectralError,
+    _read_stack,
     build_observable,
     build_observable_per_t,
     infer,
-    load_observable,
     save_observable,
     score_file,
 )
@@ -61,7 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: each parse starts afresh."""
     parser = _Parser(prog="hsmm-spectral", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -210,7 +213,7 @@ def _cmd_learn_em(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    model = load_observable(args.model)
+    model = _read_stack(args.model)
     if (args.sequence is None) == (args.data is None):
         raise InvalidModel("provide exactly one of --sequence or --data")
     if args.sequence is not None:
@@ -230,7 +233,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    model = load_observable(args.model)
+    model = _read_stack(args.model)
     seqs = read_sequences(args.data)
     n = score_file(model, seqs, args.output)
     print(f"scored {n} sequences -> {args.output}")

@@ -36,9 +36,13 @@ rows advance, and, once ``m`` rows at rank ``r`` satisfy
 pairwise, in about ``log2 T`` batched products (see :func:`_chain`).
 
 The per-anchor ("basic") variant is the same model once per anchor, and a
-pooled model is its one-anchor case: one builder turns either into operator
-tables, and one file layout stores either, with each tensor stacked along a
-leading anchor axis and the shared start table stored once.
+pooled model is its one-anchor case.  Both have one stacked layout, a
+:class:`ModelStack`: each table stacked along a leading anchor axis, the
+ranks zero-padded to the largest, and the shared start table once.  It is
+what the model file holds and the one form operator tables are built from
+(:func:`_operators`).  A model or a list is stacked first (one model as
+views of its tables, without copies), and the CLI builds from the file's
+stack without making per-anchor model objects.
 Every model table is a plain read-only float64 array (for a loaded model,
 a view of the checked stack) except ``d_tilde``, a ``NamedTensor``.
 
@@ -54,7 +58,6 @@ within a small factor of this one.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -116,6 +119,30 @@ class Operators(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
+class ModelStack:
+    """A pooled model or a per-anchor list in the model file's layout.
+
+    Every table but the shared start table carries a leading axis of ``A``
+    anchors (one for a pooled model), and ``y_x`` and ``basis`` are
+    zero-padded from each anchor's rank to the largest, ``r``.  It is what
+    :func:`save_observable` writes and :func:`_read_stack` reads, and the
+    one form :func:`_operators` builds from.
+    """
+
+    d_tilde: np.ndarray  # (A, k, k)
+    y_x: np.ndarray  # (A, r, k, n_o)
+    o_tilde: np.ndarray  # (A, n_o, n_o)
+    start_factor: np.ndarray  # (n_o, n_o, k)
+    basis: np.ndarray  # (A, k, r)
+    ranks: list[int]
+    first: int  # the first anchor; 1 for a pooled model
+    pooled: bool
+    n_o: int
+    ell: int
+    rtol: float
+
+
+@dataclass(frozen=True, eq=False)
 class ObservableModel:
     """A learned model in its rank-``r`` form: pooled, or one anchor's if ``anchor`` is set.
 
@@ -148,7 +175,7 @@ class ObservableModel:
     @cached_property
     def operators(self) -> Operators:
         """The stationary chain as rank-``r`` observable operators, built once."""
-        return _operators(self)
+        return _operators(_stack(self))
 
 
 def _pinv_product(
@@ -355,19 +382,40 @@ def _padded(arrays: Sequence[np.ndarray], axis: int, size: int) -> np.ndarray:
     return out
 
 
-def _operators(model: ObservableModel | Sequence[ObservableModel]) -> Operators:
-    """A pooled model or a per-anchor list as :class:`Operators` (ranks zero-padded).
+def _stack(model: ObservableModel | Sequence[ObservableModel]) -> ModelStack:
+    """A pooled model or a per-anchor list in the file layout.
 
-    Table ``c`` holds ``G_c core_q[o]`` and closes with ``G_c close_q``, where
-    ``G_c = (V_p' d_tilde_p) V_q`` and ``close_q = Y_x,q.sum(axis=1) @ o_tilde_q``.
+    One model's stack is made of ``[None]`` views of its tables, never copies.
     """
     models = _models(model)
     first = _first_anchor(models)
-    a, r = len(models), max(m.rank for m in models)
-    basis = _padded([m.basis for m in models], 1, r)
-    y_x = _padded([m.y_x for m in models], 0, r)
-    o_tilde = np.stack([m.o_tilde for m in models])
-    left = _padded([m.basis.T @ m.d_tilde.data for m in models], 0, r)
+    ranks = [m.rank for m in models]
+    m = models[0]
+    if len(models) == 1:
+        d_tilde, y_x = m.d_tilde.data[None], m.y_x[None]
+        o_tilde, basis = m.o_tilde[None], m.basis[None]
+    else:
+        d_tilde = np.stack([mm.d_tilde.data for mm in models])
+        y_x = _padded([mm.y_x for mm in models], 0, max(ranks))
+        o_tilde = np.stack([mm.o_tilde for mm in models])
+        basis = _padded([mm.basis for mm in models], 1, max(ranks))
+    return ModelStack(
+        d_tilde=d_tilde, y_x=y_x, o_tilde=o_tilde, start_factor=m.start_factor,
+        basis=basis, ranks=ranks, first=first, pooled=m.anchor is None, n_o=m.n_o,
+        ell=m.ell, rtol=m.pinv_rtol,
+    )
+
+
+def _operators(stack: ModelStack) -> Operators:
+    """A model stack as :class:`Operators`.
+
+    Table ``c`` holds ``G_c core_q[o]`` and closes with ``G_c close_q``, where
+    ``G_c = (V_p' d_tilde_p) V_q`` and ``close_q = Y_x,q.sum(axis=1) @ o_tilde_q``.
+    The zero padding past an anchor's rank gives zero rows and columns.
+    """
+    basis, y_x, o_tilde = stack.basis, stack.y_x, stack.o_tilde
+    a, r = y_x.shape[:2]
+    left = basis.swapaxes(1, 2) @ stack.d_tilde
     # y_x[a, j].T @ basis[a] for every anchor a and row j: (A, r, n_o, r)
     yv = y_x.swapaxes(2, 3) @ basis[:, None]
     core = (o_tilde.swapaxes(1, 2)[:, None] @ yv).swapaxes(1, 2)
@@ -377,17 +425,21 @@ def _operators(model: ObservableModel | Sequence[ObservableModel]) -> Operators:
     transfer = left[np.maximum(c - 1, 0)] @ basis[q]
     identity = np.broadcast_to(np.eye(r), (a + 1, 1, r, r))
     return Operators(
-        models[0].start_factor @ basis[0],
+        stack.start_factor @ basis[0],
         np.concatenate([transfer[:, None] @ core[q], identity], axis=1),
         transfer @ close[q],
-        first,
+        stack.first,
     )
 
 
-def _prepared(model: ObservableModel | Sequence[ObservableModel]) -> tuple[Operators, int]:
-    """Operators and alphabet size of a model or list; one model's operators are cached."""
+def _prepared(
+    model: ObservableModel | Sequence[ObservableModel] | ModelStack,
+) -> tuple[Operators, int]:
+    """Operators and alphabet size of a model, a list or a stack; one model's are cached."""
+    if isinstance(model, ModelStack):
+        return _operators(model), model.n_o
     models = _models(model)
-    ops = models[0].operators if len(models) == 1 else _operators(models)
+    ops = models[0].operators if len(models) == 1 else _operators(_stack(models))
     return ops, models[0].n_o
 
 
@@ -521,9 +573,9 @@ def _results(log: np.ndarray, sign: np.ndarray) -> list[InferenceResult]:
 def infer_batch(model: ObservableModel | Sequence[ObservableModel], obs) -> list[InferenceResult]:
     """Estimates of the rows of a 2-D array, or of a :class:`SequenceFile`.
 
-    ``model`` is a pooled model or a per-anchor list.  The first row the
-    chain cannot score raises its :class:`SequenceTooShort` or
-    :class:`UnknownSymbol`; no rows give ``[]``.
+    ``model`` is a pooled model, a per-anchor list or a :class:`ModelStack`.
+    The first row the chain cannot score raises its :class:`SequenceTooShort`
+    or :class:`UnknownSymbol`; no rows give ``[]``.
     """
     ops, n_o = _prepared(model)
     seqs = SequenceFile.of(obs)
@@ -560,47 +612,60 @@ def learn_spectral(
 SCORE_HEADER = ["id", "log_value", "sign", "clamped", "norm_loglik"]
 
 
+def _scores(model, sequences: Iterable, error_sink) -> tuple[np.ndarray, ...]:
+    """Log values, signs and per-symbol log values of the sequences, in input order.
+
+    A row the chain refuses is reported to ``error_sink`` (default stderr)
+    and scores NaN with sign 0.
+    """
+    sink = error_sink if error_sink is not None else sys.stderr
+    ops, n_o = _prepared(model)
+    seqs = SequenceFile.of(sequences)
+    failed = np.zeros(len(seqs), dtype=bool)
+    for idx, exc in _row_errors(seqs, n_o):
+        failed[idx] = True
+        print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=sink)
+    log = np.full(len(seqs), np.nan)
+    sign = np.zeros(len(seqs), dtype=np.int64)
+    rows = np.flatnonzero(~failed)
+    log[rows], sign[rows] = _chain(ops, seqs, rows=rows)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a failed empty row
+        return log, sign, log / seqs.lengths
+
+
 def score_sequences(model, sequences: Iterable, error_sink=None):
     """Yield one score row per sequence, in input order; failures become NaN rows.
 
-    ``model`` is a pooled :class:`ObservableModel` or a per-anchor list.
-    The sequences are read as one ragged stream (see :meth:`SequenceFile.of`);
-    the rows :func:`infer_batch` would refuse are found over the whole stream
-    at once, and all well-formed rows are scored by one batched chain.
+    ``model`` is a pooled :class:`ObservableModel`, a per-anchor list or a
+    :class:`ModelStack`.  The sequences are read as one ragged stream (see
+    :meth:`SequenceFile.of`); the rows :func:`infer_batch` would refuse are
+    found over the whole stream at once, and all well-formed rows are scored
+    by one batched chain.
     Row-level errors are reported to ``error_sink`` (default stderr) and do
     not stop the stream; each names the stream's line of its sequence (the
     file line for :func:`~hsmm_spectral.hsmm.read_sequences`, else ``i + 1``
     for sequence ``i``).
     """
-    sink = error_sink if error_sink is not None else sys.stderr
-    ops, n_o = _prepared(model)
-    seqs = SequenceFile.of(sequences)
-    errors = _row_errors(seqs, n_o)
-    failed = np.zeros(len(seqs), dtype=bool)
-    for idx, exc in errors:
-        failed[idx] = True
-        print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=sink)
-    results = iter(_results(*_chain(ops, seqs, rows=np.flatnonzero(~failed))))
-    for idx, (bad, T) in enumerate(zip(failed.tolist(), seqs.lengths.tolist())):
-        if bad:
-            yield [idx, "nan", 0, "true", "nan"]
-            continue
-        res = next(results)
-        norm = res.log_value / T
-        yield [idx, f"{res.log_value:.17g}", res.sign, str(res.clamped).lower(),
-               f"{norm:.17g}"]
+    log, sign, norm = _scores(model, sequences, error_sink)
+    for idx, (lv, sg, nm) in enumerate(zip(log.tolist(), sign.tolist(), norm.tolist())):
+        yield [idx, f"{lv:.17g}", sg, "true" if sg <= 0 else "false", f"{nm:.17g}"]
 
 
 def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
-    """Write the score CSV; returns the number of data rows."""
-    count = 0
+    """Write the score CSV; returns the number of data rows.
+
+    The rows are those of :func:`score_sequences`, with ``\\r\\n`` line ends.
+    ``out_path`` is opened only once every row is formatted, so a failure
+    leaves a previous file as it was.
+    """
+    log, sign, norm = _scores(model, sequences, error_sink)
+    rows = [
+        "%d,%.17g,%d,%s,%.17g\r\n" % (idx, lv, sg, "true" if sg <= 0 else "false", nm)
+        for idx, (lv, sg, nm) in enumerate(zip(log.tolist(), sign.tolist(), norm.tolist()))
+    ]
     with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_HEADER)
-        for row in score_sequences(model, sequences, error_sink):
-            writer.writerow(row)
-            count += 1
-    return count
+        fh.write(",".join(SCORE_HEADER) + "\r\n" + "".join(rows))
+    return len(rows)
 
 
 def _entry(mapping, key, what: str):
@@ -611,13 +676,13 @@ def _entry(mapping, key, what: str):
 
 
 def _array(tensors, name: str, shape: tuple) -> np.ndarray:
-    """The stored tensor ``name``, checked to have ``shape`` and finite entries, read-only."""
+    """The stored tensor ``name``, checked to have ``shape`` and finite entries."""
     arr = _entry(tensors, name, "tensor")
     if arr.shape != shape:
         raise SpectralError(f"model file tensor {name!r} has shape {arr.shape}, need {shape}")
     if not np.isfinite(arr).all():
         raise SpectralError(f"model file tensor {name!r} has non-finite entries")
-    return read_only(arr)
+    return arr
 
 
 def _integer(name: str, value, low: int, high: int) -> int:
@@ -632,36 +697,33 @@ def _integer(name: str, value, low: int, high: int) -> int:
 def save_observable(path, model) -> None:
     """Persist a pooled model or a per-anchor model list in one layout.
 
-    A model without an anchor is pooled (``variant`` ``batched``).
-    ``d_tilde``, ``y_x``, ``o_tilde`` and ``basis`` carry a leading anchor axis
-    (length 1 for a pooled model), the last two zero-padded to the largest of
-    the field ``ranks``; the shared ``start_factor`` is stored once.
+    A model without an anchor is pooled (``variant`` ``batched``).  The file
+    holds the model's :class:`ModelStack`: ``d_tilde``, ``y_x``, ``o_tilde``
+    and ``basis`` with a leading anchor axis, the last two zero-padded to the
+    largest of the field ``ranks``, and the shared ``start_factor`` once.
     """
-    models = _models(model)
-    ranks = [m.rank for m in models]
+    stack = _stack(model)
     meta = {
-        "variant": "batched" if models[0].anchor is None else "per_t",
-        "n_o": models[0].n_o,
-        "ell": models[0].ell,
-        "rtol": models[0].pinv_rtol,
-        "ranks": ranks,
-        "first_anchor": _first_anchor(models),
+        "variant": "batched" if stack.pooled else "per_t",
+        "n_o": stack.n_o,
+        "ell": stack.ell,
+        "rtol": stack.rtol,
+        "ranks": stack.ranks,
+        "first_anchor": stack.first,
     }
     write_container(path, "observable-model", meta, [
-        ("d_tilde", np.stack([m.d_tilde.data for m in models])),
-        ("y_x", _padded([m.y_x for m in models], 0, max(ranks))),
-        ("o_tilde", np.stack([m.o_tilde for m in models])),
-        ("start_factor", models[0].start_factor),
-        ("basis", _padded([m.basis for m in models], 1, max(ranks))),
+        (name, getattr(stack, name))
+        for name in ("d_tilde", "y_x", "o_tilde", "start_factor", "basis")
     ])
 
 
-def load_observable(path):
-    """A pooled model, or a per-anchor model list if ``variant`` is ``per_t``.
+def _read_stack(path) -> ModelStack:
+    """The :class:`ModelStack` a model file holds, every table read-only.
 
     Each field is checked, then each tensor once, for its shape against
     ``k = n_o**ell``, the anchor count and the largest rank, and for finite
     entries; a failure is a :class:`SpectralError` naming the field or tensor.
+    Entries past an anchor's rank read as zero, whatever the file holds.
     """
     kind, meta, tensors = read_container(path)
     if kind != "observable-model":
@@ -695,18 +757,35 @@ def load_observable(path):
     o_tilde = _array(tensors, "o_tilde", (a, n_o, n_o))
     start = _array(tensors, "start_factor", (n_o, n_o, k))
     basis = _array(tensors, "basis", (a, k, r))
+    padding = np.arange(r) >= np.array(ranks)[:, None]
+    y_x[padding] = 0.0
+    basis.swapaxes(1, 2)[padding] = 0.0
+    return ModelStack(
+        d_tilde=read_only(d_tilde), y_x=read_only(y_x), o_tilde=read_only(o_tilde),
+        start_factor=read_only(start), basis=read_only(basis), ranks=ranks, first=first,
+        pooled=variant == "batched", n_o=n_o, ell=ell, rtol=float(rtol),
+    )
+
+
+def load_observable(path):
+    """A pooled model, or a per-anchor model list if ``variant`` is ``per_t``.
+
+    The models are read-only views of the file's checked :class:`ModelStack`
+    (see :func:`_read_stack`).
+    """
+    stack = _read_stack(path)
     models = [
         ObservableModel(
-            d_tilde=NamedTensor(d_tilde[i], ["or_in", "or"]),
-            y_x=y_x[i, :rank],
-            o_tilde=o_tilde[i],
-            start_factor=start,
-            basis=basis[i, :, :rank],
-            pinv_rtol=float(rtol),
-            n_o=n_o,
-            ell=ell,
-            anchor=None if variant == "batched" else first + i,
+            d_tilde=NamedTensor(stack.d_tilde[i], ["or_in", "or"]),
+            y_x=stack.y_x[i, :rank],
+            o_tilde=stack.o_tilde[i],
+            start_factor=stack.start_factor,
+            basis=stack.basis[i, :, :rank],
+            pinv_rtol=stack.rtol,
+            n_o=stack.n_o,
+            ell=stack.ell,
+            anchor=None if stack.pooled else stack.first + i,
         )
-        for i, rank in enumerate(ranks)
+        for i, rank in enumerate(stack.ranks)
     ]
-    return models if variant == "per_t" else models[0]
+    return models[0] if stack.pooled else models

@@ -375,3 +375,48 @@ def chain_reference(ops, seqs, rows=None):
     if order is not None:
         log[order], sign[order] = log.copy(), sign.copy()
     return log, sign
+
+
+# ---------------------------------------------------------------------------
+# score CSV oracle
+#
+# The writer that ``spectral.score_file`` replaced with one formatted write: a
+# generator of rows, each from one ``InferenceResult``, written through a
+# ``csv.writer`` one row at a time.
+
+
+def score_csv_reference(model, sequences, error_sink):
+    """The rows and the CSV text of a score file, one ``csv.writer`` row at a time."""
+    import csv
+    import io
+
+    from hsmm_spectral import spectral
+    from hsmm_spectral.hsmm import SequenceFile
+
+    def rows():
+        ops, n_o = spectral._prepared(model)
+        seqs = SequenceFile.of(sequences)
+        failed = np.zeros(len(seqs), dtype=bool)
+        for idx, exc in spectral._row_errors(seqs, n_o):
+            failed[idx] = True
+            print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=error_sink)
+        log, sign = spectral._chain(ops, seqs, rows=np.flatnonzero(~failed))
+        results = iter([spectral.InferenceResult(lv, sg, sg <= 0)
+                        for lv, sg in zip(log.tolist(), sign.tolist())])
+        for idx, (bad, T) in enumerate(zip(failed.tolist(), seqs.lengths.tolist())):
+            if bad:
+                yield [idx, "nan", 0, "true", "nan"]
+                continue
+            res = next(results)
+            norm = res.log_value / T
+            yield [idx, f"{res.log_value:.17g}", res.sign, str(res.clamped).lower(),
+                   f"{norm:.17g}"]
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(spectral.SCORE_HEADER)
+    written = []
+    for row in rows():
+        writer.writerow(row)
+        written.append(row)
+    return written, buf.getvalue()

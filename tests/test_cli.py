@@ -1,9 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
+from hsmm_spectral import cli
 from hsmm_spectral.cli import main
 from hsmm_spectral.hsmm import load_model, read_sequences
+from hsmm_spectral.spectral import load_observable, score_file
 
 
 def run(argv, capsys):
@@ -38,6 +41,38 @@ def test_usage_error_exits_one(capsys):
     for removed in (["--seed", "0"], ["--save-moments", "moments.bin"]):
         code, _, err = run(learn + removed, capsys)
         assert code == 1 and f"unrecognized arguments: {' '.join(removed)}" in err
+
+
+def test_reused_parser_behaves_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    fresh = cli._build_parser.__wrapped__
+    gen = ["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "-o", str(tmp_path / "m.json")]
+    # a usage error after a success, and a success after a usage error
+    assert run(gen, capsys)[0] == 0
+    code, _, err = run(gen[:3], capsys)
+    assert code == 1 and "the following arguments are required: --nx, --nd" in err
+    assert run(gen, capsys)[0] == 0
+    # help prints what a freshly built parser prints
+    for argv in (["--help"], ["score", "--help"]):
+        code, out, _ = run(argv, capsys)
+        with pytest.raises(SystemExit):
+            fresh().parse_args(argv)
+        assert code == 0 and out == capsys.readouterr().out and "usage:" in out
+    # no option defaults leak from one subcommand into the next
+    seen = {}
+
+    def record(args):
+        seen[args.command] = vars(args)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "bench", record)
+    monkeypatch.setitem(cli._COMMANDS, "learn-em", record)
+    bench = ["bench", "--sizes", "3,2,2", "--seeds", "2", "--rtol", "1e-3", "-o", "r.csv"]
+    learn = ["learn-em", "--data", "d.txt", "--no", "3", "--nx", "2", "--nd", "2",
+             "-o", "e.json"]
+    assert run(bench, capsys)[0] == run(learn, capsys)[0] == 0
+    assert seen == {argv[0]: vars(fresh().parse_args(argv)) for argv in (bench, learn)}
+    assert "rtol" not in seen["learn-em"] and seen["learn-em"]["seed"] == 0
 
 
 def test_missing_file_exits_two(capsys):
@@ -139,6 +174,13 @@ def test_basic_variant_pipeline(tmp_path, capsys):
     )
     assert code == 0
     assert "log_value=" in out
+    # the CLI scores straight from the file's stacks, as the loaded models score
+    scores, want = tmp_path / "scores.csv", tmp_path / "want.csv"
+    code, _, err = run(["score", "--model", str(learned), "--data", str(data),
+                        "-o", str(scores)], capsys)
+    assert code == 0, err
+    assert score_file(load_observable(learned), read_sequences(data), want) == 500
+    assert scores.read_bytes() == want.read_bytes()
 
 
 def test_learn_em_cli(tmp_path, capsys):

@@ -44,7 +44,7 @@ from hsmm_spectral.tensors import (
     RankZero,
     numerical_rank,
 )
-from oracles import chain_reference
+from oracles import chain_reference, score_csv_reference
 
 RTOL = 1e-12
 
@@ -346,6 +346,74 @@ def test_score_empty_input(tmp_path):
     assert out.read_text().strip() == "id,log_value,sign,clamped,norm_loglik"
 
 
+def test_failed_score_file_leaves_previous_output(tmp_path):
+    out = tmp_path / "scores.csv"
+    out.write_bytes(b"previous scores\n")
+    with pytest.raises(DegenerateMoments, match="empty per-anchor model list"):
+        score_file([], [np.array([0, 1, 2, 1])], out)
+    assert out.read_bytes() == b"previous scores\n"
+
+
+def test_score_csv_bytes_match_the_reference_writer(tmp_path, chain_models):
+    sampled, per_anchor = chain_models["sampled"], chain_models["per-anchor"]
+    # symbol 1 zeroes every operator and closing vector it enters
+    o_tilde = sampled.o_tilde.copy()
+    o_tilde[:, 1] = 0.0
+    dead = dataclasses.replace(sampled, o_tilde=o_tilde)
+    rng = np.random.default_rng(50)
+    seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(3, 40, size=60)]
+    seqs[3:9] = [np.array([0, 1]), np.array([], dtype=np.int64), np.array([0, 3, 1, 2]),
+                 np.array([2, 0, -1]), np.array([0, 2, 1, 2, 0]), np.array([2, 0, 2, 1])]
+    out = tmp_path / "scores.csv"
+    for model in (sampled, per_anchor, dead):
+        for form in (seqs, []):
+            sink, ref_sink = io.StringIO(), io.StringIO()
+            ref_rows, ref_text = score_csv_reference(model, form, ref_sink)
+            assert score_file(model, form, out, error_sink=sink) == len(form)
+            assert out.read_bytes() == ref_text.encode()
+            assert sink.getvalue() == ref_sink.getvalue()
+            assert list(spectral.score_sequences(model, form, io.StringIO())) == ref_rows
+    # the rows cover unknown symbols, short rows, negative estimates and dead rows
+    assert ref_text == "id,log_value,sign,clamped,norm_loglik\r\n"
+    _, text = score_csv_reference(dead, seqs, io.StringIO())
+    rows = [line.split(",") for line in text.split("\r\n")[1:-1]]
+    assert [rows[i][1:] for i in range(3, 7)] == [["nan", "0", "true", "nan"]] * 4
+    assert rows[7][1:] == rows[8][1:] == ["-inf", "0", "true", "-inf"]
+    _, text = score_csv_reference(sampled, seqs, io.StringIO())
+    assert any(line.split(",")[2:4] == ["-1", "true"] for line in text.split("\r\n")[1:-1])
+
+
+def test_operators_come_from_one_stacked_layout(tmp_path, chain_models):
+    # anchor 3 of the per-anchor list keeps two directions, so the file pads its ranks
+    pooled, per_anchor = chain_models["analytic"], chain_models["unequal-ranks"]
+    path = tmp_path / "model.bin"
+    for model in (pooled, per_anchor):
+        save_observable(path, model)
+        stack = spectral._read_stack(path)
+        from_file = spectral._operators(stack)
+        for ops in (spectral._prepared(load_observable(path))[0],
+                    spectral._prepared(model)[0]):
+            for got, want in zip(ops, from_file):
+                assert np.array_equal(got, want)
+        # entries past an anchor's rank read as zero, whatever the file holds
+        kind, meta, tensors = read_container(path)
+        assert np.array_equal(tensors["y_x"], stack.y_x)
+        for name in ("y_x", "basis"):
+            assert not getattr(stack, name).flags.writeable
+    tensors["y_x"][3, 2:] = 7.0
+    tensors["basis"][3, :, 2:] = 7.0
+    write_container(path, kind, meta, list(tensors.items()))
+    stack = spectral._read_stack(path)
+    assert not stack.y_x[3, 2:].any() and not stack.basis[3, :, 2:].any()
+    for got, want in zip(spectral._operators(stack), from_file):
+        assert np.array_equal(got, want)
+    # one model's stack is views of its tables, never copies
+    stack = spectral._stack(pooled)
+    assert np.shares_memory(stack.d_tilde, pooled.d_tilde.data)
+    for name in ("y_x", "o_tilde", "basis"):
+        assert np.shares_memory(getattr(stack, name), getattr(pooled, name))
+
+
 def test_observable_roundtrip_bit_exact(tmp_path):
     p = random_model(3, 2, 2, seed=13)
     model, _, _ = analytic_model(p)
@@ -554,7 +622,7 @@ def test_per_anchor_kernel_matches_kspace_chain_beyond_anchor_range():
     assert max(m.anchor for m in models) == 10  # longer sequences run past it
     # one table per anchor plus one, whatever the anchors' values
     far = [dataclasses.replace(m, anchor=m.anchor + 10**12) for m in models]
-    ops = spectral._operators(far)
+    ops = spectral._operators(spectral._stack(far))
     assert ops.step.shape[0] == ops.end.shape[0] == len(models) + 1
     assert ops.first == models[0].anchor + 10**12
     before = [0, 1, 2, 2, 1, 0, 1, 2, 0]  # every position falls before the first anchor
