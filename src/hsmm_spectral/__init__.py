@@ -63,7 +63,7 @@ from .spectral import (
     save_observable,
     score_file,
 )
-from .tensors import ModeLabel, NamedTensor, khatri_rao_cols, numerical_rank
+from .tensors import NamedTensor, khatri_rao_cols, numerical_rank
 from .bench import BenchConfig, BenchReport, preset, run_synthetic_bench
 
 __version__ = "0.1.0"

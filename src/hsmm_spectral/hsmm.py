@@ -432,18 +432,26 @@ def forward_likelihood(
 
 
 def forward_loglik_batch(p: HsmmParams, obs: np.ndarray) -> np.ndarray:
-    """Log-likelihoods of equal-length sequences, vectorized over rows."""
+    """Log-likelihoods of equal-length sequences, vectorized over rows.
+
+    A row the model cannot emit is ``-inf``, as in :func:`forward_likelihood`.
+    """
     obs = np.asarray(obs, dtype=int)
     n, T = obs.shape
     table = p.initial_duration_table()
     alpha = (table * p.pi_x[None, :])[None, :, :] * p.O[obs[:, 0], None, :]
     loglik = np.zeros(n)
+    dead = np.zeros(n, dtype=bool)
     for t in range(1, T + 1):
         c = alpha.sum(axis=(1, 2))
+        # a dead row's alpha is zero and stays zero: divide it by one
+        dead |= c <= 0.0
+        c[dead] = 1.0
         loglik += np.log(c)
         alpha = alpha / c[:, None, None]
         if t < T:
             alpha = _forward_step(p, alpha) * p.O[obs[:, t], None, :]
+    loglik[dead] = -np.inf
     return loglik
 
 

@@ -39,16 +39,18 @@ The per-anchor ("basic") variant is the same model once per anchor, and a
 pooled model is its one-anchor case.  Both have one stacked layout, a
 :class:`ModelStack`: each table stacked along a leading anchor axis, the
 ranks zero-padded to the largest, and the shared start table once.  It is
-what the model file holds and the one form operator tables are built from
-(:func:`_operators`).  A model or a list is stacked first (one model as
-views of its tables, without copies), and the CLI builds from the file's
-stack without making per-anchor model objects.
-Every model table is a plain read-only float64 array (for a loaded model,
-a view of the checked stack) except ``d_tilde``, a ``NamedTensor``.
+what the build makes (:func:`_build`), what the model file holds and the
+one form operator tables are built from (:func:`_operators`).  A model or
+a list is stacked first (one model as views of its tables, without
+copies), and the CLI builds from the file's stack without making
+per-anchor model objects.
+Every model table is a plain read-only float64 array (for a built or
+loaded model, a view of its stack) except ``d_tilde``, a ``NamedTensor``.
 
-The pseudo-inverse products are float64 truncated-SVD solves.  Each moment
-matrix is decomposed once, and the rank check, the noise floor and the
-solve all read that decomposition.  The windowed moment matrix's
+The pseudo-inverse products are float64 truncated-SVD solves.  Each
+stacked moment table is decomposed once for all anchors, and each anchor's
+rank check, noise floor and solve read its spectrum from that
+decomposition.  The windowed moment matrix's
 conditioning is the product of two factor conditionings (``s_1/s_r`` up to
 about 4e11 on admitted (5,4,6) models), and on population moments that
 conditioning of the float64 moments, not the solve's arithmetic, sets the
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -75,7 +77,7 @@ from .moments import (
     count_cooccurrences,
     estimate_moments,
 )
-from .tensors import NamedTensor, RankZero, read_only, spectrum_rank
+from .tensors import NamedTensor, read_only, spectrum_rank
 
 
 class SpectralError(Exception):
@@ -178,47 +180,98 @@ class ObservableModel:
         return _operators(_stack(self))
 
 
-def _pinv_product(
-    svd: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rhs: Sequence[np.ndarray],
-    rtol: float,
-    max_rank: int | None = None,
-):
-    """Apply the truncated Moore-Penrose inverse of ``a`` to each ``rhs``.
-
-    ``svd`` is ``np.linalg.svd(a, full_matrices=False)``, so one
-    decomposition serves the caller's rank check and noise floor as well.
-    Singular values at or below ``rtol * sigma_max`` are truncated, and at
-    most ``max_rank`` directions are kept (the moment matrices have a known
-    population rank; anything beyond it is sampling noise that the chain
-    would amplify).  Returns the orthonormal basis ``V`` of the retained row
-    space and the coefficients ``Y = diag(1/s_r) u_r' rhs``, so that
-    ``pinv(a) @ rhs = V @ Y``.
-    """
-    u, s, vt = svd
-    if s.size == 0 or s[0] == 0.0:
-        raise RankZero("zero matrix has no usable pseudo-inverse")
-    r = spectrum_rank(s, rtol)
-    if max_rank is not None:
-        r = min(r, max_rank)
-    if r == 0:
-        raise RankZero("all singular values truncated")
-    v = vt[:r].T
-    w = u[:, :r].T / s[:r, None]
-    return v, [w @ r_mat for r_mat in rhs]
-
-
-def _noise_rtol(s: np.ndarray, count: int) -> float:
+def _noise_rtol(s: np.ndarray, count: int) -> np.ndarray:
     """Relative truncation level matching the sampling noise of a count table.
 
-    ``s`` are the table's singular values.  The table sums to one, so the
-    Frobenius norm of its sampling error is about ``1/sqrt(count)``;
-    directions below a small multiple of that are unresolved and only
-    amplify noise when inverted.
+    ``s`` holds one row of singular values per anchor's table, and the
+    result one level per anchor.  A table sums to one, so the Frobenius norm
+    of its sampling error is about ``1/sqrt(count)``; directions below a
+    small multiple of that are unresolved and only amplify noise when
+    inverted.  A zero table, or no count, gets level 0.
     """
-    if s[0] == 0.0 or count <= 0:
-        return 0.0
-    return 2.0 / math.sqrt(count) / s[0]
+    level = np.zeros(len(s))
+    if count > 0:
+        np.divide(2.0 / math.sqrt(count), s[:, 0], out=level, where=s[:, 0] != 0.0)
+    return level
+
+
+def _solve(
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rhs: Sequence[np.ndarray],
+    keep: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Apply each anchor's truncated Moore-Penrose inverse to each of ``rhs``.
+
+    ``svd`` is ``np.linalg.svd(a, full_matrices=False)`` of a stack of
+    matrices ``a``, of which anchor ``i`` keeps the leading ``keep[i] >= 1``
+    directions.  Returns the orthonormal bases ``V`` of the kept row spaces
+    and the coefficients ``Y = diag(1/s_r) u_r' rhs``, so that
+    ``pinv(a) @ rhs = V @ Y`` per anchor, with ``max(keep)`` directions each,
+    zero past the anchor's own.
+    """
+    u, s, vt = svd
+    r = int(keep.max())
+    pad = np.arange(r) >= keep[:, None]
+    w = u[:, :, :r].swapaxes(1, 2) / np.where(pad, 1.0, s[:, :r])[:, :, None]
+    ys = [w @ b for b in rhs]
+    v = vt[:, :r]
+    for y in (v, *ys):
+        y[pad] = 0.0
+    return v.swapaxes(1, 2), ys
+
+
+def _build(
+    tables: Sequence[np.ndarray],
+    n_o: int,
+    sched: ObservationSchedule,
+    rtol: float,
+    noise_floor: bool,
+    counts: tuple[int, int],
+    first: int | None = None,
+) -> ModelStack:
+    """The model stack of moment tables that carry a leading axis of anchors.
+
+    ``tables`` are ``m_lr``, ``m_lr_shift``, ``m_lro`` and ``m_oo``, each
+    stacked over ``A`` anchors, then the shared ``m_start``.  ``counts`` are
+    the window and the pair count behind each anchor's tables, and ``first``
+    the first anchor (``None``: a pooled model, ``A = 1``).  Each stacked
+    table is decomposed once; the rank check, the noise floor and the solve
+    read every anchor's spectrum from that decomposition.  The first anchor
+    whose tables fail raises :class:`DegenerateMoments`, naming it.
+    """
+    lr, lr_shift, lro, oo, start = tables
+    a, k = lr.shape[:2]
+    needed = min(sched.joint_rank, k)
+    lr_svd = np.linalg.svd(lr, full_matrices=False)
+    oo_svd = np.linalg.svd(oo.swapaxes(1, 2), full_matrices=False)
+    s, s_oo = lr_svd[1], oo_svd[1]
+    rank = spectrum_rank(s, rtol)
+    eff_lr = eff_oo = rtol
+    if noise_floor:
+        eff_lr = np.maximum(rtol, _noise_rtol(s, counts[0]))[:, None]
+        eff_oo = np.maximum(rtol, _noise_rtol(s_oo, counts[1]))[:, None]
+    keep = np.minimum(spectrum_rank(s, eff_lr), needed)
+    keep_oo = np.minimum(spectrum_rank(s_oo, eff_oo), sched.n_x)
+    # one row per check, in the order a single anchor's build meets them
+    failed = np.array([rank < needed, keep == 0, s_oo[:, 0] == 0.0, keep_oo == 0])
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        tensor, detail = (
+            ("m_lr", f"rank {rank[i]} < {needed} at rtol {rtol}"),
+            ("m_lr", "all singular values truncated"),
+            ("m_oo", "zero matrix has no usable pseudo-inverse"),
+            ("m_oo", "all singular values truncated"),
+        )[int(failed[:, i].argmax())]
+        anchor = None if first is None else first + i
+        raise DegenerateMoments(tensor, anchor=anchor, detail=detail)
+    basis, (y_d, y_x) = _solve(lr_svd, [lr_shift, lro.reshape(a, k, k * n_o)], keep)
+    v_oo, (y_o,) = _solve(oo_svd, [oo.swapaxes(1, 2)], keep_oo)
+    return ModelStack(
+        d_tilde=read_only(basis @ y_d), y_x=read_only(y_x.reshape(a, -1, k, n_o)),
+        o_tilde=read_only(v_oo @ y_o), start_factor=start, basis=read_only(basis),
+        ranks=keep.tolist(), first=1 if first is None else first, pooled=first is None,
+        n_o=n_o, ell=sched.ell, rtol=rtol,
+    )
 
 
 def build_observable(
@@ -232,41 +285,12 @@ def build_observable(
     ``noise_floor`` set (finite-sample estimation), truncation additionally
     drops directions below the sampling-noise level of the counts; the
     representation then degrades gracefully to a lower rank instead of
-    amplifying unresolved directions.
+    amplifying unresolved directions.  The build is the per-anchor one with
+    a single anchor.
     """
-    sched = m.schedule
-    k = m.n_o**sched.ell
-    needed = min(sched.joint_rank, k)
-    lr_svd = np.linalg.svd(m.m_lr, full_matrices=False)
-    rank = spectrum_rank(lr_svd[1], rtol)
-    if rank < needed:
-        raise DegenerateMoments("m_lr", detail=f"rank {rank} < {needed} at rtol {rtol}")
-    oo_svd = np.linalg.svd(m.m_oo.T, full_matrices=False)
-    eff_lr = max(rtol, _noise_rtol(lr_svd[1], m.window_count)) if noise_floor else rtol
-    eff_oo = max(rtol, _noise_rtol(oo_svd[1], m.pair_count)) if noise_floor else rtol
-    try:
-        basis, (y_d, y_x) = _pinv_product(
-            lr_svd,
-            [m.m_lr_shift, m.m_lro.reshape(k, k * m.n_o)],
-            eff_lr,
-            max_rank=needed,
-        )
-    except RankZero as exc:
-        raise DegenerateMoments("m_lr", detail=str(exc)) from None
-    try:
-        v_oo, (y_o,) = _pinv_product(oo_svd, [m.m_oo.T], eff_oo, max_rank=sched.n_x)
-    except RankZero as exc:
-        raise DegenerateMoments("m_oo", detail=str(exc)) from None
-    return ObservableModel(
-        d_tilde=NamedTensor(basis @ y_d, ["or_in", "or"]),
-        y_x=read_only(y_x.reshape(-1, k, m.n_o)),
-        o_tilde=read_only(v_oo @ y_o),
-        start_factor=m.m_start,
-        basis=read_only(basis),
-        pinv_rtol=rtol,
-        n_o=m.n_o,
-        ell=sched.ell,
-    )
+    tables = [t[None] for t in (m.m_lr, m.m_lr_shift, m.m_lro, m.m_oo)] + [m.m_start]
+    counts = (m.window_count, m.pair_count)
+    return _unstack(_build(tables, m.n_o, m.schedule, rtol, noise_floor, counts))[0]
 
 
 def build_observable_per_t(
@@ -281,9 +305,10 @@ def build_observable_per_t(
     All sequences must share one length; each anchor's tables count that
     anchor's placements only (one per sequence), so they are far noisier than
     the pooled tables at equal data size.  The counts come from the pooled
-    build's kernel with the anchor as a leading index; a symbol outside
-    ``[0, n_o)`` raises ``ValueError`` naming its sequence, and
-    :class:`DegenerateMoments` names the anchor whose tables fail.
+    build's kernel with the anchor as a leading index, and all anchors are
+    built at once from those stacks; a symbol outside ``[0, n_o)`` raises
+    ``ValueError`` naming its sequence, and :class:`DegenerateMoments` names
+    the first anchor whose tables fail.
     """
     seqs = SequenceFile.of(sequences)
     if not len(seqs):
@@ -294,34 +319,15 @@ def build_observable_per_t(
         raise DegenerateMoments(
             "m_lr", detail="per-anchor estimation needs equal-length sequences"
         )
-    anchors = list(sched.anchor_range(T))
+    anchors = sched.anchor_range(T)
     if not anchors:
         raise DegenerateMoments(
             "m_lr", detail=f"length {T} hosts no anchor (need {sched.min_sequence_length})"
         )
     n = len(seqs)
     counts = count_cooccurrences(seqs, n_o, sched, anchors=len(anchors))
-    lr, lr_shift, lro, oo, start = (read_only(table / n) for table in counts[:5])
-    models = []
-    for j, s_pos in enumerate(anchors):
-        m = MomentSet(
-            m_lr=lr[j],
-            m_lr_shift=lr_shift[j],
-            m_lro=lro[j],
-            m_oo=oo[j],
-            m_start=start,
-            n_o=n_o,
-            schedule=sched,
-            window_count=n,
-            pair_count=n,
-            start_count=n,
-        )
-        try:
-            model = build_observable(m, rtol, noise_floor)
-        except DegenerateMoments as exc:
-            raise DegenerateMoments(exc.tensor, anchor=s_pos, detail=exc.detail) from None
-        models.append(replace(model, anchor=s_pos))
-    return models
+    tables = [read_only(table / n) for table in counts[:5]]
+    return _unstack(_build(tables, n_o, sched, rtol, noise_floor, (n, n), anchors[0]))
 
 
 @dataclass(frozen=True)
@@ -404,6 +410,24 @@ def _stack(model: ObservableModel | Sequence[ObservableModel]) -> ModelStack:
         basis=basis, ranks=ranks, first=first, pooled=m.anchor is None, n_o=m.n_o,
         ell=m.ell, rtol=m.pinv_rtol,
     )
+
+
+def _unstack(stack: ModelStack) -> list[ObservableModel]:
+    """One model per anchor of a stack (a pooled stack's one pooled model), as views."""
+    return [
+        ObservableModel(
+            d_tilde=NamedTensor(stack.d_tilde[i], ["or_in", "or"]),
+            y_x=stack.y_x[i, :rank],
+            o_tilde=stack.o_tilde[i],
+            start_factor=stack.start_factor,
+            basis=stack.basis[i, :, :rank],
+            pinv_rtol=stack.rtol,
+            n_o=stack.n_o,
+            ell=stack.ell,
+            anchor=None if stack.pooled else stack.first + i,
+        )
+        for i, rank in enumerate(stack.ranks)
+    ]
 
 
 def _operators(stack: ModelStack) -> Operators:
@@ -774,18 +798,5 @@ def load_observable(path):
     (see :func:`_read_stack`).
     """
     stack = _read_stack(path)
-    models = [
-        ObservableModel(
-            d_tilde=NamedTensor(stack.d_tilde[i], ["or_in", "or"]),
-            y_x=stack.y_x[i, :rank],
-            o_tilde=stack.o_tilde[i],
-            start_factor=stack.start_factor,
-            basis=stack.basis[i, :, :rank],
-            pinv_rtol=stack.rtol,
-            n_o=stack.n_o,
-            ell=stack.ell,
-            anchor=None if stack.pooled else stack.first + i,
-        )
-        for i, rank in enumerate(stack.ranks)
-    ]
+    models = _unstack(stack)
     return models[0] if stack.pooled else models

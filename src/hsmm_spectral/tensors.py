@@ -2,16 +2,14 @@
 
 The pipeline holds its moment and model tables as plain float64 arrays,
 marked read-only in place by :func:`read_only`.  A :class:`NamedTensor` is a
-float64 copy that carries one :class:`ModeLabel`, a ``(name, occurrence)``
-pair, per axis, is read-only and rejects non-finite entries.  Only the
-tables that callers perturb or read through ``.data`` keep it: a learned
-model's ``d_tilde`` and the analytic factor context; no operation reads the
-labels.
+float64 copy that carries one string label per axis, is read-only and
+rejects non-finite entries.  Only the tables that callers perturb or read
+through ``.data`` keep it: a learned model's ``d_tilde`` and the analytic
+factor context; no operation reads the labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,10 +17,6 @@ import numpy as np
 
 class TensorError(Exception):
     """Base class for errors raised by the tensor layer."""
-
-
-class InvalidModePartition(TensorError):
-    """Mode labels repeat within one tensor."""
 
 
 class ShapeMismatch(TensorError):
@@ -33,32 +27,6 @@ class InvalidTolerance(TensorError):
     """A tolerance argument is not a positive real number."""
 
 
-class RankZero(TensorError):
-    """All singular values fell below the truncation threshold."""
-
-
-@dataclass(frozen=True, order=True)
-class ModeLabel:
-    """Identifier of one tensor mode.
-
-    Attributes
-    ----------
-    name : str
-        Short mode name.
-    occurrence : int
-        Non-negative tag distinguishing repeated copies of the same name
-        within one tensor.
-    """
-
-    name: str
-    occurrence: int = 0
-
-    def __repr__(self) -> str:
-        if self.occurrence:
-            return f"{self.name}@{self.occurrence}"
-        return self.name
-
-
 class NamedTensor:
     """Dense real tensor with ordered, labeled modes.
 
@@ -66,8 +34,8 @@ class NamedTensor:
     ----------
     data : array_like
         Dense real array; its axis order must follow ``labels``.
-    labels : sequence of str or ModeLabel
-        One label per axis.  Labels must be unique within the tensor.
+    labels : sequence of str
+        One label per axis.
 
     Notes
     -----
@@ -78,17 +46,13 @@ class NamedTensor:
 
     __slots__ = ("_labels", "_data")
 
-    def __init__(self, data, labels: Sequence[str | ModeLabel]):
+    def __init__(self, data, labels: Sequence[str]):
         arr = np.array(data, dtype=float)
-        labels = tuple(
-            l if isinstance(l, ModeLabel) else ModeLabel(str(l)) for l in labels
-        )
+        labels = tuple(str(l) for l in labels)
         if arr.ndim != len(labels):
             raise ShapeMismatch(
                 f"array has {arr.ndim} axes but {len(labels)} labels were given"
             )
-        if len(set(labels)) != len(labels):
-            raise InvalidModePartition(f"duplicate mode labels in {labels}")
         if arr.size and not np.all(np.isfinite(arr)):
             raise TensorError("tensor entries must be finite")
         arr.flags.writeable = False
@@ -96,7 +60,7 @@ class NamedTensor:
         self._data = arr
 
     @property
-    def labels(self) -> tuple[ModeLabel, ...]:
+    def labels(self) -> tuple[str, ...]:
         return self._labels
 
     @property
@@ -113,7 +77,7 @@ class NamedTensor:
         return self._data.ndim
 
     def __repr__(self) -> str:
-        modes = ", ".join(f"{l!r}:{d}" for l, d in zip(self._labels, self.shape))
+        modes = ", ".join(f"{l}:{d}" for l, d in zip(self._labels, self.shape))
         return f"NamedTensor({modes})"
 
 
@@ -146,13 +110,15 @@ def numerical_rank(a: np.ndarray, rtol: float) -> int:
     """Number of singular values above ``rtol * sigma_max``; 0 for zero input."""
     a = np.asarray(a, dtype=float)
     s = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
-    return spectrum_rank(s, rtol)
+    return int(spectrum_rank(s, rtol))
 
 
-def spectrum_rank(s: np.ndarray, rtol: float) -> int:
-    """:func:`numerical_rank` read off descending singular values ``s``."""
-    if not (isinstance(rtol, (int, float)) and rtol > 0):
+def spectrum_rank(s: np.ndarray, rtol) -> np.ndarray:
+    """:func:`numerical_rank` read off descending singular values ``s``.
+
+    Each row of a stacked ``s`` is counted against its own leading value, and
+    ``rtol`` may hold one tolerance per row (shape ``(..., 1)``).
+    """
+    if not (isinstance(rtol, (int, float, np.ndarray)) and np.greater(rtol, 0).all()):
         raise InvalidTolerance(f"rtol must be positive, got {rtol!r}")
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return (s > rtol * s[..., :1]).sum(axis=-1)

@@ -420,3 +420,157 @@ def score_csv_reference(model, sequences, error_sink):
         writer.writerow(row)
         written.append(row)
     return written, buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# build oracle
+#
+# The build that ``spectral._build`` replaced with one stacked decomposition
+# per moment table: one pooled build per moment set through a truncated
+# pseudo-inverse product, and the per-anchor variant as a loop of pooled
+# builds over each anchor's own tables, re-raising the first failure with its
+# anchor.  A model built with the same ranks must have the same tables, and a
+# refusal the same type, tensor, anchor and message.
+
+
+class RankZero(Exception):
+    """All singular values fell below the truncation threshold."""
+
+
+def spectrum_rank(s, rtol):
+    """Singular values ``s`` above ``rtol * s[0]``; 0 for an empty or zero spectrum."""
+    from hsmm_spectral.tensors import InvalidTolerance
+
+    if not (isinstance(rtol, (int, float)) and rtol > 0):
+        raise InvalidTolerance(f"rtol must be positive, got {rtol!r}")
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def _pinv_product(svd, rhs, rtol, max_rank=None):
+    """Apply the truncated Moore-Penrose inverse of ``a`` to each ``rhs``.
+
+    ``svd`` is ``np.linalg.svd(a, full_matrices=False)``, so one
+    decomposition serves the caller's rank check and noise floor as well.
+    Singular values at or below ``rtol * sigma_max`` are truncated, and at
+    most ``max_rank`` directions are kept (the moment matrices have a known
+    population rank; anything beyond it is sampling noise that the chain
+    would amplify).  Returns the orthonormal basis ``V`` of the retained row
+    space and the coefficients ``Y = diag(1/s_r) u_r' rhs``, so that
+    ``pinv(a) @ rhs = V @ Y``.
+    """
+    u, s, vt = svd
+    if s.size == 0 or s[0] == 0.0:
+        raise RankZero("zero matrix has no usable pseudo-inverse")
+    r = spectrum_rank(s, rtol)
+    if max_rank is not None:
+        r = min(r, max_rank)
+    if r == 0:
+        raise RankZero("all singular values truncated")
+    v = vt[:r].T
+    w = u[:, :r].T / s[:r, None]
+    return v, [w @ r_mat for r_mat in rhs]
+
+
+def _noise_rtol(s, count):
+    """Relative truncation level matching the sampling noise of a count table.
+
+    ``s`` are the table's singular values.  The table sums to one, so the
+    Frobenius norm of its sampling error is about ``1/sqrt(count)``;
+    directions below a small multiple of that are unresolved and only
+    amplify noise when inverted.
+    """
+    import math
+
+    if s[0] == 0.0 or count <= 0:
+        return 0.0
+    return 2.0 / math.sqrt(count) / s[0]
+
+
+def build_observable_reference(m, rtol, noise_floor=False):
+    """Learn the observable tensors from a pooled moment set, one matrix at a time."""
+    from hsmm_spectral.spectral import DegenerateMoments, ObservableModel
+    from hsmm_spectral.tensors import NamedTensor, read_only
+
+    sched = m.schedule
+    k = m.n_o**sched.ell
+    needed = min(sched.joint_rank, k)
+    lr_svd = np.linalg.svd(m.m_lr, full_matrices=False)
+    rank = spectrum_rank(lr_svd[1], rtol)
+    if rank < needed:
+        raise DegenerateMoments("m_lr", detail=f"rank {rank} < {needed} at rtol {rtol}")
+    oo_svd = np.linalg.svd(m.m_oo.T, full_matrices=False)
+    eff_lr = max(rtol, _noise_rtol(lr_svd[1], m.window_count)) if noise_floor else rtol
+    eff_oo = max(rtol, _noise_rtol(oo_svd[1], m.pair_count)) if noise_floor else rtol
+    try:
+        basis, (y_d, y_x) = _pinv_product(
+            lr_svd,
+            [m.m_lr_shift, m.m_lro.reshape(k, k * m.n_o)],
+            eff_lr,
+            max_rank=needed,
+        )
+    except RankZero as exc:
+        raise DegenerateMoments("m_lr", detail=str(exc)) from None
+    try:
+        v_oo, (y_o,) = _pinv_product(oo_svd, [m.m_oo.T], eff_oo, max_rank=sched.n_x)
+    except RankZero as exc:
+        raise DegenerateMoments("m_oo", detail=str(exc)) from None
+    return ObservableModel(
+        d_tilde=NamedTensor(basis @ y_d, ["or_in", "or"]),
+        y_x=read_only(y_x.reshape(-1, k, m.n_o)),
+        o_tilde=read_only(v_oo @ y_o),
+        start_factor=m.m_start,
+        basis=read_only(basis),
+        pinv_rtol=rtol,
+        n_o=m.n_o,
+        ell=sched.ell,
+    )
+
+
+def build_observable_per_t_reference(sequences, n_o, sched, rtol, noise_floor=False):
+    """Per-anchor variant: :func:`build_observable_reference` on each anchor's own tables."""
+    from dataclasses import replace
+
+    from hsmm_spectral.hsmm import SequenceFile
+    from hsmm_spectral.moments import MomentSet, count_cooccurrences
+    from hsmm_spectral.spectral import DegenerateMoments
+    from hsmm_spectral.tensors import read_only
+
+    seqs = SequenceFile.of(sequences)
+    if not len(seqs):
+        raise DegenerateMoments("m_lr", detail="no sequences")
+    lengths = seqs.lengths
+    T = int(lengths[0])
+    if (lengths != T).any():
+        raise DegenerateMoments(
+            "m_lr", detail="per-anchor estimation needs equal-length sequences"
+        )
+    anchors = list(sched.anchor_range(T))
+    if not anchors:
+        raise DegenerateMoments(
+            "m_lr", detail=f"length {T} hosts no anchor (need {sched.min_sequence_length})"
+        )
+    n = len(seqs)
+    counts = count_cooccurrences(seqs, n_o, sched, anchors=len(anchors))
+    lr, lr_shift, lro, oo, start = (read_only(table / n) for table in counts[:5])
+    models = []
+    for j, s_pos in enumerate(anchors):
+        m = MomentSet(
+            m_lr=lr[j],
+            m_lr_shift=lr_shift[j],
+            m_lro=lro[j],
+            m_oo=oo[j],
+            m_start=start,
+            n_o=n_o,
+            schedule=sched,
+            window_count=n,
+            pair_count=n,
+            start_count=n,
+        )
+        try:
+            model = build_observable_reference(m, rtol, noise_floor)
+        except DegenerateMoments as exc:
+            raise DegenerateMoments(exc.tensor, anchor=s_pos, detail=exc.detail) from None
+        models.append(replace(model, anchor=s_pos))
+    return models

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,37 @@ def test_forward_batch_agrees_with_scalar():
     for i in range(16):
         single, _ = forward_likelihood(p, obs[i])
         assert np.isclose(batch[i], single, rtol=1e-12)
+
+
+def test_forward_batch_gives_minus_inf_for_a_row_the_model_cannot_emit():
+    # the states alternate 0, 1, 0, ...; state 0 never emits 2 and state 1 never 0
+    p = HsmmParams(
+        O=np.array([[0.7, 0.0], [0.3, 0.4], [0.0, 0.6]]),
+        X=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        D=np.ones((1, 2)),
+        pi_x=np.array([1.0, 0.0]),
+    )
+    rng = np.random.default_rng(16)
+    for T in (1, 2, 3, 10):
+        even = np.arange(T) % 2 == 0
+        live = np.where(even, rng.integers(0, 2, size=(5, T)), rng.integers(1, 3, size=(5, T)))
+        dead = []
+        for where in sorted({0, min(1, T - 1), T - 1}):  # first, second and last symbol
+            row = live[0].copy()
+            row[where] = 2 if even[where] else 0
+            dead.append(row)
+        obs = np.concatenate([live[:2], dead, live[2:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = forward_loglik_batch(p, obs)
+            alone = forward_loglik_batch(p, live)
+        for got, row in zip(batch, obs):
+            single, _ = forward_likelihood(p, row)
+            assert got == single == -math.inf or np.isclose(got, single, rtol=1e-12, atol=0)
+        assert np.isneginf(batch[2 : 2 + len(dead)]).all()
+        # the other rows are those of a batch without the dead rows
+        keep = np.r_[0:2, 2 + len(dead) : len(obs)]
+        assert np.array_equal(batch[keep], alone) and np.isfinite(alone).all()
 
 
 def test_sampling_frequency_matches_forward_probability():

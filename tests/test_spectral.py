@@ -41,10 +41,15 @@ from hsmm_spectral.container import ContainerError, read_container, write_contai
 from hsmm_spectral.tensors import (
     InvalidTolerance,
     NamedTensor,
-    RankZero,
     numerical_rank,
+    spectrum_rank,
 )
-from oracles import chain_reference, score_csv_reference
+from oracles import (
+    build_observable_per_t_reference,
+    build_observable_reference,
+    chain_reference,
+    score_csv_reference,
+)
 
 RTOL = 1e-12
 
@@ -436,28 +441,25 @@ def test_moment_and_model_tables_are_read_only(tmp_path, monkeypatch):
     sched = build_schedule(2, 2)
     obs = sample_many(p, 300, 12, np.random.default_rng(15))
     seen = []
-    build = spectral.build_observable
+    build = spectral._build
 
-    def capture(m, rtol, noise_floor=False):
-        seen.append(m)
-        return build(m, rtol, noise_floor)
+    def capture(tables, *args, **kwargs):
+        seen.append(tables)
+        return build(tables, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "build_observable", capture)
+    monkeypatch.setattr(spectral, "_build", capture)
     per_anchor = build_observable_per_t(obs, 3, sched, 1e-6)
     monkeypatch.undo()
     analytic, _ = analytic_moments(p, sched, 12)
     pooled = estimate_moments(obs, 3, sched)
-    for m in [pooled, analytic, *seen]:
-        for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start"):
-            table = getattr(m, field)
+    fields = ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start")
+    # the per-anchor tables are one stack per table, divided once, built at once
+    [stacked] = seen
+    assert len(per_anchor) > 1 and all(t.shape[0] == len(per_anchor) for t in stacked[:4])
+    for tables in [[getattr(m, f) for f in fields] for m in (pooled, analytic)] + [stacked]:
+        for field, table in zip(fields, tables):
             assert type(table) is np.ndarray and table.dtype == np.float64, field
             assert not table.flags.writeable, field
-    # the per-anchor tables are views of one stack per table, divided once
-    assert len(seen) == len(per_anchor) > 1
-    for field in ("m_lr", "m_lr_shift", "m_lro", "m_oo"):
-        stack = getattr(seen[0], field).base
-        assert stack is not None and all(getattr(m, field).base is stack for m in seen)
-    assert all(m.m_start is seen[0].m_start for m in seen)
 
     models = [build_observable(pooled, 1e-6), *per_anchor]
     save_observable(tmp_path / "pooled.bin", models[0])
@@ -948,29 +950,34 @@ def test_model_file_with_inconsistent_tensors_is_rejected(tmp_path, capsys, per_
         load_observable(path)
 
 
-def test_pinv_product_is_the_truncated_pseudo_inverse():
-    # a 9 x 7 matrix with a known spectrum
+def test_stacked_solve_is_each_anchors_truncated_pseudo_inverse():
+    # two 9 x 7 matrices with known, different spectra
     rng = np.random.default_rng(41)
-    q1, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-    q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-    spectrum = np.array([1.0, 0.3, 1e-2, 1e-4, 1e-10, 1e-14])
-    a = (q1[:, :6] * spectrum) @ q2[:, :6].T
-    rhs = rng.standard_normal((9, 5))
+    a = []
+    for spectrum in ([1.0, 0.3, 1e-2, 1e-4, 1e-10, 1e-14], [2.0, 1.5, 1e-9, 1e-11, 1e-15, 0.0]):
+        q1, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        a.append((q1[:, :6] * spectrum) @ q2[:, :6].T)
+    a = np.stack(a)
+    rhs = rng.standard_normal((2, 9, 5))
     svd = np.linalg.svd(a, full_matrices=False)
-    for rtol, max_rank, rank, rcond in (
-        (1e-8, None, 4, 1e-8),
-        (1e-3, None, 3, 1e-3),
-        (1e-8, 2, 2, 0.1),  # the cap keeps what rcond 0.1 keeps
+    for rtol, max_rank, ranks, rcond in (
+        (1e-8, 6, [4, 2], 1e-8),
+        (1e-3, 6, [3, 2], 1e-3),
+        (1e-8, 2, [2, 2], 0.1),  # the cap keeps what rcond 0.1 keeps
     ):
-        v, (y,) = spectral._pinv_product(svd, [rhs], rtol, max_rank=max_rank)
-        got = v @ y
-        assert v.shape == (7, rank)
-        assert np.allclose(v.T @ v, np.eye(rank), rtol=0, atol=1e-14)
-        assert np.allclose(v @ (v.T @ got), got, rtol=0, atol=1e-10)
-        want = np.linalg.pinv(a, rcond=rcond) @ rhs
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    with pytest.raises(RankZero):
-        spectral._pinv_product(np.linalg.svd(np.zeros((4, 3))), [rhs[:4]], 1e-8)
+        keep = np.minimum(spectrum_rank(svd[1], rtol), max_rank)
+        assert keep.tolist() == ranks
+        v, (y,) = spectral._solve(svd, [rhs], keep)
+        assert v.shape == (2, 7, max(ranks)) and y.shape == (2, max(ranks), 5)
+        for i, rank in enumerate(ranks):
+            # zeros past the anchor's rank
+            assert not v[i, :, rank:].any() and not y[i, rank:].any()
+            vi, got = v[i, :, :rank], v[i] @ y[i]
+            assert np.allclose(vi.T @ vi, np.eye(rank), rtol=0, atol=1e-14)
+            assert np.allclose(vi @ (vi.T @ got), got, rtol=0, atol=1e-10)
+            want = np.linalg.pinv(a[i], rcond=rcond) @ rhs[i]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_build_rejects_nonpositive_tolerance():
@@ -1003,7 +1010,157 @@ def test_build_decomposes_each_moment_matrix_once(monkeypatch):
     calls.clear()
     build_observable(m, 1e-12)
     build_observable(sampled, 1e-6, noise_floor=True)
-    assert sorted(calls) == [(3, 3), (3, 3), (k, k), (k, k)]
+    assert sorted(calls) == [(1, 3, 3), (1, 3, 3), (1, k, k), (1, k, k)]
+    # one call per stacked table, whatever the number of anchors
     calls.clear()
     models = build_observable_per_t(obs, 3, sched, 1e-6, noise_floor=True)
-    assert calls.count((k, k)) == calls.count((3, 3)) == len(models)
+    assert len(models) > 1 and sorted(calls) == [(len(models), 3, 3), (len(models), k, k)]
+
+
+# ---------------------------------------------------------------------------
+# the stacked build against the per-matrix build and per-anchor loop it replaces
+
+
+def build_outcome(build):
+    """A build's model or model list, or its refusal as (type, tensor, anchor, message)."""
+    try:
+        return build()
+    except DegenerateMoments as exc:
+        return type(exc), exc.tensor, exc.anchor, str(exc)
+
+
+def assert_same_build(got, want):
+    """Equal refusals, or models of equal ranks whose tables agree to 1e-12 relative."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, list) == isinstance(want, list)
+    got, want = spectral._models(got), spectral._models(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.rank, g.anchor, g.pinv_rtol, g.n_o, g.ell) == (
+            w.rank, w.anchor, w.pinv_rtol, w.n_o, w.ell)
+        for name in ("d_tilde", "y_x", "o_tilde", "start_factor", "basis"):
+            a, b = getattr(g, name), getattr(w, name)
+            if name == "d_tilde":
+                a, b = a.data, b.data
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def moments_of(p, n, T, seed):
+    sched = build_schedule(p.n_x, p.n_d)
+    obs = sample_many(p, n, T, np.random.default_rng(seed))
+    return estimate_moments(obs, p.n_o, sched), obs
+
+
+@pytest.mark.parametrize("noise_floor", [False, True])
+def test_pooled_build_matches_the_per_matrix_build(noise_floor):
+    models = []
+    for p, n, T, seed in ((random_model(3, 2, 2, seed=60), 4000, 40, 60),
+                          (random_model(8, 3, 9, seed=1), 1000, 100, 61)):
+        m, _ = moments_of(p, n, T, seed)
+        got = build_outcome(lambda: build_observable(m, 1e-6, noise_floor=noise_floor))
+        assert_same_build(got, build_outcome(
+            lambda: build_observable_reference(m, 1e-6, noise_floor)))
+        models.append(got)
+    # the floor keeps fewer directions than the schedule needs
+    assert [m.rank for m in models] == ([2, 1] if noise_floor else [4, 27])
+
+
+def test_population_build_matches_the_per_matrix_build():
+    sched = build_schedule(4, 6)
+    kept = []
+    for seed in range(4):
+        m, _ = analytic_moments(random_model(5, 4, 6, seed=seed), sched, 20)
+        got = build_outcome(lambda: build_observable(m, 1e-12))
+        assert_same_build(got, build_outcome(lambda: build_observable_reference(m, 1e-12)))
+        kept.append(got.rank if isinstance(got, spectral.ObservableModel) else got[3])
+    # two full-rank builds at r = 24, and two refused for a short rank
+    assert kept[:2] == [24, 24] and all("< 24 at rtol 1e-12" in k for k in kept[2:])
+
+
+@pytest.mark.parametrize("noise_floor", [False, True])
+def test_per_anchor_build_matches_the_loop_of_pooled_builds(noise_floor):
+    p = random_model(3, 2, 2, seed=62)
+    obs = sample_many(p, 2000, 16, np.random.default_rng(62))
+    sched = build_schedule(2, 2)
+    got = build_observable_per_t(obs, 3, sched, 1e-6, noise_floor)
+    assert_same_build(got, build_observable_per_t_reference(obs, 3, sched, 1e-6, noise_floor))
+    assert len(got) == 11
+
+
+def test_per_anchor_build_pads_unequal_ranks_like_the_loop():
+    # the noise floor keeps 1 or 2 directions of m_lr (seed 1) or of m_oo (seed 2)
+    sched = build_schedule(2, 2)
+    for seed, field in ((1, "basis"), (2, "o_tilde")):
+        p = random_model(4, 2, 2, seed=seed)
+        obs = sample_many(p, 10_000, 14, np.random.default_rng(seed))
+        got = build_observable_per_t(obs, 4, sched, 1e-6, noise_floor=True)
+        assert_same_build(got, build_observable_per_t_reference(obs, 4, sched, 1e-6, True))
+        assert len({numerical_rank(getattr(m, field), 1e-8) for m in got}) == 2
+    # a stack forced to unequal ranks: population tables of two models, under a
+    # noise floor that keeps every direction of one and one direction of the other
+    full, short = (analytic_moments(random_model(3, 2, 2, seed=seed), sched, 20)[0]
+                   for seed in (66, 61))
+    sets = [full, short, full]
+    fields = ("m_lr", "m_lr_shift", "m_lro", "m_oo")
+    tables = [np.stack([getattr(m, f) for m in sets]) for f in fields] + [full.m_start]
+    counts = 10**8, 10**8
+    stack = spectral._build(tables, 3, sched, 1e-12, True, counts, first=4)
+    want = [
+        dataclasses.replace(
+            build_observable_reference(
+                dataclasses.replace(m, m_start=full.m_start, window_count=counts[0],
+                                    pair_count=counts[1]), 1e-12, True),
+            anchor=4 + i)
+        for i, m in enumerate(sets)
+    ]
+    assert_same_build(spectral._unstack(stack), want)
+    assert stack.ranks == [4, 1, 4] and stack.basis.shape == (3, 9, 4)
+
+
+def test_refusals_match_the_per_matrix_build_and_loop():
+    p = random_model(3, 2, 2, seed=64)
+    sched = build_schedule(2, 2)
+    m, _ = moments_of(p, 400, 20, 64)
+    zero = dataclasses.replace(m, **{f: np.zeros_like(getattr(m, f))
+                                     for f in ("m_lr", "m_lr_shift", "m_lro", "m_oo")})
+    pooled_cases = [
+        (zero, False),  # rank 0 below the joint rank
+        (dataclasses.replace(m, m_oo=np.zeros((3, 3))), False),  # a zero pair table
+        (dataclasses.replace(m, window_count=1), True),  # every m_lr direction under the floor
+        (dataclasses.replace(m, pair_count=1), True),  # every m_oo direction under the floor
+    ]
+    messages = []
+    for moments, floor in pooled_cases:
+        got = build_outcome(lambda: build_observable(moments, 1e-6, noise_floor=floor))
+        assert_same_build(got, build_outcome(
+            lambda: build_observable_reference(moments, 1e-6, floor)))
+        messages.append(got[1:])
+    assert messages == [
+        ("m_lr", None, "degenerate moment tensor m_lr: rank 0 < 4 at rtol 1e-06"),
+        ("m_oo", None, "degenerate moment tensor m_oo: zero matrix has no usable pseudo-inverse"),
+        ("m_lr", None, "degenerate moment tensor m_lr: all singular values truncated"),
+        ("m_oo", None, "degenerate moment tensor m_oo: all singular values truncated"),
+    ]
+    per_anchor_cases = [
+        # rank shortfall at the first anchor
+        (random_model(3, 2, 2, seed=6), 300, 12, 6, 0.9, False),
+        # every direction truncated after the floor, first at anchor 6
+        (random_model(5, 4, 6, seed=35), 2000, 30, 35, 1e-6, True),
+        # identical sequences: rank 1 at every anchor
+        (None, 50, 8, None, 1e-8, False),
+    ]
+    anchors = []
+    for p, n, T, seed, rtol, floor in per_anchor_cases:
+        if p is None:
+            obs, n_o, sched = [np.array([0, 1] * (T // 2))] * n, 2, build_schedule(2, 2)
+        else:
+            obs = sample_many(p, n, T, np.random.default_rng(seed))
+            n_o, sched = p.n_o, build_schedule(p.n_x, p.n_d)
+        got = build_outcome(lambda: build_observable_per_t(obs, n_o, sched, rtol, floor))
+        assert_same_build(got, build_outcome(
+            lambda: build_observable_per_t_reference(obs, n_o, sched, rtol, floor)))
+        anchors.append(got[2])
+    assert anchors == [2, 6, 2]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hsmm_spectral.tensors import (
-    InvalidModePartition,
     InvalidTolerance,
     NamedTensor,
     ShapeMismatch,
@@ -16,8 +15,6 @@ from oracles import loop_khatri_rao
 def test_construction_rejects_bad_input():
     with pytest.raises(ShapeMismatch):
         NamedTensor(np.zeros((2, 3)), ["a"])
-    with pytest.raises(InvalidModePartition):
-        NamedTensor(np.zeros((2, 2)), ["a", "a"])
     with pytest.raises(Exception):
         NamedTensor(np.array([np.nan, 1.0]), ["a"])
 
