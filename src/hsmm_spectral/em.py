@@ -1,40 +1,43 @@
 """Explicit-duration EM baseline (forward-backward on the joint lattice).
 
-The E-step runs a scaled forward-backward recursion over the joint
-``(x, d)`` pairs, vectorized across equal-length sequences.  Transitions
-with ``d > 1`` are deterministic and carry no parameter information, so the
-M-step only accumulates renewal statistics (transitions and duration draws
-out of ``d == 1``), the initial pair occupancy, and emission counts.  The
-initial duration is treated as a fresh renewal draw, matching the
-generative model's default prior.
+The E-step runs the scaled forward-backward recursion of Rabiner (1989) over
+the joint ``(x, d)`` pairs, vectorized across equal-length sequences.
+Transitions with ``d > 1`` are deterministic and carry no parameter
+information, so the M-step only accumulates renewal statistics (transitions
+and duration draws out of ``d == 1``), the initial pair occupancy, and
+emission counts.  The initial duration is treated as a fresh renewal draw,
+matching the generative model's default prior.
 
-The time loops carry only the recursions: the forward loop scales and
-propagates ``alpha``; the backward loop turns each step's emissions into
-``beta[t+1] * E[t+1] / scale[t+1]`` in place and multiplies that by the
-transition matrix.  Every sufficient statistic is then formed once per
-chunk over all its steps and sequences: one ``(S, n_x)`` matmul holds both
-renewal tables, one matmul folds the posterior over durations, and a
-``bincount`` per state gives the emission counts.  Per step of a sequence a
-chunk holds three joint-space rows (emissions, ``alpha``, and ``beta``,
-which becomes the posterior), the folded posterior, and three scalars;
-:func:`_chunked` sizes chunks so that all of it stays within
+Each forward step is one matmul and one emission multiply.  The message is
+divided by its row mass only every :data:`RESCALE_EVERY` steps; after the
+loop one matmul against a ones column reads every step's row mass, and the
+per-step recursion's scales, the log likelihood and the renewal block of the
+normalised ``alpha`` follow from those masses.  A chunk whose row mass falls
+under :data:`MASS_FLOOR` between divisions is redone dividing at every step.
+The backward loop turns each step's emissions into ``beta[t+1] * E[t+1] /
+scale[t+1]`` in place and multiplies that by the transition matrix.  Every
+sufficient statistic is then formed once per chunk over all its steps and
+sequences: one ``(S, n_x)`` matmul holds both renewal tables, one matmul
+folds the posterior over durations, and a ``bincount`` per state gives the
+emission counts.
+
+A pass takes and returns plain ``(O, X, D, pi_x)`` arrays: the joint kernel
+comes from tables of the lattice made once per fit, and an
+:class:`HsmmParams` is made only for each restart's result.  Per step of a
+sequence a chunk holds three joint-space rows (emissions, ``alpha``, and
+``beta``, which becomes the posterior), the folded posterior, and three
+scalars; :func:`_chunked` sizes chunks so that all of it stays within
 :data:`CHUNK_ENTRIES` float64 entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hsmm import (
-    HsmmParams,
-    InvalidModel,
-    forward_loglik_batch,
-    initial_joint,
-    joint_transition_matrix,
-)
+from .hsmm import HsmmParams, InvalidModel, forward_loglik_batch
 
 
 class MonotonicityViolation(Exception):
@@ -68,60 +71,107 @@ def _random_init(n_o: int, n_x: int, n_d: int, rng) -> HsmmParams:
 
 def _normalize_columns(acc: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     sums = acc.sum(axis=0)
-    out = fallback.copy()
-    good = sums > 0
-    out[:, good] = acc[:, good] / sums[good]
-    return out
+    return np.divide(acc, sums, out=fallback.copy(), where=sums > 0)
 
 
 # float64 entries one chunk of an EM pass may hold: 64 MB
 CHUNK_ENTRIES = 8_000_000
 
+# forward steps between divisions of the message by its row mass
+RESCALE_EVERY = 8
 
-def _chunked(groups, n_x: int, S: int):
+# least row mass a forward message may reach between divisions; under it the
+# chunk is redone dividing every step.  Above it, entries down to 2**-511 of
+# their row mass are still normal floats
+MASS_FLOOR = 2.0**-511
+
+
+class _Lattice(NamedTuple):
+    """Tables of the joint ``(x, d)`` space, made once per fit."""
+
+    states: np.ndarray  # [(d, x)] -> x: gathers O's columns onto the lattice
+    countdown: np.ndarray  # [(d - 1, x), (d, x)] = 1 for d > 1: V past renewals
+    fold: np.ndarray  # [(d, x), x]: sums a joint row over d
+    ones: np.ndarray  # (S, 1): row masses by matmul
+
+
+def _lattice(n_x: int, n_d: int) -> _Lattice:
+    S = n_x * n_d
+    return _Lattice(
+        states=np.tile(np.arange(n_x), n_d),
+        countdown=np.eye(S, k=n_x),
+        fold=np.tile(np.eye(n_x), (n_d, 1)),
+        ones=np.ones((S, 1)),
+    )
+
+
+def _chunked(groups, n_x: int, S: int) -> list[np.ndarray]:
     """Split sequence batches so a pass holds at most ``CHUNK_ENTRIES`` entries.
 
-    Per step of each sequence :func:`_em_pass` holds ``3 * S`` entries
-    (emissions, ``alpha``, ``beta``), ``n_x`` for the folded posterior and 3
-    for the scale, the posterior's norm and the symbol.  A chunk is at least
-    one sequence.
+    Chunks are time-major ``(T, n)`` copies.  Per step of each sequence
+    :func:`_expectations` holds ``3 * S`` entries (emissions, ``alpha``,
+    ``beta``), ``n_x`` for the folded posterior (before it, for the renewal
+    block of ``alpha``) and 3 for the scale, the row mass and the
+    posterior's norm.  A chunk is at least one sequence.
     """
     per_step = 3 * S + n_x + 3
+    chunks = []
     for obs in groups:
         n, T = obs.shape
         cap = max(1, CHUNK_ENTRIES // (T * per_step))
-        if n <= cap:
-            yield obs
-        else:
-            for start in range(0, n, cap):
-                yield obs[start : start + cap]
+        chunks.extend(obs[i : i + cap].T.copy() for i in range(0, n, cap))
+    return chunks
 
 
-def _expectations(obs, V, em, k1, fold):
-    """E-step over one chunk of equal-length sequences.
+def _forward(E, k1, VT, ones):
+    """Forward messages of one chunk, divided by their row mass only at times.
+
+    Returns the messages, each with its row mass, and each step's scale:
+    its message's mass over the previous step's normalised message, the
+    factor the per-step recursion divides by.  A message is divided every
+    :data:`RESCALE_EVERY` steps; if a row mass falls under
+    :data:`MASS_FLOOR` the chunk is redone dividing every step.
+    """
+    T, n, S = E.shape
+    alphas = np.empty_like(E)
+    for every in (RESCALE_EVERY, 1):
+        scales = np.ones((T, n, 1))  # the masses divided by, where divided
+        np.multiply(E[0], k1, out=alphas[0])
+        # a row that underflows to 0 divides 0 by 0; dividing every step, as
+        # the per-step recursion does, reports what is left
+        with np.errstate(invalid="ignore" if every > 1 else None):
+            for t in range(T):
+                a = alphas[t]
+                if t % every == 0:
+                    c = scales[t]
+                    np.matmul(a, ones, out=c)
+                    a /= c
+                if t < T - 1:
+                    b = alphas[t + 1]
+                    np.matmul(a, VT, out=b)
+                    b *= E[t + 1]
+        mass = (alphas.reshape(T * n, S) @ ones).reshape(T, n, 1)
+        scales *= mass  # each step's mass before any division
+        if every == 1 or scales.min() >= MASS_FLOOR:
+            break
+    scales[1:] /= mass[:-1]
+    return alphas, mass, scales
+
+
+def _expectations(obsT, V, VT, em, k1, lat):
+    """E-step over one time-major chunk of equal-length sequences.
 
     Returns the log likelihood, the renewal products ``[(d', x'), x]`` (each
-    step's ``beta * E / scale`` against the ``d == 1`` block of ``alpha``),
-    the emission counts ``[symbol, x]`` and the first step's posterior
-    summed over sequences.  Its arrays are freed on return, before the next
-    chunk allocates its own.
+    step's ``beta * E / scale`` against the ``d == 1`` block of the
+    normalised ``alpha``), the emission counts ``[symbol, x]`` and the first
+    step's posterior summed over sequences.  Its arrays are freed on return,
+    before the next chunk allocates its own.
     """
-    n, T = obs.shape
+    T, n = obsT.shape
     n_o, S = em.shape
-    n_x = fold.shape[1]
-    VT = V.T
-    E = np.take(em, obs.T, axis=0)  # (T, n, S)
-    alphas = np.empty_like(E)
-    scales = np.empty((T, n, 1))
-    np.multiply(E[0], k1, out=alphas[0])
-    for t in range(T):
-        a, c = alphas[t], scales[t]
-        a.sum(axis=1, keepdims=True, out=c)
-        a /= c
-        if t < T - 1:
-            b = alphas[t + 1]
-            np.matmul(a, VT, out=b)
-            b *= E[t + 1]
+    n_x = lat.fold.shape[1]
+    E = np.take(em, obsT, axis=0)  # (T, n, S)
+    alphas, mass, scales = _forward(E, k1, VT, lat.ones)
     loglik = float(np.sum(np.log(scales)))
     # E[t + 1] becomes bnext[t] = beta[t + 1] * E[t + 1] / scale[t + 1]
     E[1:] /= scales[1:]
@@ -132,12 +182,18 @@ def _expectations(obs, V, em, k1, fold):
         b *= betas[t + 1]
         np.matmul(b, V, out=betas[t])
     rows = (T - 1) * n
-    renew = E[1:].reshape(rows, S).T @ alphas[:-1, :, :n_x].reshape(rows, n_x)
+    # the d == 1 block of the normalised alpha as [x, (t, sequence)]: written
+    # row-major, the division runs along (t, sequence) instead of along x
+    a1 = np.empty((n_x, rows))
+    np.divide(alphas[:-1, :, :n_x].reshape(rows, n_x).T, mass[:-1].ravel(), out=a1)
+    renew = E[1:].reshape(rows, S).T @ a1.T
+    del a1  # gx below takes its place
+    # the posterior up to each row's mass, which the norm below removes
     gamma = np.multiply(alphas, betas, out=betas).reshape(T * n, S)
-    gx = fold.T @ gamma.T  # [x, (t, sequence)]: posterior summed over d
-    norm = gx.sum(axis=0)  # 1 up to the recursions' rounding, which this removes
+    gx = lat.fold.T @ gamma.T  # [x, (t, sequence)]: posterior summed over d
+    norm = gx.sum(axis=0)
     gx /= norm
-    symbols = obs.T.ravel()
+    symbols = obsT.ravel()
     counts = np.stack(
         [np.bincount(symbols, weights=g, minlength=n_o) for g in gx], axis=1
     )
@@ -145,33 +201,38 @@ def _expectations(obs, V, em, k1, fold):
     return loglik, renew, counts, gamma0
 
 
-def _em_pass(p: HsmmParams, groups) -> tuple[HsmmParams, float]:
-    """One E+M step over sequence groups; returns (updated, loglik before)."""
-    n_x, n_d = p.n_x, p.n_d
-    V = joint_transition_matrix(p)
-    em = np.concatenate([p.O] * n_d, axis=1)  # [symbol, (x, d)]
-    k1 = initial_joint(p)
-    fold = np.tile(np.eye(n_x), (n_d, 1))  # [(d, x), x]: sums over d
-    chunks = _chunked(groups, n_x, p.n_joint)
-    stats = [_expectations(obs, V, em, k1, fold) for obs in chunks]
+def _em_pass(params, first, chunks, lat):
+    """One E+M step; returns the updated ``(O, X, D, pi_x)`` and the loglik before.
+
+    ``params`` are the current ``(O, X, D, pi_x)`` arrays and ``first`` the
+    table the first duration is drawn from (``D`` after the first pass).
+    """
+    O, X, D, pi = params
+    n_d, n_x = D.shape
+    block = D[:, :, None] * X  # [d', x', x]: renewal out of (x, 1) into (x', d')
+    V = lat.countdown.copy()
+    V[:, :n_x] = block.reshape(n_d * n_x, n_x)
+    em = O.take(lat.states, axis=1)  # [symbol, (d, x)]
+    k1 = (first * pi).ravel()
+    VT = V.T.copy()  # both layouts contiguous: matmul is slower on a transposed view
+    stats = [_expectations(obs, V, VT, em, k1, lat) for obs in chunks]
     loglik, renew, o_acc, gamma0 = (sum(parts) for parts in zip(*stats))
-    # x_acc[x', x] = X[x', x] sum_d' D[d', x'] r[d', x', x] and
-    # d_acc[d', x'] = D[d', x'] sum_x X[x', x] r[d', x', x], plus the first step
-    r = renew.reshape(n_d, n_x, n_x)  # [d', x', x]
-    x_acc = p.X * (r * p.D[:, :, None]).sum(axis=0)
-    d_acc = p.D * (r * p.X).sum(axis=2) + gamma0.reshape(n_d, n_x)
-    pi_acc = gamma0.reshape(n_d, n_x).sum(axis=0)
-    updated = HsmmParams(
-        O=_normalize_columns(o_acc, p.O),
-        X=_normalize_columns(x_acc, p.X),
-        D=_normalize_columns(d_acc, p.D),
-        pi_x=pi_acc / pi_acc.sum() if pi_acc.sum() > 0 else p.pi_x,
+    # q[d', x', x] = r[d', x', x] D[d', x'] X[x', x], the expected renewals out
+    # of x into (x', d'): summed over d' it is X's count, over x D's
+    q = renew.reshape(n_d, n_x, n_x) * block
+    g0 = gamma0.reshape(n_d, n_x)
+    pi_acc = g0.sum(axis=0)
+    updated = (
+        _normalize_columns(o_acc, O),
+        _normalize_columns(q.sum(axis=0), X),
+        _normalize_columns(q.sum(axis=2) + g0, D),
+        pi_acc / pi_acc.sum() if pi_acc.sum() > 0 else pi,
     )
     return updated, loglik
 
 
-def _loglik(p: HsmmParams, groups) -> float:
-    return sum(float(forward_loglik_batch(p, obs).sum()) for obs in groups)
+def _loglik(p: HsmmParams, chunks) -> float:
+    return sum(float(forward_loglik_batch(p, obsT.T).sum()) for obsT in chunks)
 
 
 def em_fit(
@@ -187,24 +248,35 @@ def em_fit(
     The trace holds the log likelihood evaluated *before* each update and is
     non-decreasing up to a 1e-9 relative guard, violation of which raises
     :class:`MonotonicityViolation`.  With ``init`` given, a single run
-    starts from those parameters instead of random restarts.  A symbol
-    outside ``[0, n_o)`` raises ``ValueError``.
+    starts from those parameters instead of random restarts; an ``init`` of
+    another ``(n_o, n_x, n_d)`` raises :class:`InvalidModel`.  A symbol
+    outside ``[0, n_o)`` or an empty sequence raises ``ValueError``.
     """
     if n_x < 1 or n_d < 1:
         raise InvalidModel(f"n_x={n_x} and n_d={n_d} must be at least 1")
     if n_x > n_o:
         raise InvalidModel(f"n_x={n_x} exceeds n_o={n_o}")
+    if init is not None and (init.n_o, init.n_x, init.n_d) != (n_o, n_x, n_d):
+        raise InvalidModel(
+            f"init has (n_o, n_x, n_d) = {(init.n_o, init.n_x, init.n_d)}, "
+            f"expected {(n_o, n_x, n_d)}"
+        )
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
     if not seqs:
         raise InvalidModel("no training sequences")
     by_len: dict[int, list[np.ndarray]] = {}
-    for s in seqs:
+    for i, s in enumerate(seqs):
+        if not s.size:
+            raise ValueError(f"sequence {i} is empty")
         by_len.setdefault(s.shape[0], []).append(s)
     groups = [np.stack(v) for v in by_len.values()]
     for obs in groups:
         bad = obs[(obs < 0) | (obs >= n_o)]
         if bad.size:
             raise ValueError(f"symbol {bad[0]} outside alphabet of size {n_o}")
+    chunks = _chunked(groups, n_x, n_x * n_d)
+    del groups  # the chunks hold copies
+    lat = _lattice(n_x, n_d)
 
     rng = np.random.default_rng(cfg.seed)
     inits = (
@@ -215,9 +287,9 @@ def em_fit(
     best: tuple[float, HsmmParams, np.ndarray] | None = None
     for p in inits:
         trace = []
-        current = p
+        params, first = (p.O, p.X, p.D, p.pi_x), p.initial_duration_table()
         for _ in range(cfg.max_iter):
-            updated, ll = _em_pass(current, groups)
+            updated, ll = _em_pass(params, first, chunks, lat)
             if trace:
                 slack = 1e-9 * max(1.0, abs(trace[-1]))
                 if ll < trace[-1] - slack:
@@ -226,10 +298,12 @@ def em_fit(
                     )
             improved = not trace or (ll - trace[-1]) > cfg.tol * abs(trace[-1])
             trace.append(ll)
-            current = updated
+            params, first = updated, updated[2]
             if not improved and len(trace) > 1:
                 break
-        final_ll = _loglik(current, groups)
+        O, X, D, pi_x = params
+        current = HsmmParams(O=O, X=X, D=D, pi_x=pi_x)
+        final_ll = _loglik(current, chunks)
         trace.append(final_ll)
         if best is None or final_ll > best[0]:
             best = (final_ll, current, np.array(trace))

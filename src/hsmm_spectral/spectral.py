@@ -214,7 +214,7 @@ def _solve(
     pad = np.arange(r) >= keep[:, None]
     w = u[:, :, :r].swapaxes(1, 2) / np.where(pad, 1.0, s[:, :r])[:, :, None]
     ys = [w @ b for b in rhs]
-    v = vt[:, :r]
+    v = vt[:, :r].copy()  # a view would keep all of vt alive with the model
     for y in (v, *ys):
         y[pad] = 0.0
     return v.swapaxes(1, 2), ys

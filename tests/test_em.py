@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -119,12 +120,38 @@ def test_symbols_outside_the_alphabet_are_refused():
             em_fit(seqs, 3, 2, 2, EmConfig(max_iter=2, restarts=1))
 
 
+def test_an_empty_sequence_is_refused():
+    seqs = [np.array([0, 1, 2]), np.array([], dtype=int)]
+    with pytest.raises(ValueError, match="sequence 1 is empty"):
+        em_fit(seqs, 3, 2, 2, EmConfig(max_iter=3, restarts=1))
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 2), (3, 3, 2), (3, 2, 3)])
+def test_an_init_of_another_shape_is_refused(shape):
+    from hsmm_spectral.hsmm import InvalidModel
+
+    init = random_model(*shape, seed=12)
+    seqs = [np.array([0, 1, 2, 1, 0])]
+    message = f"init has (n_o, n_x, n_d) = {shape}, expected (3, 2, 2)"
+    with pytest.raises(InvalidModel, match=re.escape(message)):
+        em_fit(seqs, 3, 2, 2, EmConfig(max_iter=3), init=init)
+
+
 # ---------------------------------------------------------------------------
 # the whole-array pass against the per-step reference pass
 
 
+def run_pass(p, groups):
+    """``em._em_pass`` on a model and sequence groups, as ``em_fit`` calls it."""
+    chunks = em._chunked(groups, p.n_x, p.n_joint)
+    lat = em._lattice(p.n_x, p.n_d)
+    params = (p.O, p.X, p.D, p.pi_x)
+    (O, X, D, pi_x), ll = em._em_pass(params, p.initial_duration_table(), chunks, lat)
+    return HsmmParams(O=O, X=X, D=D, pi_x=pi_x), ll
+
+
 def assert_same_pass(p, groups):
-    got, ll = em._em_pass(p, groups)
+    got, ll = run_pass(p, groups)
     want, ll_ref = em_pass_reference(p, groups)
     assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
     for field in ("O", "X", "D", "pi_x"):
@@ -156,7 +183,7 @@ def test_pass_matches_reference_when_a_state_sees_no_symbol():
     O[:, 1] = [0.0, 0.0, 0.0, 1.0]
     p = HsmmParams(O=O, X=p.X, D=p.D, pi_x=p.pi_x)
     assert_same_pass(p, [obs])
-    updated, _ = em._em_pass(p, [obs])
+    updated, _ = run_pass(p, [obs])
     for field in ("O", "X", "D"):
         assert np.array_equal(getattr(updated, field)[:, 1], getattr(p, field)[:, 1])
 
@@ -166,8 +193,27 @@ def test_pass_matches_reference_over_several_chunks(monkeypatch):
     obs = sample_many(truth, 40, 12, np.random.default_rng(5))
     # 3 * 4 + 2 + 3 = 17 entries per step: 12 sequences of 12 steps a chunk
     monkeypatch.setattr(em, "CHUNK_ENTRIES", 17 * 12 * 12)
-    assert [c.shape[0] for c in em._chunked([obs], 2, 4)] == [12, 12, 12, 4]
+    chunks = em._chunked([obs], 2, 4)
+    assert [c.shape for c in chunks] == [(12, 12)] * 3 + [(12, 4)]
+    assert np.array_equal(np.concatenate(chunks, axis=1), obs.T)
     assert_same_pass(em._random_init(4, 2, 2, np.random.default_rng(6)), [obs])
+
+
+@pytest.mark.parametrize("exponent", [-100, -318 / em.RESCALE_EVERY])
+def test_pass_matches_reference_when_every_step_is_improbable(exponent):
+    # every state emits the observed symbol 0 with probability 10**exponent,
+    # so each step's mass is about that.  Over the steps between divisions
+    # the mass underflows to 0 (-100) or into the subnormal floats, where it
+    # loses precision (-318 / RESCALE_EVERY): the chunk is redone dividing
+    # at every step, as the reference does
+    p = em._random_init(3, 2, 3, np.random.default_rng(11))
+    tiny = 10.0**exponent
+    O = np.array([[tiny, tiny], [0.6, 0.3], [0.4 - tiny, 0.7 - tiny]])
+    p = HsmmParams(O=O, X=p.X, D=p.D, pi_x=p.pi_x)
+    obs = np.zeros((6, 2 * em.RESCALE_EVERY + 3), dtype=np.int64)
+    assert_same_pass(p, [obs])
+    _, ll = run_pass(p, [obs])
+    assert ll < obs.size * (exponent + 1) * np.log(10)
 
 
 def test_fit_follows_the_reference_pass(monkeypatch):
@@ -177,12 +223,19 @@ def test_fit_follows_the_reference_pass(monkeypatch):
     rng = np.random.default_rng(7)
     seqs = [*sample_many(truth, 30, 25, rng), *sample_many(truth, 10, 9, rng)]
     cfg = EmConfig(seed=8)
+
+    def reference(params, first, chunks, lat):
+        O, X, D, pi_x = params
+        p = HsmmParams(O=O, X=X, D=D, pi_x=pi_x, pi_d=first)
+        updated, ll = em_pass_reference(p, [obsT.T for obsT in chunks])
+        return (updated.O, updated.X, updated.D, updated.pi_x), ll
+
     runs = []
-    for em_pass in (em._em_pass, em_pass_reference):
+    for em_pass in (em._em_pass, reference):
         passes = []
 
-        def logged(p, groups, em_pass=em_pass, passes=passes):
-            updated, ll = em_pass(p, groups)
+        def logged(*args, em_pass=em_pass, passes=passes):
+            updated, ll = em_pass(*args)
             passes.append(ll)
             return updated, ll
 
@@ -199,12 +252,14 @@ def test_pass_working_set_stays_within_the_chunk_cap():
     # 3 * 4 + 2 + 3 = 17 entries per step: 4705 sequences of 100 steps fit
     # in a chunk of 8,000,000 entries, so 9000 sequences take two chunks
     truth = random_model(3, 2, 2, seed=9)
-    groups = [sample_many(truth, 9000, 100, np.random.default_rng(9))]
-    assert len(list(em._chunked(groups, 2, 4))) == 2
+    obs = sample_many(truth, 9000, 100, np.random.default_rng(9))
+    chunks = em._chunked([obs], 2, 4)
+    assert len(chunks) == 2
     p = em._random_init(3, 2, 2, np.random.default_rng(10))
+    lat = em._lattice(2, 2)
     tracemalloc.start()
     try:
-        em._em_pass(p, groups)
+        em._em_pass((p.O, p.X, p.D, p.pi_x), p.D, chunks, lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1090,6 +1090,31 @@ def test_per_anchor_build_matches_the_loop_of_pooled_builds(noise_floor):
     assert len(got) == 11
 
 
+def owned_bytes(a):
+    """Bytes of the array that finally owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a.nbytes
+
+
+def test_a_basis_owns_only_its_kept_directions(monkeypatch):
+    # a view of vt would keep all A * k * k floats of m_lr's decomposition
+    stacks = []
+    unstack = spectral._unstack
+    monkeypatch.setattr(spectral, "_unstack", lambda s: stacks.append(s) or unstack(s))
+    m, _ = moments_of(random_model(8, 3, 9, seed=1), 1000, 100, 61)
+    pooled = build_observable(m, 1e-6, noise_floor=True)
+    p = random_model(3, 2, 2, seed=62)
+    obs = sample_many(p, 2000, 16, np.random.default_rng(62))
+    per_anchor = build_observable_per_t(obs, 3, build_schedule(2, 2), 1e-6)
+    assert pooled.basis.shape == (512, 1) and len(per_anchor) == 11
+    for stack, models in zip(stacks, ([pooled], per_anchor)):
+        a, k, r = stack.basis.shape
+        assert owned_bytes(stack.basis) <= 8 * a * k * r
+        for model in models:
+            assert owned_bytes(model.basis) <= 8 * a * k * r
+
+
 def test_per_anchor_build_pads_unequal_ranks_like_the_loop():
     # the noise floor keeps 1 or 2 directions of m_lr (seed 1) or of m_oo (seed 2)
     sched = build_schedule(2, 2)
