@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hsmm import HsmmParams, InvalidModel, forward_loglik_batch
+from .hsmm import HsmmParams, InvalidModel, SequenceFile, forward_loglik_batch
 
 
 class MonotonicityViolation(Exception):
@@ -250,7 +250,8 @@ def em_fit(
     :class:`MonotonicityViolation`.  With ``init`` given, a single run
     starts from those parameters instead of random restarts; an ``init`` of
     another ``(n_o, n_x, n_d)`` raises :class:`InvalidModel`.  A symbol
-    outside ``[0, n_o)`` or an empty sequence raises ``ValueError``.
+    outside ``[0, n_o)``, one that is not an integer, or an empty sequence
+    raises ``ValueError``.
     """
     if n_x < 1 or n_d < 1:
         raise InvalidModel(f"n_x={n_x} and n_d={n_d} must be at least 1")
@@ -261,7 +262,7 @@ def em_fit(
             f"init has (n_o, n_x, n_d) = {(init.n_o, init.n_x, init.n_d)}, "
             f"expected {(n_o, n_x, n_d)}"
         )
-    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    seqs = list(SequenceFile.of(sequences))
     if not seqs:
         raise InvalidModel("no training sequences")
     by_len: dict[int, list[np.ndarray]] = {}

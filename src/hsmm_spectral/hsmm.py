@@ -539,19 +539,33 @@ class SequenceFile(Sequence):
         """The stream of ``sequences``: itself, a 2-D array's rows, or 1-D arrays.
 
         A C-contiguous int64 2-D array is viewed, not copied; a list of
-        arrays is concatenated once.
+        arrays is concatenated once.  Integer symbols are taken as they are;
+        any other symbol must be a finite integral value.  ``ValueError``
+        names the sequence of the first one that is not, or of an item that
+        is not 1-D.
         """
         if isinstance(sequences, cls):
             return sequences
         if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
             n, T = sequences.shape
-            values = np.ascontiguousarray(sequences, dtype=np.int64).reshape(-1)
-            return cls(values, np.arange(n + 1, dtype=np.int64) * T)
-        seqs = [np.asarray(s) for s in sequences]
-        offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
-        np.cumsum(np.array([s.shape[0] for s in seqs], dtype=np.int64), out=offsets[1:])
-        values = np.concatenate(seqs) if seqs else np.zeros(0)
-        return cls(values.astype(np.int64, copy=False), offsets)
+            values, offsets = sequences.reshape(-1), np.arange(n + 1, dtype=np.int64) * T
+        else:
+            seqs = [np.asarray(s) for s in sequences]
+            for i, s in enumerate(seqs):
+                if s.ndim != 1:
+                    raise ValueError(f"sequence {i} has shape {s.shape}, need one axis")
+            offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
+            np.cumsum(np.array([s.shape[0] for s in seqs], dtype=np.int64), out=offsets[1:])
+            values = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+        if values.dtype.kind not in "biu":
+            with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are refused below
+                ints = values.astype(np.int64)
+            bad = np.flatnonzero(ints != values)
+            if bad.size:
+                row = np.searchsorted(offsets, bad[0], side="right") - 1
+                raise ValueError(f"sequence {row}: symbol {values[bad[0]]} is not an integer")
+            values = ints
+        return cls(np.ascontiguousarray(values, dtype=np.int64), offsets)
 
     @property
     def lengths(self) -> np.ndarray:

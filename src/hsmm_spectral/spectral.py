@@ -19,14 +19,14 @@ likelihood; with finite samples it is a consistent estimator whose values
 may leave [0, 1], so results carry a sign and a log magnitude.
 
 The build solves in a rank-``r`` space with orthonormal basis ``V``
-(``basis``), so ``d_tilde = V Y_d`` and ``x_tilde = V Y_x``.  The model holds
-``d_tilde``, ``o_tilde``, ``start_factor``, ``V`` and the ``r x k x n_o``
-coefficients ``Y_x`` (``y_x``); ``x_tilde`` is derived on demand and never
-formed by the build, loading or inference.  Each symbol folds into one
-``r x r`` observable operator ``B_o = G core[o]`` (Hsu, Kakade & Zhang, "A
-spectral algorithm for learning hidden Markov models"), built in ``r``
-space from the transfer ``G = (V' d_tilde) V`` and
-``core[o] = sum_s o_tilde[s, o] Y_x[:, :, s] V``.  :func:`infer`,
+(``basis``), so the window-space tables are ``V Y_d`` (``k x k``) and
+``x_tilde = V Y_x``.  The model holds only the coefficients: ``Y_d``
+(``r x k``), ``Y_x`` (``y_x``, ``r x k x n_o``), ``o_tilde``,
+``start_factor`` and ``V``; no ``k x k`` table is formed by the build,
+loading or inference.  Each symbol folds into one ``r x r`` observable
+operator ``B_o = G core[o]`` (Hsu, Kakade & Zhang, "A spectral algorithm
+for learning hidden Markov models"), built from the transfer ``G = Y_d V``
+and ``core[o] = sum_s o_tilde[s, o] Y_x[:, :, s] V``.  :func:`infer`,
 :func:`infer_batch` and :func:`score_sequences` take a pooled model or a
 per-anchor list alike, refuse the same rows with the same errors, and run
 one batched kernel over the ragged sequence stream.  The kernel moves the
@@ -45,7 +45,8 @@ a list is stacked first (one model as views of its tables, without
 copies), and the CLI builds from the file's stack without making
 per-anchor model objects.
 Every model table is a plain read-only float64 array (for a built or
-loaded model, a view of its stack) except ``d_tilde``, a ``NamedTensor``.
+loaded model, a view of its stack), and a model's ``d_tilde`` is a
+``NamedTensor`` view of its ``Y_d``.
 
 The pseudo-inverse products are float64 truncated-SVD solves.  Each
 stacked moment table is decomposed once for all anchors, and each anchor's
@@ -125,13 +126,13 @@ class ModelStack:
     """A pooled model or a per-anchor list in the model file's layout.
 
     Every table but the shared start table carries a leading axis of ``A``
-    anchors (one for a pooled model), and ``y_x`` and ``basis`` are
+    anchors (one for a pooled model), and ``y_d``, ``y_x`` and ``basis`` are
     zero-padded from each anchor's rank to the largest, ``r``.  It is what
     :func:`save_observable` writes and :func:`_read_stack` reads, and the
     one form :func:`_operators` builds from.
     """
 
-    d_tilde: np.ndarray  # (A, k, k)
+    y_d: np.ndarray  # (A, r, k): anchor a's k x k transfer is basis[a] @ y_d[a]
     y_x: np.ndarray  # (A, r, k, n_o)
     o_tilde: np.ndarray  # (A, n_o, n_o)
     start_factor: np.ndarray  # (n_o, n_o, k)
@@ -148,16 +149,18 @@ class ModelStack:
 class ObservableModel:
     """A learned model in its rank-``r`` form: pooled, or one anchor's if ``anchor`` is set.
 
-    Every array is read-only.  ``x_tilde = basis @ y_x`` is derived on
-    demand (``k x k x n_o``, for reference checks only).
+    Every array is read-only.  ``d_tilde`` holds the transfer's
+    coefficients ``Y_d`` (``r x k``, labelled ``("r", "or")``), so the
+    window-space transfer is ``basis @ d_tilde.data``.  ``x_tilde = basis @
+    y_x`` is derived on demand (``k x k x n_o``, for reference checks only).
     """
 
-    # NamedTensor in k space: the benchmark replaces it through dataclasses.replace
-    d_tilde: NamedTensor
+    # a NamedTensor under its old name: the benchmark replaces it through dataclasses.replace
+    d_tilde: NamedTensor  # (r, k): the transfer's coefficients Y_d in the basis
     y_x: np.ndarray  # (r, k, n_o): x_tilde's coefficients in the basis
     o_tilde: np.ndarray  # (n_o, n_o)
     start_factor: np.ndarray  # (n_o, n_o, k)
-    basis: np.ndarray  # (k, r) orthonormal; d_tilde = basis @ (...)
+    basis: np.ndarray  # (k, r) orthonormal
     pinv_rtol: float
     n_o: int
     ell: int
@@ -267,7 +270,7 @@ def _build(
     basis, (y_d, y_x) = _solve(lr_svd, [lr_shift, lro.reshape(a, k, k * n_o)], keep)
     v_oo, (y_o,) = _solve(oo_svd, [oo.swapaxes(1, 2)], keep_oo)
     return ModelStack(
-        d_tilde=read_only(basis @ y_d), y_x=read_only(y_x.reshape(a, -1, k, n_o)),
+        y_d=read_only(y_d), y_x=read_only(y_x.reshape(a, -1, k, n_o)),
         o_tilde=read_only(v_oo @ y_o), start_factor=start, basis=read_only(basis),
         ranks=keep.tolist(), first=1 if first is None else first, pooled=first is None,
         n_o=n_o, ell=sched.ell, rtol=rtol,
@@ -398,15 +401,15 @@ def _stack(model: ObservableModel | Sequence[ObservableModel]) -> ModelStack:
     ranks = [m.rank for m in models]
     m = models[0]
     if len(models) == 1:
-        d_tilde, y_x = m.d_tilde.data[None], m.y_x[None]
+        y_d, y_x = m.d_tilde.data[None], m.y_x[None]
         o_tilde, basis = m.o_tilde[None], m.basis[None]
     else:
-        d_tilde = np.stack([mm.d_tilde.data for mm in models])
+        y_d = _padded([mm.d_tilde.data for mm in models], 0, max(ranks))
         y_x = _padded([mm.y_x for mm in models], 0, max(ranks))
         o_tilde = np.stack([mm.o_tilde for mm in models])
         basis = _padded([mm.basis for mm in models], 1, max(ranks))
     return ModelStack(
-        d_tilde=d_tilde, y_x=y_x, o_tilde=o_tilde, start_factor=m.start_factor,
+        y_d=y_d, y_x=y_x, o_tilde=o_tilde, start_factor=m.start_factor,
         basis=basis, ranks=ranks, first=first, pooled=m.anchor is None, n_o=m.n_o,
         ell=m.ell, rtol=m.pinv_rtol,
     )
@@ -416,7 +419,7 @@ def _unstack(stack: ModelStack) -> list[ObservableModel]:
     """One model per anchor of a stack (a pooled stack's one pooled model), as views."""
     return [
         ObservableModel(
-            d_tilde=NamedTensor(stack.d_tilde[i], ["or_in", "or"]),
+            d_tilde=NamedTensor(stack.y_d[i, :rank], ["r", "or"]),
             y_x=stack.y_x[i, :rank],
             o_tilde=stack.o_tilde[i],
             start_factor=stack.start_factor,
@@ -434,19 +437,18 @@ def _operators(stack: ModelStack) -> Operators:
     """A model stack as :class:`Operators`.
 
     Table ``c`` holds ``G_c core_q[o]`` and closes with ``G_c close_q``, where
-    ``G_c = (V_p' d_tilde_p) V_q`` and ``close_q = Y_x,q.sum(axis=1) @ o_tilde_q``.
+    ``G_c = Y_d,p V_q`` and ``close_q = Y_x,q.sum(axis=1) @ o_tilde_q``.
     The zero padding past an anchor's rank gives zero rows and columns.
     """
     basis, y_x, o_tilde = stack.basis, stack.y_x, stack.o_tilde
     a, r = y_x.shape[:2]
-    left = basis.swapaxes(1, 2) @ stack.d_tilde
     # y_x[a, j].T @ basis[a] for every anchor a and row j: (A, r, n_o, r)
     yv = y_x.swapaxes(2, 3) @ basis[:, None]
     core = (o_tilde.swapaxes(1, 2)[:, None] @ yv).swapaxes(1, 2)
     close = y_x.sum(axis=2) @ o_tilde
     c = np.arange(a + 1)
     q = np.minimum(c, a - 1)
-    transfer = left[np.maximum(c - 1, 0)] @ basis[q]
+    transfer = stack.y_d[np.maximum(c - 1, 0)] @ basis[q]
     identity = np.broadcast_to(np.eye(r), (a + 1, 1, r, r))
     return Operators(
         stack.start_factor @ basis[0],
@@ -611,7 +613,7 @@ def infer_batch(model: ObservableModel | Sequence[ObservableModel], obs) -> list
 
 def infer(model: ObservableModel | Sequence[ObservableModel], obs: Sequence[int]) -> InferenceResult:
     """Probability estimate of one observation sequence (a batch of one)."""
-    return infer_batch(model, np.asarray(obs, dtype=np.int64)[None, :])[0]
+    return infer_batch(model, [obs])[0]
 
 
 infer_per_t = infer  # a per-anchor list is a model infer takes
@@ -722,9 +724,9 @@ def save_observable(path, model) -> None:
     """Persist a pooled model or a per-anchor model list in one layout.
 
     A model without an anchor is pooled (``variant`` ``batched``).  The file
-    holds the model's :class:`ModelStack`: ``d_tilde``, ``y_x``, ``o_tilde``
-    and ``basis`` with a leading anchor axis, the last two zero-padded to the
-    largest of the field ``ranks``, and the shared ``start_factor`` once.
+    holds the model's :class:`ModelStack`: ``y_d``, ``y_x``, ``o_tilde`` and
+    ``basis`` with a leading anchor axis, all but ``o_tilde`` zero-padded to
+    the largest of the field ``ranks``, and the shared ``start_factor`` once.
     """
     stack = _stack(model)
     meta = {
@@ -737,7 +739,7 @@ def save_observable(path, model) -> None:
     }
     write_container(path, "observable-model", meta, [
         (name, getattr(stack, name))
-        for name in ("d_tilde", "y_x", "o_tilde", "start_factor", "basis")
+        for name in ("y_d", "y_x", "o_tilde", "start_factor", "basis")
     ])
 
 
@@ -776,16 +778,17 @@ def _read_stack(path) -> ModelStack:
     # an anchor is a sequence position, which the chain holds in int64
     first = _integer("first_anchor", _entry(meta, "first_anchor", "field"), 1, 2**63 - 1)
     a, r = len(ranks), max(ranks)
-    d_tilde = _array(tensors, "d_tilde", (a, k, k))
+    y_d = _array(tensors, "y_d", (a, r, k))
     y_x = _array(tensors, "y_x", (a, r, k, n_o))
     o_tilde = _array(tensors, "o_tilde", (a, n_o, n_o))
     start = _array(tensors, "start_factor", (n_o, n_o, k))
     basis = _array(tensors, "basis", (a, k, r))
     padding = np.arange(r) >= np.array(ranks)[:, None]
+    y_d[padding] = 0.0
     y_x[padding] = 0.0
     basis.swapaxes(1, 2)[padding] = 0.0
     return ModelStack(
-        d_tilde=read_only(d_tilde), y_x=read_only(y_x), o_tilde=read_only(o_tilde),
+        y_d=read_only(y_d), y_x=read_only(y_x), o_tilde=read_only(o_tilde),
         start_factor=read_only(start), basis=read_only(basis), ranks=ranks, first=first,
         pooled=variant == "batched", n_o=n_o, ell=ell, rtol=float(rtol),
     )

@@ -2,10 +2,10 @@
 
 The pipeline holds its moment and model tables as plain float64 arrays,
 marked read-only in place by :func:`read_only`.  A :class:`NamedTensor` is a
-float64 copy that carries one string label per axis, is read-only and
-rejects non-finite entries.  Only the tables that callers perturb or read
-through ``.data`` keep it: a learned model's ``d_tilde`` and the analytic
-factor context; no operation reads the labels.
+read-only view of an array that carries one string label per axis.  Only
+the tables that callers perturb or read through ``.data`` keep it: a
+learned model's ``d_tilde`` and the analytic factor context; no operation
+reads the labels.
 """
 
 from __future__ import annotations
@@ -28,36 +28,21 @@ class InvalidTolerance(TensorError):
 
 
 class NamedTensor:
-    """Dense real tensor with ordered, labeled modes.
+    """A read-only view of an array, with one string label per axis.
 
-    Parameters
-    ----------
-    data : array_like
-        Dense real array; its axis order must follow ``labels``.
-    labels : sequence of str
-        One label per axis.
-
-    Notes
-    -----
-    The underlying array is copied (as float64) and marked read-only, so a
-    constructed tensor can never be mutated through its ``data`` view.
-    Construction rejects non-finite entries.
+    ``data`` views the array given, neither copied nor scanned; the caller's
+    array keeps its own flags.
     """
 
     __slots__ = ("_labels", "_data")
 
     def __init__(self, data, labels: Sequence[str]):
-        arr = np.array(data, dtype=float)
+        arr = np.asarray(data).view()
         labels = tuple(str(l) for l in labels)
         if arr.ndim != len(labels):
-            raise ShapeMismatch(
-                f"array has {arr.ndim} axes but {len(labels)} labels were given"
-            )
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise TensorError("tensor entries must be finite")
+            raise ShapeMismatch(f"array has {arr.ndim} axes but {len(labels)} labels were given")
         arr.flags.writeable = False
-        self._labels = labels
-        self._data = arr
+        self._labels, self._data = labels, arr
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -65,19 +50,10 @@ class NamedTensor:
 
     @property
     def data(self) -> np.ndarray:
-        """Read-only view of the underlying array."""
         return self._data
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self._data.ndim
-
     def __repr__(self) -> str:
-        modes = ", ".join(f"{l}:{d}" for l, d in zip(self._labels, self.shape))
+        modes = ", ".join(f"{l}:{d}" for l, d in zip(self._labels, self._data.shape))
         return f"NamedTensor({modes})"
 
 

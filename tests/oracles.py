@@ -517,7 +517,7 @@ def build_observable_reference(m, rtol, noise_floor=False):
     except RankZero as exc:
         raise DegenerateMoments("m_oo", detail=str(exc)) from None
     return ObservableModel(
-        d_tilde=NamedTensor(basis @ y_d, ["or_in", "or"]),
+        d_tilde=NamedTensor(y_d, ["r", "or"]),
         y_x=read_only(y_x.reshape(-1, k, m.n_o)),
         o_tilde=read_only(v_oo @ y_o),
         start_factor=m.m_start,

@@ -304,7 +304,7 @@ def test_criterion_8_batched_beats_per_anchor(verdict):
 
         def dist(model):
             return (
-                np.linalg.norm(model.d_tilde.data - ref.d_tilde.data)
+                np.linalg.norm(model.basis @ model.d_tilde.data - ref.basis @ ref.d_tilde.data)
                 + np.linalg.norm(model.x_tilde - ref.x_tilde)
                 + np.linalg.norm(model.o_tilde - ref.o_tilde)
             )

@@ -14,11 +14,14 @@ from hsmm_spectral.hsmm import (
     forward_likelihood,
     random_model,
     sample_many,
+    write_sequences,
 )
+from hsmm_spectral.em import EmConfig, em_fit
 from hsmm_spectral.moments import (
     MomentSet,
     analytic_moments,
     build_schedule,
+    count_cooccurrences,
     estimate_moments,
 )
 from hsmm_spectral import spectral
@@ -52,6 +55,11 @@ from oracles import (
 )
 
 RTOL = 1e-12
+
+
+def transfer(model):
+    """A model's window-space transfer, ``k x k``, from its stored coefficients."""
+    return model.basis @ model.d_tilde.data
 
 
 def analytic_model(p, T_extra=8, rtol=RTOL):
@@ -176,7 +184,7 @@ def test_per_anchor_analytic_tensors_are_anchor_invariant():
         m, _ = analytic_moments(p, sched, T, anchors=[a])
         models.append(build_observable(m, RTOL))
     for other in models[1:]:
-        assert np.allclose(models[0].d_tilde.data, other.d_tilde.data, atol=1e-10)
+        assert np.allclose(transfer(models[0]), transfer(other), atol=1e-10)
         assert np.allclose(models[0].x_tilde, other.x_tilde, atol=1e-10)
         assert np.allclose(models[0].o_tilde, other.o_tilde, atol=1e-10)
 
@@ -193,7 +201,7 @@ def test_batched_beats_per_anchor_on_sampled_data():
 
     def dist(m):
         return (
-            np.linalg.norm(m.d_tilde.data - ref.d_tilde.data)
+            np.linalg.norm(transfer(m) - transfer(ref))
             + np.linalg.norm(m.x_tilde - ref.x_tilde)
             + np.linalg.norm(m.o_tilde - ref.o_tilde)
         )
@@ -227,7 +235,7 @@ def test_chain_direction_is_irrelevant():
     # right end gives the same scalar as the left-to-right message pass
     p = random_model(3, 2, 2, seed=20)
     model, _, _ = analytic_model(p)
-    d_mat = model.d_tilde.data
+    d_mat = transfer(model)
     x_cube = model.x_tilde
     o_mat = model.o_tilde
     rng = np.random.default_rng(20)
@@ -414,7 +422,7 @@ def test_operators_come_from_one_stacked_layout(tmp_path, chain_models):
         assert np.array_equal(got, want)
     # one model's stack is views of its tables, never copies
     stack = spectral._stack(pooled)
-    assert np.shares_memory(stack.d_tilde, pooled.d_tilde.data)
+    assert np.shares_memory(stack.y_d, pooled.d_tilde.data)
     for name in ("y_x", "o_tilde", "basis"):
         assert np.shares_memory(getattr(stack, name), getattr(pooled, name))
 
@@ -432,8 +440,9 @@ def test_observable_roundtrip_bit_exact(tmp_path):
     # the rank-r form: no k x k x n_o tensor is stored
     k = model.basis.shape[0]
     _, _, stored = read_container(path)
-    assert sorted(stored) == ["basis", "d_tilde", "o_tilde", "start_factor", "y_x"]
+    assert sorted(stored) == ["basis", "o_tilde", "start_factor", "y_d", "y_x"]
     assert all(arr.size != k * k * 3 for arr in stored.values())
+    assert stored["y_d"].shape == (1, model.rank, k)
 
 
 def test_moment_and_model_tables_are_read_only(tmp_path, monkeypatch):
@@ -535,9 +544,9 @@ def test_per_t_roundtrip(tmp_path):
     _, _, stored = read_container(path)
     assert all(arr.size != k * k * 3 for arr in stored.values())
     # one stack per tensor, and the shared start table once
-    assert sorted(stored) == ["basis", "d_tilde", "o_tilde", "start_factor", "y_x"]
+    assert sorted(stored) == ["basis", "o_tilde", "start_factor", "y_d", "y_x"]
     assert stored["start_factor"].shape == models[0].start_factor.shape
-    assert stored["d_tilde"].shape == (len(models), k, k)
+    assert stored["y_d"].shape == (len(models), max(m.rank for m in models), k)
     # sequences beyond the trained anchor range clamp to the nearest anchor
     long_obs = sample_many(p, 1, 30, np.random.default_rng(15))[0]
     res = infer_per_t(back, long_obs)
@@ -570,7 +579,7 @@ def pooled_kspace(model, obs):
         return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
-        obs, lambda t: model.d_tilde.data, at_x, model.start_factor
+        obs, lambda t: transfer(model), at_x, model.start_factor
     )
 
 
@@ -587,7 +596,7 @@ def per_anchor_kspace(models, obs):
         return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
-        obs, lambda t: at(t).d_tilde.data, at_x, models[0].start_factor
+        obs, lambda t: transfer(at(t)), at_x, models[0].start_factor
     )
 
 
@@ -653,7 +662,7 @@ def test_per_anchor_kernel_pads_unequal_ranks():
     v = m.basis[:, :2]
     models[1] = dataclasses.replace(
         m, basis=v, y_x=m.y_x[:2],
-        d_tilde=NamedTensor(v @ (v.T @ m.d_tilde.data), m.d_tilde.labels),
+        d_tilde=NamedTensor(v.T @ transfer(m), m.d_tilde.labels),
     )
     assert sorted({mm.rank for mm in models}) == [2, sched.joint_rank]
     rng = np.random.default_rng(36)
@@ -686,7 +695,7 @@ def chain_models():
     unequal = list(per_anchor)
     unequal[3] = dataclasses.replace(
         m, basis=v, y_x=m.y_x[:2],
-        d_tilde=NamedTensor(v @ (v.T @ m.d_tilde.data), m.d_tilde.labels),
+        d_tilde=NamedTensor(v.T @ transfer(m), m.d_tilde.labels),
     )
     return {
         "analytic": analytic_model(random_model(3, 2, 2, seed=30))[0],
@@ -862,6 +871,90 @@ def test_model_file_without_variant_or_tensor_is_rejected(tmp_path, capsys):
         assert code == 2 and "'ranks'" in capsys.readouterr().err
 
 
+def test_old_layout_file_is_refused_for_its_missing_y_d(tmp_path, capsys):
+    # at (2,2,2) a population build keeps r = k = 4, so an old (A, k, k)
+    # d_tilde has the shape a (A, r, k) y_d would have: only its name tells
+    p = random_model(2, 2, 2, seed=3)
+    model, _, _ = analytic_model(p)
+    assert model.basis.shape == (4, 4)
+    path = tmp_path / "old.bin"
+    save_observable(path, model)
+    kind, meta, tensors = read_container(path)
+    y_d = tensors.pop("y_d")
+    old = [("d_tilde", tensors["basis"] @ y_d), *tensors.items()]
+    assert old[0][1].shape == y_d.shape == (1, 4, 4)
+    write_container(path, kind, meta, old)
+    with pytest.raises(SpectralError, match="model file has no tensor 'y_d'"):
+        load_observable(path)
+    data = tmp_path / "d.txt"
+    data.write_text("0 1 1 0 1\n")
+    for argv in (["score", "--data", str(data), "-o", str(tmp_path / "s.csv")],
+                 ["infer", "--sequence", "0 1 1 0 1"]):
+        assert main(argv + ["--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("SpectralError:") and "'y_d'" in err
+
+
+def test_stored_tables_have_at_most_one_window_axis(tmp_path, capsys):
+    """No stored table of a pooled k=512 or a per-anchor model is k x k."""
+    for dims, n, T, extra in (((8, 3, 9), 1000, 100, []), ((3, 2, 2), 300, 12, ["--basic"])):
+        n_o, n_x, n_d = dims
+        data, path = tmp_path / "d.txt", tmp_path / "m.bin"
+        obs = sample_many(random_model(n_o, n_x, n_d, seed=1), n, T, np.random.default_rng(71))
+        write_sequences(obs, data)
+        assert main(["learn-spectral", "--data", str(data), "--no", str(n_o), "--nx",
+                     str(n_x), "--nd", str(n_d), "-o", str(path), *extra]) == 0
+        capsys.readouterr()
+        k = n_o ** build_schedule(n_x, n_d).ell
+        _, meta, stored = read_container(path)
+        assert (meta["variant"] == "per_t") == bool(extra)
+        assert len(meta["ranks"]) != k  # so an anchor axis is not mistaken for a window axis
+        assert sorted(stored) == ["basis", "o_tilde", "start_factor", "y_d", "y_x"]
+        for name, arr in stored.items():
+            assert arr.shape.count(k) <= 1, (name, arr.shape)
+
+
+def _entry_points(tmp_path):
+    """Each library entry that reads symbols, as a call on a list of sequences."""
+    model = analytic_model(random_model(3, 2, 2, seed=70))[0]
+    sched = build_schedule(2, 2)
+    return {
+        "infer": lambda seqs: [infer(model, s) for s in seqs],
+        "infer_batch": lambda seqs: infer_batch(model, seqs),
+        "score_sequences": lambda seqs: list(
+            spectral.score_sequences(model, seqs, io.StringIO())),
+        "score_file": lambda seqs: score_file(model, seqs, tmp_path / "s.csv", io.StringIO()),
+        "count_cooccurrences": lambda seqs: count_cooccurrences(seqs, 3, sched),
+        "estimate_moments": lambda seqs: estimate_moments(seqs, 3, sched),
+        "build_observable_per_t": lambda seqs: build_observable_per_t(seqs, 3, sched, 1e-6),
+        "em_fit": lambda seqs: em_fit(seqs, 3, 2, 2, EmConfig(max_iter=2, restarts=1)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["infer", "infer_batch", "score_sequences", "score_file",
+                                   "count_cooccurrences", "estimate_moments",
+                                   "build_observable_per_t", "em_fit"])
+def test_symbols_that_are_not_integers_are_refused(tmp_path, entry):
+    call = _entry_points(tmp_path)[entry]
+    good = sample_many(random_model(3, 2, 2, seed=72), 300, 12, np.random.default_rng(72))
+    call(good.astype(float))  # integral floats are symbols
+    # `infer` sees one sequence per call; the others see the second of many
+    row = 0 if entry == "infer" else 1
+    for bad in (1.5, -0.5, math.nan, math.inf, -math.inf, 2.0**70):
+        seqs = good.tolist()
+        seqs[1][5] = bad
+        with pytest.raises(ValueError, match=rf"^sequence {row}: symbol \S+ is not an integer"):
+            call(seqs)
+        array = good.astype(float)
+        array[1, 5] = bad
+        with pytest.raises(ValueError, match=rf"^sequence {row}: symbol \S+ is not an integer"):
+            call(array if entry != "infer" else list(array))
+    # a flat sequence where a list of sequences belongs, or a 2-D one where one sequence belongs
+    flat = [good.tolist()] if entry == "infer" else good[0].tolist()
+    with pytest.raises(ValueError, match=r"^sequence 0 has shape \(\d*,? ?\d*\), need one axis"):
+        call(flat)
+
+
 def test_model_file_with_bad_basis_is_rejected(tmp_path, capsys):
     model, _, _ = analytic_model(random_model(3, 2, 2, seed=40))
     path = tmp_path / "model.bin"
@@ -906,8 +999,8 @@ def test_model_file_with_inconsistent_tensors_is_rejected(tmp_path, capsys, per_
     y_nan[0, 0, 0, 0] = np.nan
     cases = [
         # the fields say 4 symbols over 3-symbol tensors
-        ({**meta, "n_o": 4}, {}, "tensor 'd_tilde'",
-         rf"shape \({a}, 9, 9\), need \({a}, 16, 16\)"),
+        ({**meta, "n_o": 4}, {}, "tensor 'y_d'",
+         rf"shape \({a}, {r}, 9\), need \({a}, {r}, 16\)"),
         (meta, {"y_x": y_nan}, "tensor 'y_x'", "non-finite entries"),
         # one row more than the largest rank
         (meta, {"y_x": np.concatenate([y_x, y_x[:, :1]], axis=1)}, "tensor 'y_x'",
@@ -1043,7 +1136,7 @@ def assert_same_build(got, want):
         for name in ("d_tilde", "y_x", "o_tilde", "start_factor", "basis"):
             a, b = getattr(g, name), getattr(w, name)
             if name == "d_tilde":
-                a, b = a.data, b.data
+                a, b = transfer(g), transfer(w)
             assert a.shape == b.shape, name
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
