@@ -22,7 +22,7 @@ folds the posterior over durations, and a ``bincount`` per state gives the
 emission counts.
 
 A pass takes and returns plain ``(O, X, D, pi_x)`` arrays: the joint kernel
-comes from tables of the lattice made once per fit, and an
+is :func:`~hsmm_spectral.hsmm.renewal_kernel` of ``X`` and ``D``, and an
 :class:`HsmmParams` is made only for each restart's result.  Per step of a
 sequence a chunk holds three joint-space rows (emissions, ``alpha``, and
 ``beta``, which becomes the posterior), the folded posterior, and three
@@ -37,7 +37,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hsmm import HsmmParams, InvalidModel, SequenceFile, forward_loglik_batch
+from .hsmm import (
+    HsmmParams,
+    InvalidModel,
+    SequenceFile,
+    forward_loglik_batch,
+    joint_states,
+    renewal_kernel,
+)
 
 
 class MonotonicityViolation(Exception):
@@ -90,19 +97,13 @@ class _Lattice(NamedTuple):
     """Tables of the joint ``(x, d)`` space, made once per fit."""
 
     states: np.ndarray  # [(d, x)] -> x: gathers O's columns onto the lattice
-    countdown: np.ndarray  # [(d - 1, x), (d, x)] = 1 for d > 1: V past renewals
     fold: np.ndarray  # [(d, x), x]: sums a joint row over d
     ones: np.ndarray  # (S, 1): row masses by matmul
 
 
 def _lattice(n_x: int, n_d: int) -> _Lattice:
-    S = n_x * n_d
-    return _Lattice(
-        states=np.tile(np.arange(n_x), n_d),
-        countdown=np.eye(S, k=n_x),
-        fold=np.tile(np.eye(n_x), (n_d, 1)),
-        ones=np.ones((S, 1)),
-    )
+    states = joint_states(n_x, n_d)
+    return _Lattice(states=states, fold=np.eye(n_x)[states], ones=np.ones((states.size, 1)))
 
 
 def _chunked(groups, n_x: int, S: int) -> list[np.ndarray]:
@@ -209,9 +210,8 @@ def _em_pass(params, first, chunks, lat):
     """
     O, X, D, pi = params
     n_d, n_x = D.shape
-    block = D[:, :, None] * X  # [d', x', x]: renewal out of (x, 1) into (x', d')
-    V = lat.countdown.copy()
-    V[:, :n_x] = block.reshape(n_d * n_x, n_x)
+    V = renewal_kernel(X, D)
+    block = V[:, :n_x].reshape(n_d, n_x, n_x)  # [d', x', x]: out of (x, 1) into (x', d')
     em = O.take(lat.states, axis=1)  # [symbol, (d, x)]
     k1 = (first * pi).ravel()
     VT = V.T.copy()  # both layouts contiguous: matmul is slower on a transposed view
@@ -262,19 +262,19 @@ def em_fit(
             f"init has (n_o, n_x, n_d) = {(init.n_o, init.n_x, init.n_d)}, "
             f"expected {(n_o, n_x, n_d)}"
         )
-    seqs = list(SequenceFile.of(sequences))
-    if not seqs:
+    seqs = SequenceFile.of(sequences)
+    if not len(seqs):
         raise InvalidModel("no training sequences")
-    by_len: dict[int, list[np.ndarray]] = {}
-    for i, s in enumerate(seqs):
-        if not s.size:
-            raise ValueError(f"sequence {i} is empty")
-        by_len.setdefault(s.shape[0], []).append(s)
-    groups = [np.stack(v) for v in by_len.values()]
-    for obs in groups:
-        bad = obs[(obs < 0) | (obs >= n_o)]
-        if bad.size:
-            raise ValueError(f"symbol {bad[0]} outside alphabet of size {n_o}")
+    empty = np.flatnonzero(seqs.lengths == 0)
+    if empty.size:
+        raise ValueError(f"sequence {empty[0]} is empty")
+    seqs.check_alphabet(n_o)
+    # one (n, T) group per length, in order of each length's first sequence
+    lengths, first = np.unique(seqs.lengths, return_index=True)
+    groups = [
+        seqs.values[seqs.offsets[:-1][seqs.lengths == T][:, None] + np.arange(T)]
+        for T in lengths[np.argsort(first)].tolist()
+    ]
     chunks = _chunked(groups, n_x, n_x * n_d)
     del groups  # the chunks hold copies
     lat = _lattice(n_x, n_d)

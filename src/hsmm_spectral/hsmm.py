@@ -240,37 +240,43 @@ def random_model(
 # lifted kernels on the joint (x, d) space
 
 
-def state_update_matrix(p: HsmmParams) -> np.ndarray:
-    """``[(x', d), (x, d)] -> p(x' | x, d)``: renewal transition at d=1, else identity."""
-    n_x, n_d, S = p.n_x, p.n_d, p.n_joint
-    out = np.zeros((S, S))
-    out[:n_x, :n_x] = p.X
-    for d in range(2, n_d + 1):
-        b = (d - 1) * n_x
-        out[b : b + n_x, b : b + n_x] = np.eye(n_x)
+def joint_states(n_x: int, n_d: int) -> np.ndarray:
+    """``[(x, d)] -> x``: the state of each flat joint index."""
+    return np.tile(np.arange(n_x), n_d)
+
+
+def renewal_kernel(X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """One-step kernel ``[(x', d'), (x, d)]`` of a renewal table ``X`` and durations ``D``.
+
+    Out of ``d > 1`` the counter decrements (the ``n_x``-th superdiagonal);
+    out of ``(x, 1)`` the chain moves to ``(x', d')`` with probability
+    ``D[d', x'] X[x', x]`` (the first column block).  With ``X`` the
+    identity it is the duration update alone.
+    """
+    n_d, n_x = D.shape
+    S = n_x * n_d
+    out = np.eye(S, k=n_x)
+    out[:, :n_x] = (D[:, :, None] * X).reshape(S, n_x)
     return out
 
 
-def duration_update_matrix(p: HsmmParams) -> np.ndarray:
-    """``[(x, d'), (x, d)] -> p(d' | x, d)``: fresh draw at d=1, else decrement."""
-    n_x, n_d, S = p.n_x, p.n_d, p.n_joint
-    out = np.zeros((S, S))
-    for x in range(n_x):
-        out[x :: p.n_x, x] = p.D[:, x]
-        for d in range(2, n_d + 1):
-            out[(d - 2) * n_x + x, (d - 1) * n_x + x] = 1.0
+def state_update_matrix(p: HsmmParams) -> np.ndarray:
+    """``[(x', d), (x, d)] -> p(x' | x, d)``: renewal transition at d=1, else identity."""
+    out = np.eye(p.n_joint)
+    out[: p.n_x, : p.n_x] = p.X
     return out
 
 
 def joint_transition_matrix(p: HsmmParams) -> np.ndarray:
     """One-step kernel on (x, d) pairs: state update then duration update."""
-    return duration_update_matrix(p) @ state_update_matrix(p)
+    return renewal_kernel(p.X, p.D)
 
 
 def next_state_table(p: HsmmParams) -> np.ndarray:
     """``[x', (x, d)] -> p(x_{t+1} = x' | x_t = x, d_t = d)``."""
-    blocks = [p.X] + [np.eye(p.n_x)] * (p.n_d - 1)
-    return np.hstack(blocks)
+    out = np.eye(p.n_x)[:, joint_states(p.n_x, p.n_d)]
+    out[:, : p.n_x] = p.X
+    return out
 
 
 def initial_joint(p: HsmmParams) -> np.ndarray:
@@ -279,9 +285,9 @@ def initial_joint(p: HsmmParams) -> np.ndarray:
     return (table * p.pi_x[None, :]).reshape(-1)
 
 
-def emission_on_joint(p: HsmmParams, symbol: int) -> np.ndarray:
-    """Emission likelihood of ``symbol`` lifted to the joint space."""
-    return np.tile(p.O[symbol, :], p.n_d)
+def emissions_on_joint(p: HsmmParams) -> np.ndarray:
+    """``[symbol, (x, d)] -> p(symbol | x)``: the emission table lifted to the joint space."""
+    return p.O[:, joint_states(p.n_x, p.n_d)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +371,10 @@ def exact_likelihood_enum(p: HsmmParams, obs: Sequence[int]) -> float:
     """Likelihood by exhaustive summation over all latent (x, d) paths.
 
     Guarded by both sequence length and total path count; this is the
-    independent oracle, not a practical inference routine.
+    independent oracle, not a practical inference routine.  A symbol that is
+    not an integer in ``[0, n_o)`` raises :class:`InvalidModel`.
     """
-    obs = np.asarray(obs, dtype=int)
+    obs = _oracle_symbols(p, np.asarray(obs)[None]).values
     T = len(obs)
     if T < 1:
         raise InvalidModel("empty observation sequence")
@@ -379,12 +386,25 @@ def exact_likelihood_enum(p: HsmmParams, obs: Sequence[int]) -> float:
             f"{S}**{T} latent paths exceed the enumeration budget {_ENUM_MAX_PATHS}"
         )
     V = joint_transition_matrix(p)
+    em = emissions_on_joint(p)
     # probs[i] is the probability of the i-th partial path (last state = i % S)
-    probs = initial_joint(p) * emission_on_joint(p, int(obs[0]))
+    probs = initial_joint(p) * em[obs[0]]
     for t in range(1, T):
-        step = V.T * emission_on_joint(p, int(obs[t]))[None, :]
+        step = V.T * em[obs[t]][None, :]
         probs = (probs.reshape(-1, S)[:, :, None] * step[None, :, :]).reshape(-1)
     return float(probs.sum())
+
+
+def _oracle_symbols(p: HsmmParams, sequences) -> "SequenceFile":
+    """The stream of ``sequences``; a symbol not in ``[0, n_o)`` is :class:`InvalidModel`.
+
+    So is one that is not an integer.  The message is the one
+    :meth:`SequenceFile.of` or :meth:`SequenceFile.check_alphabet` gives.
+    """
+    try:
+        return SequenceFile.of(sequences).check_alphabet(p.n_o)
+    except ValueError as exc:
+        raise InvalidModel(str(exc)) from None
 
 
 def _forward_step(p: HsmmParams, alpha: np.ndarray) -> np.ndarray:
@@ -409,13 +429,12 @@ def forward_likelihood(
     """Scaled forward recursion over the joint (x, d) lattice.
 
     Returns the natural-log likelihood and, when representable in float64,
-    the plain probability.
+    the plain probability.  A symbol that is not an integer in ``[0, n_o)``
+    raises :class:`InvalidModel`.
     """
-    obs = np.asarray(obs, dtype=int)
+    obs = _oracle_symbols(p, np.asarray(obs)[None]).values
     if len(obs) < 1:
         raise InvalidModel("empty observation sequence")
-    if obs.min() < 0 or obs.max() >= p.n_o:
-        raise InvalidModel("observation symbol out of range")
     table = p.initial_duration_table()
     alpha = (table * p.pi_x[None, :]) * p.O[int(obs[0]), None, :]
     loglik = 0.0
@@ -434,10 +453,13 @@ def forward_likelihood(
 def forward_loglik_batch(p: HsmmParams, obs: np.ndarray) -> np.ndarray:
     """Log-likelihoods of equal-length sequences, vectorized over rows.
 
-    A row the model cannot emit is ``-inf``, as in :func:`forward_likelihood`.
+    A row the model cannot emit is ``-inf``, as in :func:`forward_likelihood`,
+    and a symbol that is not an integer in ``[0, n_o)`` raises
+    :class:`InvalidModel`.
     """
-    obs = np.asarray(obs, dtype=int)
+    obs = np.asarray(obs)
     n, T = obs.shape
+    obs = _oracle_symbols(p, obs).values.reshape(n, T)
     table = p.initial_duration_table()
     alpha = (table * p.pi_x[None, :])[None, :, :] * p.O[obs[:, 0], None, :]
     loglik = np.zeros(n)
@@ -592,6 +614,20 @@ class SequenceFile(Sequence):
     def row_of(self, positions) -> np.ndarray:
         """Index of the sequence holding each position of ``values``."""
         return np.searchsorted(self.offsets, positions, side="right") - 1
+
+    def check_alphabet(self, n_o: int) -> "SequenceFile":
+        """Itself, once every symbol is in ``[0, n_o)``.
+
+        Otherwise ``ValueError`` names the sequence and the symbol of the
+        first one outside it.
+        """
+        bad = self.outside(n_o)
+        if bad.size:
+            raise ValueError(
+                f"sequence {self.row_of(bad[0])}: symbol {self.values[bad[0]]} "
+                f"outside alphabet of size {n_o}"
+            )
+        return self
 
 
 def read_sequences(path, n_o: int | None = None) -> SequenceFile:

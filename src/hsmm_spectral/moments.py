@@ -42,10 +42,11 @@ from .hsmm import (
     HsmmParams,
     InvalidModel,
     SequenceFile,
-    duration_update_matrix,
+    emissions_on_joint,
     initial_joint,
     joint_transition_matrix,
     next_state_table,
+    renewal_kernel,
     state_update_matrix,
     validate,
 )
@@ -231,16 +232,6 @@ def _blocks(seqs: SequenceFile, n_d: int):
         yield values[a : end + n_d + 1], np.stack((T, start - a, lo, hi))
 
 
-def _check_symbols(seqs: SequenceFile, n_o: int) -> None:
-    """Raise ``ValueError`` naming the sequence and symbol of the first one outside ``[0, n_o)``."""
-    bad = seqs.outside(n_o)
-    if bad.size:
-        raise ValueError(
-            f"sequence {seqs.row_of(bad[0])}: symbol {seqs.values[bad[0]]} "
-            f"outside alphabet of size {n_o}"
-        )
-
-
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(start, stop)`` over the pairs (empty where stop <= start)."""
     lengths = np.maximum(stops - starts, 0)
@@ -373,8 +364,7 @@ def count_cooccurrences(
         )
     lr, lr_shift, lro, oo, start = (np.zeros(shape, dtype=np.int64) for shape in shapes)
     windows = pairs = starts = 0
-    seqs = SequenceFile.of(sequences)
-    _check_symbols(seqs, n_o)
+    seqs = SequenceFile.of(sequences).check_alphabet(n_o)
     for stream, pieces in _blocks(seqs, sched.n_d):
         windows += _tally_windows(lr, lr_shift, lro, stream, pieces, n_o, sched, anchors)
         pairs += _tally_pairs(oo, stream, pieces, n_o, sched.n_d, anchors)
@@ -416,9 +406,29 @@ def estimate_moments(
 # analytic (population) moments
 
 
-def window_conditional(
-    p: HsmmParams, offsets: Sequence[int], n_o: int | None = None
+def _window_walk(
+    V: np.ndarray, em: np.ndarray, start: np.ndarray, offsets: Sequence[int]
 ) -> np.ndarray:
+    """Walk the chain to position ``offsets[-1]``, emitting at each of ``offsets``.
+
+    ``start`` is ``[1, (x, d), root]``: the joint marginal at the walk's
+    position 0, for each root it is conditioned on.  At an offset the row of
+    each emitted symbol is split off (the earliest symbol is the slowest
+    digit of the window code); between positions every row moves by ``V``.
+    Returns ``[w, (x, d), root]`` at the last position.
+    """
+    a = start
+    n_o, S = em.shape
+    for rel in range(offsets[-1] + 1):
+        if rel in offsets:
+            pref, _, roots = a.shape
+            a = (a[:, None] * em[None, :, :, None]).reshape(pref * n_o, S, roots)
+        if rel < offsets[-1]:
+            a = np.einsum("ts,psr->ptr", V, a)
+    return a
+
+
+def window_conditional(p: HsmmParams, offsets: Sequence[int]) -> np.ndarray:
     """Conditional table of scheduled observations given a joint state.
 
     Entry ``[w, (x, d)]`` is the probability that the symbols at relative
@@ -429,40 +439,7 @@ def window_conditional(
     """
     offsets = sorted(set(int(o) for o in offsets))
     V = joint_transition_matrix(p)
-    em = np.concatenate([p.O] * p.n_d, axis=1)  # [symbol, (x, d)]
-    S = p.n_joint
-    b = np.eye(S)[None, :, :]  # [prefix, current, root]
-    scheduled = set(offsets)
-    for step in range(1, offsets[-1] + 2):
-        b = np.einsum("ts,psr->ptr", V, b)
-        if step - 1 in scheduled:
-            pref, _, _ = b.shape
-            b = np.einsum("psr,os->posr", b, em).reshape(pref * p.n_o, S, S)
-    return b.sum(axis=1)
-
-
-def _left_joint(
-    p: HsmmParams,
-    sched: ObservationSchedule,
-    k_start: np.ndarray,
-) -> np.ndarray:
-    """Joint table of the left window with the anchor's (state, prev-duration).
-
-    ``k_start`` is the (possibly anchor-averaged) marginal of the pair at the
-    window's first position.  Returns ``[w, (x, d_prev)]``.
-    """
-    V = joint_transition_matrix(p)
-    XL = state_update_matrix(p)
-    em = np.concatenate([p.O] * p.n_d, axis=1)
-    a = k_start[None, :].copy()  # [prefix, (x, d)]
-    scheduled = set(sched.left_offsets)
-    for rel in range(p.n_d):
-        if rel in scheduled:
-            pref = a.shape[0]
-            a = np.einsum("ps,os->pos", a, em).reshape(pref * p.n_o, p.n_joint)
-        if rel < p.n_d - 1:
-            a = a @ V.T
-    return a @ XL.T  # half-step: pair (x_{s-1}, d_{s-1}) -> (x_s, d_{s-1})
+    return _window_walk(V, emissions_on_joint(p), V[None], offsets).sum(axis=1)
 
 
 def analytic_moments(
@@ -492,10 +469,10 @@ def analytic_moments(
         raise InvalidModel(f"anchor set {anchors[:3]}.. outside the valid range")
 
     V = joint_transition_matrix(p)
-    W = duration_update_matrix(p)
+    W = renewal_kernel(np.eye(p.n_x), p.D)
     XL = state_update_matrix(p)
     T0 = next_state_table(p)
-    em = np.concatenate([p.O] * p.n_d, axis=1)
+    em = emissions_on_joint(p)
     S = p.n_joint
 
     # marginals k[t] of the same-time pair, t = 0 .. T-2
@@ -504,12 +481,14 @@ def analytic_moments(
     for t in range(1, T - 1):
         ks[t] = V @ ks[t - 1]
 
-    f_next = window_conditional(p, sched.right_offsets)
+    f_next = _window_walk(V, em, V[None], sched.right_offsets).sum(axis=1)
     f_mid = f_next @ W
     f_right = f_next @ V
 
+    # the left window from the pair at its first position (averaged over the
+    # anchors), then the half-step (x_{s-1}, d_{s-1}) -> (x_s, d_{s-1})
     k_start = ks[[a - sched.n_d for a in anchors]].mean(axis=0)
-    left = _left_joint(p, sched, k_start)
+    left = _window_walk(V, em, k_start[None, :, None], sched.left_offsets)[:, :, 0] @ XL.T
 
     m_lr = left @ f_mid.T
     m_lr_shift = left @ (f_right @ W).T

@@ -22,6 +22,7 @@ the growth arguments behind both formulas are vacuous.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,6 +31,7 @@ import numpy as np
 from .hsmm import (
     HsmmParams,
     InvalidModel,
+    joint_states,
     joint_transition_matrix,
     next_state_table,
     random_model,
@@ -81,7 +83,7 @@ def build_lift(p: HsmmParams) -> LiftedTransition:
     n_x, n_d = p.n_x, p.n_d
     V = joint_transition_matrix(p)
     psi = khatri_rao_cols(p.D, np.eye(n_x)) @ p.X
-    E = np.hstack([np.eye(n_x)] * n_d)
+    E = np.eye(n_x)[:, joint_states(n_x, n_d)]
     assert np.allclose(V[:, :n_x], psi, atol=1e-14)
     for d in range(2, n_d + 1):
         block = V[:, (d - 1) * n_x : d * n_x]
@@ -103,7 +105,7 @@ def _t_from_marks(
     matching the window-code convention used everywhere else.
     """
     V = joint_transition_matrix(p)
-    E = np.hstack([np.eye(p.n_x)] * p.n_d)
+    E = np.eye(p.n_x)[:, joint_states(p.n_x, p.n_d)]
     T = next_state_table(p)
     s = 1
     for mark in marks:
@@ -230,42 +232,29 @@ def rank_grid(
     for n_x in n_x_values:
         for n_d in n_d_values:
             sched = build_schedule(n_x, n_d)
+            # (algorithm, ell, the report of a drawn model), in row order
+            cells = [
+                (algo, ell, functools.partial(runner, ell=ell))
+                for algo, runner in (("sequential", compute_T_sequential),
+                                     ("efficient", compute_T_efficient))
+                for ell in range(1, n_d + 2)
+            ]
+            cells.append(("schedule-F", sched.ell, lambda p: build_F(p, sched.right_offsets)[1]))
             for seed in seeds:
-                for algo, runner, ell_values in (
-                    ("sequential", compute_T_sequential, range(1, n_d + 2)),
-                    ("efficient", compute_T_efficient, range(1, n_d + 2)),
-                ):
-                    for ell in ell_values:
-                        ok, predicted, observed = _grid_cell(
-                            runner, n_x, n_d, ell, seed, min_sigma
-                        )
-                        rows.append(
-                            {
-                                "n_x": n_x,
-                                "n_d": n_d,
-                                "ell": ell,
-                                "algorithm": algo,
-                                "seed": seed,
-                                "predicted": predicted,
-                                "observed": observed,
-                                "pass": ok,
-                            }
-                        )
-                ok, predicted, observed = _schedule_cell(
-                    n_x, n_d, sched, seed, min_sigma
-                )
-                rows.append(
-                    {
-                        "n_x": n_x,
-                        "n_d": n_d,
-                        "ell": sched.ell,
-                        "algorithm": "schedule-F",
-                        "seed": seed,
-                        "predicted": predicted,
-                        "observed": observed,
-                        "pass": ok,
-                    }
-                )
+                for algo, ell, report in cells:
+                    ok, predicted, observed = _grid_cell(report, n_x, n_d, seed, min_sigma)
+                    rows.append(
+                        {
+                            "n_x": n_x,
+                            "n_d": n_d,
+                            "ell": ell,
+                            "algorithm": algo,
+                            "seed": seed,
+                            "predicted": predicted,
+                            "observed": observed,
+                            "pass": ok,
+                        }
+                    )
     return rows
 
 
@@ -273,18 +262,10 @@ def _draw(n_x: int, n_d: int, seed: int, min_sigma: float) -> HsmmParams:
     return random_model(n_x + 1, n_x, n_d, seed=seed, min_sigma=min_sigma)
 
 
-def _grid_cell(runner, n_x, n_d, ell, seed, min_sigma):
-    for attempt, s in enumerate((seed, seed + 7919)):
-        rep = runner(_draw(n_x, n_d, s, min_sigma), ell)
+def _grid_cell(report, n_x, n_d, seed, min_sigma):
+    """Whether the draw's rank (or, on a miss, a shifted seed's) meets the prediction."""
+    for s in (seed, seed + 7919):
+        rep = report(_draw(n_x, n_d, s, min_sigma))
         if rep.numerical_rank == rep.predicted_rank:
             return True, rep.predicted_rank, rep.numerical_rank
     return False, rep.predicted_rank, rep.numerical_rank
-
-
-def _schedule_cell(n_x, n_d, sched, seed, min_sigma):
-    predicted = min(n_x**sched.ell, n_x * n_d)
-    for attempt, s in enumerate((seed, seed + 7919)):
-        _, rep = build_F(_draw(n_x, n_d, s, min_sigma), sched.right_offsets)
-        if rep.numerical_rank == predicted:
-            return True, predicted, rep.numerical_rank
-    return False, predicted, rep.numerical_rank

@@ -27,7 +27,7 @@ loading or inference.  Each symbol folds into one ``r x r`` observable
 operator ``B_o = G core[o]`` (Hsu, Kakade & Zhang, "A spectral algorithm
 for learning hidden Markov models"), built from the transfer ``G = Y_d V``
 and ``core[o] = sum_s o_tilde[s, o] Y_x[:, :, s] V``.  :func:`infer`,
-:func:`infer_batch` and :func:`score_sequences` take a pooled model or a
+:func:`infer_batch` and :func:`score_file` take a pooled model or a
 per-anchor list alike, refuse the same rows with the same errors, and run
 one batched kernel over the ragged sequence stream.  The kernel moves the
 message over blocks of positions: one position per numpy round while many
@@ -638,11 +638,16 @@ def learn_spectral(
 SCORE_HEADER = ["id", "log_value", "sign", "clamped", "norm_loglik"]
 
 
-def _scores(model, sequences: Iterable, error_sink) -> tuple[np.ndarray, ...]:
-    """Log values, signs and per-symbol log values of the sequences, in input order.
+def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
+    """Write the score CSV, one row per sequence in input order; returns the number of rows.
 
-    A row the chain refuses is reported to ``error_sink`` (default stderr)
-    and scores NaN with sign 0.
+    ``model`` is a pooled model, a per-anchor list or a :class:`ModelStack`.
+    A row :func:`infer_batch` would refuse scores NaN with sign 0, and its
+    error goes to ``error_sink`` (default stderr) with the stream's line of
+    its sequence (the file line for :func:`~hsmm_spectral.hsmm.read_sequences`,
+    else ``i + 1`` for sequence ``i``); all other rows are scored by one
+    batched chain.  Rows end in ``\\r\\n``.  ``out_path`` is opened only once
+    every row is formatted, so a failure leaves a previous file as it was.
     """
     sink = error_sink if error_sink is not None else sys.stderr
     ops, n_o = _prepared(model)
@@ -653,38 +658,10 @@ def _scores(model, sequences: Iterable, error_sink) -> tuple[np.ndarray, ...]:
         print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=sink)
     log = np.full(len(seqs), np.nan)
     sign = np.zeros(len(seqs), dtype=np.int64)
-    rows = np.flatnonzero(~failed)
-    log[rows], sign[rows] = _chain(ops, seqs, rows=rows)
+    scored = np.flatnonzero(~failed)
+    log[scored], sign[scored] = _chain(ops, seqs, rows=scored)
     with np.errstate(divide="ignore", invalid="ignore"):  # a failed empty row
-        return log, sign, log / seqs.lengths
-
-
-def score_sequences(model, sequences: Iterable, error_sink=None):
-    """Yield one score row per sequence, in input order; failures become NaN rows.
-
-    ``model`` is a pooled :class:`ObservableModel`, a per-anchor list or a
-    :class:`ModelStack`.  The sequences are read as one ragged stream (see
-    :meth:`SequenceFile.of`); the rows :func:`infer_batch` would refuse are
-    found over the whole stream at once, and all well-formed rows are scored
-    by one batched chain.
-    Row-level errors are reported to ``error_sink`` (default stderr) and do
-    not stop the stream; each names the stream's line of its sequence (the
-    file line for :func:`~hsmm_spectral.hsmm.read_sequences`, else ``i + 1``
-    for sequence ``i``).
-    """
-    log, sign, norm = _scores(model, sequences, error_sink)
-    for idx, (lv, sg, nm) in enumerate(zip(log.tolist(), sign.tolist(), norm.tolist())):
-        yield [idx, f"{lv:.17g}", sg, "true" if sg <= 0 else "false", f"{nm:.17g}"]
-
-
-def score_file(model, sequences: Iterable, out_path, error_sink=None) -> int:
-    """Write the score CSV; returns the number of data rows.
-
-    The rows are those of :func:`score_sequences`, with ``\\r\\n`` line ends.
-    ``out_path`` is opened only once every row is formatted, so a failure
-    leaves a previous file as it was.
-    """
-    log, sign, norm = _scores(model, sequences, error_sink)
+        norm = log / seqs.lengths
     rows = [
         "%d,%.17g,%d,%s,%.17g\r\n" % (idx, lv, sg, "true" if sg <= 0 else "false", nm)
         for idx, (lv, sg, nm) in enumerate(zip(log.tolist(), sign.tolist(), norm.tolist()))

@@ -266,12 +266,17 @@ def sample_many_per_step(p, n_sequences, T, rng):
 def em_pass_reference(p, groups):
     """One E+M step over sequence groups; returns (updated, loglik before)."""
     from hsmm_spectral.em import _normalize_columns
-    from hsmm_spectral.hsmm import HsmmParams, initial_joint, joint_transition_matrix
+    from hsmm_spectral.hsmm import (
+        HsmmParams,
+        emissions_on_joint,
+        initial_joint,
+        joint_transition_matrix,
+    )
 
     n_x, n_d, n_o = p.n_x, p.n_d, p.n_o
     S = p.n_joint
     V = joint_transition_matrix(p)
-    em = np.concatenate([p.O] * n_d, axis=1)  # [symbol, (x, d)]
+    em = emissions_on_joint(p)  # [symbol, (x, d)]
     k1 = initial_joint(p)
     o_acc = np.zeros((n_o, n_x))
     x_acc = np.zeros((n_x, n_x))
@@ -375,6 +380,55 @@ def chain_reference(ops, seqs, rows=None):
     if order is not None:
         log[order], sign[order] = log.copy(), sign.copy()
     return log, sign
+
+
+# ---------------------------------------------------------------------------
+# joint-lattice oracles
+#
+# The loop builders that ``hsmm``'s closed forms replaced: each writes the
+# flat layout ``(d - 1) * n_x + x`` out one block or one entry at a time.
+
+
+def state_update_reference(X, n_d):
+    """``[(x', d), (x, d)]``: ``X`` in the ``d == 1`` block, identity blocks after it."""
+    n_x = X.shape[0]
+    out = np.zeros((n_x * n_d, n_x * n_d))
+    out[:n_x, :n_x] = X
+    for d in range(2, n_d + 1):
+        b = (d - 1) * n_x
+        out[b : b + n_x, b : b + n_x] = np.eye(n_x)
+    return out
+
+
+def duration_update_reference(D):
+    """``[(x, d'), (x, d)]``: a fresh draw from ``D`` at ``d == 1``, else a decrement."""
+    n_d, n_x = D.shape
+    out = np.zeros((n_x * n_d, n_x * n_d))
+    for x in range(n_x):
+        out[x::n_x, x] = D[:, x]
+        for d in range(2, n_d + 1):
+            out[(d - 2) * n_x + x, (d - 1) * n_x + x] = 1.0
+    return out
+
+
+def joint_transition_reference(X, D):
+    """The one-step kernel as the duration update after the state update."""
+    return duration_update_reference(D) @ state_update_reference(X, D.shape[0])
+
+
+def next_state_reference(X, n_d):
+    """``[x', (x, d)]``: ``X`` for ``d == 1`` beside ``n_d - 1`` identities."""
+    return np.hstack([X] + [np.eye(X.shape[0])] * (n_d - 1))
+
+
+def emissions_reference(O, n_d):
+    """``[symbol, (x, d)]``: ``O`` repeated once per duration."""
+    return np.concatenate([O] * n_d, axis=1)
+
+
+def joint_states_reference(n_x, n_d):
+    """The state of each flat joint index, one index at a time."""
+    return np.array([flat % n_x for flat in range(n_x * n_d)])
 
 
 # ---------------------------------------------------------------------------

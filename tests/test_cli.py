@@ -369,6 +369,29 @@ def test_gen_data_refuses_empty_length_and_negative_count(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_data_refuses_a_model_that_is_not_stochastic(tmp_path, capsys):
+    # O's column [0.9, 0.9] was sampled as all zeros and [-0.5, 1.5] as all ones
+    model = tmp_path / "m.json"
+    out = tmp_path / "d.txt"
+    for column, code_want in (([0.9, 0.9], 2), ([-0.5, 1.5], 2), ([0.5, 0.5], 0)):
+        doc = {"n_o": 2, "n_x": 1, "n_d": 1, "O": [[column[0]], [column[1]]],
+               "X": [[1.0]], "D": [[1.0]], "pi_x": [1.0]}
+        model.write_text(json.dumps(doc))
+        code, _, err = run(["gen-data", "--model", str(model), "-n", "3", "-T", "4",
+                            "-o", str(out)], capsys)
+        assert code == code_want, (column, err)
+        if code_want:
+            assert err == "InvalidModel: cannot sample from a model that fails stochastic[O]\n"
+            assert not out.exists()
+    assert len(read_sequences(out)) == 3
+    # A1 (rank-one X) and A3 (n_x > n_o) fail, and sampling needs neither
+    doc = {"n_o": 1, "n_x": 2, "n_d": 1, "O": [[1.0, 1.0]], "X": [[0.5, 0.5], [0.5, 0.5]],
+           "D": [[1.0, 1.0]], "pi_x": [0.5, 0.5]}
+    model.write_text(json.dumps(doc))
+    assert run(["gen-data", "--model", str(model), "-n", "3", "-T", "4",
+                "-o", str(out)], capsys)[0] == 0
+
+
 def test_gen_data_beyond_memory_exits_two(tmp_path, capsys):
     # 10**12 x 100 int64 symbols is 728 TiB, beyond the address space, so
     # the allocation is refused at once and nothing is allocated

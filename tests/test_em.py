@@ -113,10 +113,11 @@ def test_dimension_guard():
 
 
 def test_symbols_outside_the_alphabet_are_refused():
-    # a negative symbol was read as symbol n_o - 1
+    # a negative symbol was read as symbol n_o - 1; the message names the
+    # sequence, as counting's does
     for bad in (-1, 3):
         seqs = [np.array([0, 1, 2, 1]), np.array([2, bad, 0])]
-        with pytest.raises(ValueError, match=f"symbol {bad} outside alphabet of size 3"):
+        with pytest.raises(ValueError, match=f"^sequence 1: symbol {bad} outside alphabet of size 3$"):
             em_fit(seqs, 3, 2, 2, EmConfig(max_iter=2, restarts=1))
 
 

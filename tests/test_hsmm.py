@@ -11,28 +11,38 @@ from hsmm_spectral.hsmm import (
     HsmmParams,
     InvalidModel,
     OracleTooLarge,
+    emissions_on_joint,
     exact_likelihood_enum,
     forward_likelihood,
     forward_loglik_batch,
     initial_joint,
+    joint_states,
     joint_transition_matrix,
     load_model,
     next_state_table,
     random_model,
+    renewal_kernel,
     read_sequences,
     sample,
     sample_many,
     save_model,
+    state_update_matrix,
     validate,
     write_sequences,
 )
 from hsmm_spectral.tensors import ShapeMismatch
 
 from oracles import (
+    duration_update_reference,
+    emissions_reference,
     enumeration_likelihood,
     hmm_forward_loglik,
+    joint_states_reference,
+    joint_transition_reference,
+    next_state_reference,
     sample_many_per_step,
     segment_likelihood,
+    state_update_reference,
 )
 
 
@@ -369,6 +379,36 @@ def test_next_state_table_layout():
     assert t0.shape == (2, 6)
     assert np.array_equal(t0[:, :2], p.X)
     assert np.array_equal(t0[:, 2:4], np.eye(2))
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (5, 4, 6), (8, 3, 9), (3, 1, 4), (4, 3, 1)])
+def test_lattice_closed_forms_match_the_loop_builders(dims):
+    p = random_model(*dims, seed=17)
+    n_x, n_d = p.n_x, p.n_d
+    assert np.array_equal(joint_states(n_x, n_d), joint_states_reference(n_x, n_d))
+    assert np.array_equal(state_update_matrix(p), state_update_reference(p.X, n_d))
+    assert np.array_equal(renewal_kernel(np.eye(n_x), p.D), duration_update_reference(p.D))
+    assert np.array_equal(joint_transition_matrix(p), joint_transition_reference(p.X, p.D))
+    assert np.array_equal(next_state_table(p), next_state_reference(p.X, n_d))
+    assert np.array_equal(emissions_on_joint(p), emissions_reference(p.O, n_d))
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, 3])
+@pytest.mark.parametrize("oracle", ["forward_likelihood", "forward_loglik_batch",
+                                    "exact_likelihood_enum"])
+def test_likelihood_oracles_refuse_symbols_outside_the_alphabet(oracle, bad):
+    # a fractional symbol was truncated, -1 read as the last symbol, and 3 an IndexError
+    p = random_model(3, 2, 2, seed=1)
+    call = {
+        "forward_likelihood": lambda obs: forward_likelihood(p, obs),
+        "forward_loglik_batch": lambda obs: forward_loglik_batch(p, np.array([[0, 1, 2], obs])),
+        "exact_likelihood_enum": lambda obs: exact_likelihood_enum(p, obs),
+    }[oracle]
+    call([0, 1, 2])
+    row = 1 if oracle == "forward_loglik_batch" else 0
+    what = "is not an integer" if bad == 1.5 else "outside alphabet of size 3"
+    with pytest.raises(InvalidModel, match=rf"^sequence {row}: symbol {bad} {what}$"):
+        call([0, bad, 2])
 
 
 # tokens the fast path reads, and ones only the per-line parser accepts or rejects

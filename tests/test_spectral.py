@@ -284,7 +284,12 @@ def test_infer_guards():
         infer_batch(model, np.array([[0, 1, 2], [0, 5, 1]]))
 
 
-def test_every_entry_point_refuses_a_bad_row_alike():
+def score_rows(path):
+    """The data rows of a score CSV, each as its list of fields."""
+    return [line.split(",") for line in path.read_bytes().decode().split("\r\n")[1:-1]]
+
+
+def test_every_entry_point_refuses_a_bad_row_alike(tmp_path):
     p = random_model(3, 2, 2, seed=9)
     pooled, _, _ = analytic_model(p)
     obs = list(sample_many(p, 300, 12, np.random.default_rng(9)))
@@ -309,9 +314,9 @@ def test_every_entry_point_refuses_a_bad_row_alike():
                 with pytest.raises(SpectralError) as err:
                     call()
                 assert (type(err.value), str(err.value)) == (cls, message)
-            sink = io.StringIO()
-            rows = list(spectral.score_sequences(model, [good, row, good, row], sink))
-            assert [r[1] == "nan" for r in rows] == [False, True, False, True]
+            sink, out = io.StringIO(), tmp_path / "scores.csv"
+            score_file(model, [good, row, good, row], out, error_sink=sink)
+            assert [r[1] == "nan" for r in score_rows(out)] == [False, True, False, True]
             assert sink.getvalue().splitlines() == [
                 f"line {i}: {cls.__name__}: {message}" for i in (2, 4)
             ]
@@ -385,7 +390,7 @@ def test_score_csv_bytes_match_the_reference_writer(tmp_path, chain_models):
             assert score_file(model, form, out, error_sink=sink) == len(form)
             assert out.read_bytes() == ref_text.encode()
             assert sink.getvalue() == ref_sink.getvalue()
-            assert list(spectral.score_sequences(model, form, io.StringIO())) == ref_rows
+            assert score_rows(out) == [[str(field) for field in row] for row in ref_rows]
     # the rows cover unknown symbols, short rows, negative estimates and dead rows
     assert ref_text == "id,log_value,sign,clamped,norm_loglik\r\n"
     _, text = score_csv_reference(dead, seqs, io.StringIO())
@@ -921,8 +926,6 @@ def _entry_points(tmp_path):
     return {
         "infer": lambda seqs: [infer(model, s) for s in seqs],
         "infer_batch": lambda seqs: infer_batch(model, seqs),
-        "score_sequences": lambda seqs: list(
-            spectral.score_sequences(model, seqs, io.StringIO())),
         "score_file": lambda seqs: score_file(model, seqs, tmp_path / "s.csv", io.StringIO()),
         "count_cooccurrences": lambda seqs: count_cooccurrences(seqs, 3, sched),
         "estimate_moments": lambda seqs: estimate_moments(seqs, 3, sched),
@@ -931,7 +934,7 @@ def _entry_points(tmp_path):
     }
 
 
-@pytest.mark.parametrize("entry", ["infer", "infer_batch", "score_sequences", "score_file",
+@pytest.mark.parametrize("entry", ["infer", "infer_batch", "score_file",
                                    "count_cooccurrences", "estimate_moments",
                                    "build_observable_per_t", "em_fit"])
 def test_symbols_that_are_not_integers_are_refused(tmp_path, entry):
