@@ -38,10 +38,8 @@ from .moments import (
 )
 from .rank_analysis import (
     InvalidOffsets,
-    LiftedTransition,
     TReport,
     build_F,
-    build_lift,
     compute_T_efficient,
     compute_T_sequential,
     rank_grid,

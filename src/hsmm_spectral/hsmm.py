@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensors import ShapeMismatch, numerical_rank
+from .tensors import ShapeMismatch, spectrum_rank
 
 
 class ModelError(Exception):
@@ -144,13 +144,8 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(p: HsmmParams, rtol: float = 1e-10) -> ValidationReport:
-    """Check stochasticity and the three structural assumptions.
-
-    A1: the renewal transition has full numerical rank.  A2: every duration
-    has positive probability in every state.  A3: the emission matrix has
-    full column rank (which requires ``n_x <= n_o``).
-    """
+def _stochastic_checks(p: HsmmParams) -> list[CheckResult]:
+    """The ``stochastic[...]`` checks of :func:`validate`: every table is a distribution."""
     checks = []
     for name, arr in (("O", p.O), ("X", p.X), ("D", p.D)):
         col_err = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
@@ -180,21 +175,48 @@ def validate(p: HsmmParams, rtol: float = 1e-10) -> ValidationReport:
                 pd_err,
             )
         )
-    sig_x = float(np.linalg.svd(p.X, compute_uv=False).min())
+    return checks
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """``a``'s singular values; all NaN if ``a`` has a non-finite entry, which has no SVD."""
+    if np.isfinite(a).all():
+        return np.linalg.svd(a, compute_uv=False)
+    return np.full(min(a.shape), np.nan)
+
+
+def validate(p: HsmmParams, rtol: float = 1e-10) -> ValidationReport:
+    """Check stochasticity and the three structural assumptions.
+
+    A1: the renewal transition has full numerical rank.  A2: every duration
+    has positive probability in every state.  A3: the emission matrix has
+    full column rank (which requires ``n_x <= n_o``).  Each rank check and
+    its ``sigma_min`` read one set of singular values; a table with a
+    non-finite entry fails its rank check with ``sigma_min`` NaN.
+    """
+    checks = _stochastic_checks(p)
+    s_x = _singular_values(p.X)
     checks.append(
         CheckResult(
             "A1[rank X]",
-            numerical_rank(p.X, rtol) == p.n_x,
-            sig_x,
+            spectrum_rank(s_x, rtol) == p.n_x,
+            float(s_x.min()),
             "sigma_min of X",
         )
     )
     d_min = float(p.D.min())
     checks.append(CheckResult("A2[D positive]", d_min > 0.0, d_min, "min entry of D"))
-    sig_o = float(np.linalg.svd(p.O, compute_uv=False).min())
-    a3_ok = p.n_x <= p.n_o and numerical_rank(p.O, rtol) == p.n_x
-    checks.append(CheckResult("A3[rank O]", a3_ok, sig_o, "sigma_min of O"))
+    s_o = _singular_values(p.O)
+    a3_ok = p.n_x <= p.n_o and spectrum_rank(s_o, rtol) == p.n_x
+    checks.append(CheckResult("A3[rank O]", a3_ok, float(s_o.min()), "sigma_min of O"))
     return ValidationReport(tuple(checks))
+
+
+def _require_stochastic(p: HsmmParams) -> None:
+    """Refuse, as :class:`InvalidModel`, a model with a table that is not a distribution."""
+    unfit = [c.name for c in _stochastic_checks(p) if not c.passed]
+    if unfit:
+        raise InvalidModel(f"cannot sample from a model that fails {', '.join(unfit)}")
 
 
 def random_model(
@@ -303,9 +325,14 @@ class SampledSequence:
 
 
 def sample(p: HsmmParams, T: int, rng: np.random.Generator) -> SampledSequence:
-    """Sample one sequence of length ``T``."""
+    """Sample one sequence of length ``T``.
+
+    ``T < 1`` and a model that fails a ``stochastic[...]`` check of
+    :func:`validate` raise :class:`InvalidModel`; A1-A3 are not needed.
+    """
     if T < 1:
         raise InvalidModel("T must be at least 1")
+    _require_stochastic(p)
     obs = np.empty(T, dtype=np.int64)
     hidden = []
     x = int(rng.choice(p.n_x, p=p.pi_x))
@@ -340,13 +367,15 @@ def sample_many(
     """Sample ``n_sequences`` independent length-``T`` sequences, vectorized.
 
     Each table's cumulative sums are formed once per call; every step only
-    gathers the rows of the current states.  ``T < 1`` and a negative count
-    raise :class:`InvalidModel`, as in :func:`sample`.
+    gathers the rows of the current states.  ``T < 1``, a negative count and
+    a model that is not stochastic raise :class:`InvalidModel`, as in
+    :func:`sample`.
     """
     if T < 1:
         raise InvalidModel("T must be at least 1")
     if n_sequences < 0:
         raise InvalidModel(f"n_sequences must be non-negative, got {n_sequences}")
+    _require_stochastic(p)
     obs = np.empty((n_sequences, T), dtype=np.int64)
     O, X, D = _cumulative(p.O), _cumulative(p.X), _cumulative(p.D)
     x = _draw(_cumulative(p.pi_x[:, None]), np.zeros(n_sequences, dtype=int), rng)

@@ -35,7 +35,6 @@ from .hsmm import (
     joint_transition_matrix,
     next_state_table,
     random_model,
-    validate,
 )
 from .moments import build_schedule
 from .tensors import khatri_rao_cols, numerical_rank
@@ -48,24 +47,6 @@ class InvalidOffsets(Exception):
 
 
 @dataclass(frozen=True)
-class LiftedTransition:
-    """One-step kernel on (x, d) pairs and its renewal block.
-
-    ``V`` has the renewal block ``Psi`` in its first column block and
-    duration-decrement identities on the superdiagonal blocks; ``Psi``
-    stacks ``diag(D[i, :]) @ X`` over durations, equivalently
-    ``khatri_rao_cols(D, I) @ X``.  ``E`` is the repeated-identity matrix
-    used by the expansion step.
-    """
-
-    V: np.ndarray
-    Psi: np.ndarray
-    E: np.ndarray
-    n_x: int
-    n_d: int
-
-
-@dataclass(frozen=True)
 class TReport:
     T: np.ndarray
     predicted_rank: int
@@ -73,25 +54,6 @@ class TReport:
     algorithm: str
     ell: int
     offsets: tuple[int, ...]
-
-
-def build_lift(p: HsmmParams) -> LiftedTransition:
-    """Assemble the lifted transition and check its block structure."""
-    report = validate(p)
-    if not report.ok:
-        raise InvalidModel("model fails validation:\n" + str(report))
-    n_x, n_d = p.n_x, p.n_d
-    V = joint_transition_matrix(p)
-    psi = khatri_rao_cols(p.D, np.eye(n_x)) @ p.X
-    E = np.eye(n_x)[:, joint_states(n_x, n_d)]
-    assert np.allclose(V[:, :n_x], psi, atol=1e-14)
-    for d in range(2, n_d + 1):
-        block = V[:, (d - 1) * n_x : d * n_x]
-        expect = np.zeros((n_x * n_d, n_x))
-        expect[(d - 2) * n_x : (d - 1) * n_x] = np.eye(n_x)
-        assert np.array_equal(block, expect)
-    assert numerical_rank(V, RANK_RTOL) == n_x * n_d
-    return LiftedTransition(V=V, Psi=psi, E=E, n_x=n_x, n_d=n_d)
 
 
 def _t_from_marks(

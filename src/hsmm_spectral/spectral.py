@@ -6,8 +6,8 @@ of observable co-occurrences only:
 * ``d_tilde`` transfers a right-window message one anchor forward,
 * ``x_tilde`` consumes the anchor's own symbol while re-emitting the window
   (a three-mode tensor: inverse-side window, data-side window, symbol),
-* ``o_tilde`` is the symbol-pair table times its own pseudo-inverse (a
-  projector onto the reachable emission subspace),
+* ``o_tilde`` is ``U_r U_r'`` from the symbol-pair table's SVD: the
+  projector ``m_oo pinv(m_oo)`` onto the reachable emission subspace,
 * ``start_factor`` is the boundary joint of the first two symbols with the
   first right window, estimable directly as a probability table.
 
@@ -49,9 +49,10 @@ loaded model, a view of its stack), and a model's ``d_tilde`` is a
 ``NamedTensor`` view of its ``Y_d``.
 
 The pseudo-inverse products are float64 truncated-SVD solves.  Each
-stacked moment table is decomposed once for all anchors, and each anchor's
-rank check, noise floor and solve read its spectrum from that
-decomposition.  The windowed moment matrix's
+stacked moment table is decomposed once for all anchors, and one rule
+reads each anchor's spectrum ``s`` from that decomposition: it keeps the
+least of the ``rtol`` count (``s > rtol * s_1``), the noise-floor count
+(``s > 2/sqrt(count)``) and the rank cap.  The windowed moment matrix's
 conditioning is the product of two factor conditionings (``s_1/s_r`` up to
 about 4e11 on admitted (5,4,6) models), and on population moments that
 conditioning of the float64 moments, not the solve's arithmetic, sets the
@@ -183,21 +184,6 @@ class ObservableModel:
         return _operators(_stack(self))
 
 
-def _noise_rtol(s: np.ndarray, count: int) -> np.ndarray:
-    """Relative truncation level matching the sampling noise of a count table.
-
-    ``s`` holds one row of singular values per anchor's table, and the
-    result one level per anchor.  A table sums to one, so the Frobenius norm
-    of its sampling error is about ``1/sqrt(count)``; directions below a
-    small multiple of that are unresolved and only amplify noise when
-    inverted.  A zero table, or no count, gets level 0.
-    """
-    level = np.zeros(len(s))
-    if count > 0:
-        np.divide(2.0 / math.sqrt(count), s[:, 0], out=level, where=s[:, 0] != 0.0)
-    return level
-
-
 def _solve(
     svd: tuple[np.ndarray, np.ndarray, np.ndarray],
     rhs: Sequence[np.ndarray],
@@ -210,17 +196,14 @@ def _solve(
     directions.  Returns the orthonormal bases ``V`` of the kept row spaces
     and the coefficients ``Y = diag(1/s_r) u_r' rhs``, so that
     ``pinv(a) @ rhs = V @ Y`` per anchor, with ``max(keep)`` directions each,
-    zero past the anchor's own.
+    zero past the anchor's own (a dropped direction is divided by ``inf``).
     """
     u, s, vt = svd
     r = int(keep.max())
     pad = np.arange(r) >= keep[:, None]
-    w = u[:, :, :r].swapaxes(1, 2) / np.where(pad, 1.0, s[:, :r])[:, :, None]
-    ys = [w @ b for b in rhs]
-    v = vt[:, :r].copy()  # a view would keep all of vt alive with the model
-    for y in (v, *ys):
-        y[pad] = 0.0
-    return v.swapaxes(1, 2), ys
+    w = u[:, :, :r].swapaxes(1, 2) / np.where(pad, np.inf, s[:, :r])[:, :, None]
+    v = np.where(pad[:, :, None], 0.0, vt[:, :r])
+    return v.swapaxes(1, 2), [w @ b for b in rhs]
 
 
 def _build(
@@ -238,23 +221,27 @@ def _build(
     stacked over ``A`` anchors, then the shared ``m_start``.  ``counts`` are
     the window and the pair count behind each anchor's tables, and ``first``
     the first anchor (``None``: a pooled model, ``A = 1``).  Each stacked
-    table is decomposed once; the rank check, the noise floor and the solve
-    read every anchor's spectrum from that decomposition.  The first anchor
-    whose tables fail raises :class:`DegenerateMoments`, naming it.
+    table is decomposed once, and every decision reads that one spectrum
+    ``s``: an anchor keeps the least of the ``rtol`` count (``s > rtol *
+    s_1``), the noise-floor count (``s > 2/sqrt(count)``: a table sums to
+    one, so its sampling error has Frobenius norm about ``1/sqrt(count)``;
+    no floor without ``noise_floor`` or a count) and the rank cap
+    (``joint_rank`` for ``m_lr``, ``n_x`` for ``m_oo``).  ``o_tilde`` is the
+    projector ``U_r U_r'`` onto ``m_oo``'s kept column space, which is
+    ``pinv(m_oo') m_oo'``.  The first anchor whose tables fail raises
+    :class:`DegenerateMoments`, naming it.
     """
     lr, lr_shift, lro, oo, start = tables
     a, k = lr.shape[:2]
     needed = min(sched.joint_rank, k)
     lr_svd = np.linalg.svd(lr, full_matrices=False)
-    oo_svd = np.linalg.svd(oo.swapaxes(1, 2), full_matrices=False)
-    s, s_oo = lr_svd[1], oo_svd[1]
+    u_oo, s_oo, _ = np.linalg.svd(oo)
+    s = lr_svd[1]
+    floor, floor_oo = (2.0 / math.sqrt(c) if noise_floor and c > 0 else 0.0 for c in counts)
     rank = spectrum_rank(s, rtol)
-    eff_lr = eff_oo = rtol
-    if noise_floor:
-        eff_lr = np.maximum(rtol, _noise_rtol(s, counts[0]))[:, None]
-        eff_oo = np.maximum(rtol, _noise_rtol(s_oo, counts[1]))[:, None]
-    keep = np.minimum(spectrum_rank(s, eff_lr), needed)
-    keep_oo = np.minimum(spectrum_rank(s_oo, eff_oo), sched.n_x)
+    keep = np.minimum(rank, (s > floor).sum(axis=1)).clip(max=needed)
+    keep_oo = np.minimum(spectrum_rank(s_oo, rtol), (s_oo > floor_oo).sum(axis=1))
+    keep_oo = keep_oo.clip(max=sched.n_x)
     # one row per check, in the order a single anchor's build meets them
     failed = np.array([rank < needed, keep == 0, s_oo[:, 0] == 0.0, keep_oo == 0])
     if failed.any():
@@ -268,12 +255,12 @@ def _build(
         anchor = None if first is None else first + i
         raise DegenerateMoments(tensor, anchor=anchor, detail=detail)
     basis, (y_d, y_x) = _solve(lr_svd, [lr_shift, lro.reshape(a, k, k * n_o)], keep)
-    v_oo, (y_o,) = _solve(oo_svd, [oo.swapaxes(1, 2)], keep_oo)
+    u_r = np.where(np.arange(n_o) < keep_oo[:, None, None], u_oo, 0.0)
     return ModelStack(
         y_d=read_only(y_d), y_x=read_only(y_x.reshape(a, -1, k, n_o)),
-        o_tilde=read_only(v_oo @ y_o), start_factor=start, basis=read_only(basis),
-        ranks=keep.tolist(), first=1 if first is None else first, pooled=first is None,
-        n_o=n_o, ell=sched.ell, rtol=rtol,
+        o_tilde=read_only(u_r @ u_oo.swapaxes(1, 2)), start_factor=start,
+        basis=read_only(basis), ranks=keep.tolist(), first=1 if first is None else first,
+        pooled=first is None, n_o=n_o, ell=sched.ell, rtol=rtol,
     )
 
 

@@ -89,12 +89,11 @@ def numerical_rank(a: np.ndarray, rtol: float) -> int:
     return int(spectrum_rank(s, rtol))
 
 
-def spectrum_rank(s: np.ndarray, rtol) -> np.ndarray:
+def spectrum_rank(s: np.ndarray, rtol: float) -> np.ndarray:
     """:func:`numerical_rank` read off descending singular values ``s``.
 
-    Each row of a stacked ``s`` is counted against its own leading value, and
-    ``rtol`` may hold one tolerance per row (shape ``(..., 1)``).
+    Each row of a stacked ``s`` is counted against its own leading value.
     """
-    if not (isinstance(rtol, (int, float, np.ndarray)) and np.greater(rtol, 0).all()):
+    if not (isinstance(rtol, (int, float)) and rtol > 0):
         raise InvalidTolerance(f"rtol must be positive, got {rtol!r}")
     return (s > rtol * s[..., :1]).sum(axis=-1)

@@ -183,6 +183,41 @@ def test_basic_variant_pipeline(tmp_path, capsys):
     assert scores.read_bytes() == want.read_bytes()
 
 
+def test_no_noise_floor_keeps_the_joint_rank(tmp_path, capsys):
+    # on 4000 x 100 symbols the floor 2/sqrt(count) keeps only the first direction
+    model, data = tmp_path / "m.json", tmp_path / "d.txt"
+    assert run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "1",
+                "-o", str(model)], capsys)[0] == 0
+    assert run(["gen-data", "--model", str(model), "-n", "4000", "-T", "100",
+                "--seed", "1", "-o", str(data)], capsys)[0] == 0
+    for flag, rank in (([], 1), (["--no-noise-floor"], 4)):
+        learned, scores = tmp_path / "spec.bin", tmp_path / "scores.csv"
+        code, _, err = run(["learn-spectral", *flag, "--data", str(data), "--nx", "2",
+                            "--nd", "2", "-o", str(learned)], capsys)
+        assert code == 0, err
+        assert load_observable(learned).rank == rank
+        code, out, err = run(["score", "--model", str(learned), "--data", str(data),
+                              "-o", str(scores)], capsys)
+        assert code == 0 and out.startswith("scored 4000 sequences"), err
+        rows = scores.read_text().splitlines()[1:]
+        assert len(rows) == 4000 and "nan" not in "".join(rows)
+
+
+def test_validate_reports_a_nan_entry(tmp_path, capsys):
+    # the A3 check's SVD of O raised LinAlgError before the report was printed
+    model = tmp_path / "m.json"
+    model.write_text('{"n_o": 2, "n_x": 1, "n_d": 1, "O": [[NaN], [1.0]], "X": [[1.0]], '
+                     '"D": [[1.0]], "pi_x": [1.0]}')
+    code, out, err = run(["validate", str(model)], capsys)
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL  stochastic[O]")
+    assert lines[-1].startswith("FAIL  A3[rank O]") and "nan" in lines[-1]
+    code, _, err = run(["gen-data", "--model", str(model), "-n", "3", "-T", "4",
+                        "-o", str(tmp_path / "d.txt")], capsys)
+    assert (code, err) == (2, "InvalidModel: cannot sample from a model that fails stochastic[O]\n")
+
+
 def test_learn_em_cli(tmp_path, capsys):
     model = tmp_path / "m.json"
     data = tmp_path / "d.txt"

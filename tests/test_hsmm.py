@@ -30,6 +30,7 @@ from hsmm_spectral.hsmm import (
     validate,
     write_sequences,
 )
+from hsmm_spectral.moments import analytic_moments, build_schedule
 from hsmm_spectral.tensors import ShapeMismatch
 
 from oracles import (
@@ -79,6 +80,64 @@ def test_validate_flags_wide_hidden_space():
     D = np.full((2, 3), 0.5)
     rep = validate(HsmmParams(O=O, X=X, D=D, pi_x=np.full(3, 1 / 3)))
     assert any(c.name.startswith("A3") and not c.passed for c in rep.checks)
+
+
+def test_validate_reports_a_non_finite_table_without_an_svd(monkeypatch):
+    # an SVD of O = [[NaN], [1.0]] raised LinAlgError before the report was made
+    O = HsmmParams(O=[[np.nan], [1.0]], X=[[1.0]], D=[[1.0]], pi_x=[1.0])
+    X = HsmmParams(O=[[0.5], [0.5]], X=[[np.inf]], D=[[1.0]], pi_x=[1.0])
+    svd = np.linalg.svd
+
+    def finite_only(a, *args, **kwargs):
+        assert np.isfinite(a).all(), "SVD of a non-finite table"
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", finite_only)
+    for p, failed in ((O, ["stochastic[O]", "A3[rank O]"]),
+                      (X, ["stochastic[X]", "A1[rank X]"])):
+        rep = validate(p)
+        assert [c.name for c in rep.failed()] == failed
+        assert math.isnan(rep.failed()[-1].value)
+        assert "FAIL  stochastic" in str(rep)
+        with pytest.raises(InvalidModel, match="model fails validation"):
+            analytic_moments(p, build_schedule(1, 1), 12)
+
+
+def test_validate_decomposes_x_and_o_once_each(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    p = random_model(5, 3, 2, seed=4)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert validate(p).ok
+    assert sorted(calls) == [(3, 3), (5, 3)]
+
+
+def test_sampling_refuses_a_table_that_is_not_a_distribution():
+    # O's column [0.9, 0.9] was sampled as [[0 0 0 0 0], [1 0 0 0 0]]
+    good = dict(O=[[0.5], [0.5]], X=[[1.0]], D=[[1.0]], pi_x=[1.0])
+    for field, table, failed in (
+        ("O", [[0.9], [0.9]], "stochastic[O]"),
+        ("O", [[-0.5], [1.5]], "stochastic[O]"),
+        ("O", [[np.nan], [1.0]], "stochastic[O]"),
+        ("D", [[0.7]], "stochastic[D]"),
+        ("pi_x", [2.0], "stochastic[pi_x]"),
+    ):
+        p = HsmmParams(**{**good, field: table})
+        rng = np.random.default_rng(0)
+        for draw in (lambda: sample_many(p, 2, 5, rng), lambda: sample(p, 5, rng)):
+            with pytest.raises(InvalidModel) as exc:
+                draw()
+            assert str(exc.value) == f"cannot sample from a model that fails {failed}"
+    # A1 (rank-one X) and A3 (n_x > n_o) fail, and sampling needs neither
+    wide = HsmmParams(O=[[1.0, 1.0]], X=[[0.5, 0.5], [0.5, 0.5]], D=[[1.0, 1.0]],
+                      pi_x=[0.5, 0.5])
+    assert sample_many(wide, 3, 4, np.random.default_rng(0)).shape == (3, 4)
+    assert sample(wide, 4, np.random.default_rng(0)).observations.shape == (4,)
 
 
 def test_shape_mismatch_raised_on_construction():

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from hsmm_spectral.hsmm import HsmmParams, random_model
+from hsmm_spectral.hsmm import HsmmParams, joint_transition_matrix, random_model
 from hsmm_spectral.moments import build_schedule, window_conditional
 from hsmm_spectral.rank_analysis import (
     InvalidOffsets,
     build_F,
-    build_lift,
     compute_T_efficient,
     compute_T_sequential,
     rank_grid,
@@ -16,17 +15,17 @@ from hsmm_spectral.tensors import numerical_rank
 
 def test_lift_single_duration_collapses_to_transition():
     p = random_model(3, 2, 1, seed=0)
-    lift = build_lift(p)
-    assert np.allclose(lift.V, p.X, atol=1e-15)
-    assert np.allclose(lift.Psi, p.X, atol=1e-15)
+    V = joint_transition_matrix(p)
+    assert np.allclose(V, p.X, atol=1e-15)
+    assert np.allclose(V[:, : p.n_x], p.X, atol=1e-15)
 
 
 def test_lift_rank_and_stochastic_renewal_block():
     p = random_model(3, 2, 2, seed=1)
-    lift = build_lift(p)
-    assert numerical_rank(lift.V, 1e-10) == 4
-    assert np.allclose(lift.Psi.sum(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(lift.V.sum(axis=0), 1.0, atol=1e-12)
+    V = joint_transition_matrix(p)
+    assert numerical_rank(V, 1e-10) == 4
+    assert np.allclose(V[:, : p.n_x].sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(V.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_sequential_initial_table():

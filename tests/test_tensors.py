@@ -7,6 +7,7 @@ from hsmm_spectral.tensors import (
     ShapeMismatch,
     khatri_rao_cols,
     numerical_rank,
+    spectrum_rank,
 )
 
 from oracles import loop_khatri_rao
@@ -106,3 +107,8 @@ def test_numerical_rank_thresholds():
     assert numerical_rank(np.diag([1.0, 1e-14]), 1e-10) == 1
     with pytest.raises(InvalidTolerance):
         numerical_rank(np.eye(2), -1.0)
+    # one scalar tolerance for every row of a stacked spectrum
+    s = np.array([[1.0, 1e-3, 1e-9], [2.0, 0.0, 0.0]])
+    assert spectrum_rank(s, 1e-6).tolist() == [2, 1]
+    with pytest.raises(InvalidTolerance):
+        spectrum_rank(s, np.array([[1e-6], [1e-2]]))
