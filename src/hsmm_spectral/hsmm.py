@@ -563,11 +563,11 @@ def load_model(path) -> HsmmParams:
 # read no faster.
 READ_BLOCK = 1 << 14
 
-# Bytes the vectorized tokenizer reads; a block holding any other byte (or
-# a digit run too long to be sure of fitting in int64) goes to the per-line
-# parser.  A carriage return must also sit right before a newline there.
-_FAST_BYTES = np.zeros(256, dtype=bool)
-_FAST_BYTES[np.frombuffer(b"0123456789 \t\r\n", dtype=np.uint8)] = True
+# The vectorized tokenizer reads a block only when deleting its digits,
+# spaces, tabs, carriage returns and newlines (``bytes.translate``) leaves
+# nothing; a block holding any other byte (or a digit run too long to be
+# sure of fitting in int64) goes to the per-line parser.  A carriage return
+# must also sit right before a newline there.
 _MAX_DIGITS = 18
 
 
@@ -746,19 +746,25 @@ def _fast_block(block: bytes):
     """Symbols and per-line symbol counts of a block, or ``None`` to parse it per line.
 
     Tokens are the digit runs of the block's bytes: their edges come from
-    one pass over a digit mask, and their values from one multiply-add per
-    digit place.  Only blocks of digits, spaces, tabs and newlines (with a
-    carriage return allowed right before a newline) are read here, and only
-    when no run has more than :data:`_MAX_DIGITS` digits.
+    comparing a digit mask with itself one byte on, and their values from
+    one multiply-add per digit place.  Only blocks that ``translate``
+    empties of digits, spaces, tabs and newlines (with a carriage return
+    allowed right before a newline) are read here, and only when no run has
+    more than :data:`_MAX_DIGITS` digits.
     """
+    if block.translate(None, b"0123456789 \t\r\n"):
+        return None
     b = np.frombuffer(block, dtype=np.uint8)
-    if not _FAST_BYTES[b].all():
-        return None
-    cr = np.flatnonzero(b == ord("\r"))
-    if cr.size and not (b[cr + 1] == ord("\n")).all():
-        return None
+    if b"\r" in block:
+        cr = np.flatnonzero(b == ord("\r"))
+        if not (b[cr + 1] == ord("\n")).all():
+            return None
     digits = b - np.uint8(ord("0"))
-    edges = np.flatnonzero(np.diff(digits < 10, prepend=False))
+    mask = digits < 10
+    # a block ends in a newline, so every run that starts also ends
+    edges = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    if mask[0]:
+        edges = np.concatenate(([0], edges))
     starts, width = edges[::2], edges[1::2] - edges[::2]
     widest = int(width.max()) if width.size else 0
     if widest > _MAX_DIGITS:

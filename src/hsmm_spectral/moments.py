@@ -20,9 +20,13 @@ int64 stream (:class:`~hsmm_spectral.hsmm.SequenceFile`: the symbols of all
 sequences back to back, and where each begins) and slices it into blocks
 of :data:`BLOCK` positions, each viewed with the window reach on either
 side, so its temporaries are bounded by the block, not by the input.  Per
-block it computes the left- and right-window codes once per position with one
-multiply-add per window offset, reads each anchor's windows as shifted
-lookups into them, and tallies integer counts of composite indices with
+block it runs over one contiguous span of stream positions, from the first
+placement any sequence has in the block to the last: the left- and
+right-window codes come from one multiply-add per window offset over that
+span, and each table's composite indices are shifted slices of them, never a
+gather of positions.  The few positions in the span between one sequence's
+placements and the next's go to one extra bin, one past the table's last
+entry, which the tally drops.  Integer counts are tallied with
 ``np.bincount`` (or ``np.unique`` when the table is larger than the block).
 Tables are divided by their counts once, at the end, so they equal the
 placement frequencies exactly.  Each moment table is that one quotient,
@@ -236,7 +240,42 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(start, stop)`` over the pairs (empty where stop <= start)."""
     lengths = np.maximum(stops - starts, 0)
     ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    total = ends[-1] if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _span(base: np.ndarray, first: np.ndarray, stop: np.ndarray):
+    """The stream span of the pieces' positions ``base + first <= p < base + stop``.
+
+    Returns ``(lo, hi, gaps)``: ``[lo, hi)`` runs from the first such
+    position of any piece to the last, and ``gaps`` lists the positions in
+    it, counted from ``lo``, that no piece has (those between one
+    sequence's placements and the next's).
+    """
+    keep = stop > first
+    starts, stops = (base + first)[keep], (base + stop)[keep]
+    if not starts.size:
+        return 0, 0, starts
+    lo = int(starts[0])
+    return lo, int(stops[-1]), _ranges(stops[:-1] - lo, starts[1:] - lo)
+
+
+def _cyclic(start: int, n: int, T: int, scale: int) -> np.ndarray:
+    """``((start + j) % T) * scale`` for ``j < n``: the anchor digit along a span of length-``T`` rows.
+
+    Filled as whole broadcast rows, not by a per-element modulo (which
+    costs several times a gather).  Rows at least ``n`` long wrap at most
+    once, so they take one ``arange`` instead, and a long row costs no more
+    than the span.
+    """
+    start %= T
+    if T >= n:
+        digits = np.arange(start * scale, (start + n) * scale, scale)
+        digits[T - start :] -= T * scale
+        return digits
+    rows = np.empty(((start + n - 1) // T + 1, T), dtype=np.int64)
+    rows[:] = np.arange(0, T * scale, scale)
+    return rows.reshape(-1)[start : start + n]
 
 
 def _window_codes(stream: np.ndarray, offsets: Sequence[int], n_o: int) -> np.ndarray:
@@ -262,13 +301,18 @@ TALLY_SORT_RATIO = 16
 
 
 def _tally(table: np.ndarray, index: np.ndarray) -> None:
-    """Add the histogram of ``index`` into the integer ``table``, read flat."""
+    """Add the histogram of ``index`` into the integer ``table``, read flat.
+
+    Index ``table.size``, one past the last entry, is the dropped bin: the
+    span tallies send the positions between sequences there.
+    """
     table = table.reshape(-1)
     if table.size > TALLY_SORT_RATIO * index.size:
         bins, hits = np.unique(index, return_counts=True)
-        table[bins] += hits
+        real = np.searchsorted(bins, table.size)
+        table[bins[:real]] += hits[:real]
     else:
-        table += np.bincount(index, minlength=table.size)
+        table += np.bincount(index, minlength=table.size + 1)[: table.size]
 
 
 def _tally_windows(
@@ -279,21 +323,30 @@ def _tally_windows(
     k = n_o**sched.ell
     n_d = sched.n_d
     T, base, lo, hi = pieces
-    right = _window_codes(stream, sched.right_offsets, n_o)
     # anchor s is addressed by where its left window starts, s - n_d
     first, stop = np.maximum(lo, n_d) - n_d, np.minimum(hi, T - n_d - 1) - n_d
-    at = _ranges(base + first, base + stop)
-    index = _window_codes(stream, sched.left_offsets, n_o)[at]
+    a, b, gaps = _span(base, first, stop)
+    if a == b:
+        return 0
+    index = _window_codes(stream[a : b + sched.left_offsets[-1]], sched.left_offsets, n_o)
+    reach = b + n_d + 2 + sched.right_offsets[-1]
+    right = _window_codes(stream[a + n_d + 1 : reach], sched.right_offsets, n_o)
     if anchors is not None:
-        index += _ranges(first, stop) * k
+        # the rows all have one length (count_cooccurrences checks), so the
+        # anchor digit runs 0, 1, .. along each row of the span
+        index += _cyclic(a - base[0], b - a, T[0], k)
     index *= k
-    _tally(lr_shift, index + right[n_d + 2 :][at])
-    index += right[n_d + 1 :][at]
+    shift = index + right[1:]
+    shift[gaps] = lr_shift.size
+    _tally(lr_shift, shift)
+    index += right[:-1]
+    index[gaps] = lr.size
     _tally(lr, index)
     index *= n_o
-    index += stream[n_d:][at]
+    index += stream[a + n_d : b + n_d]
+    index[gaps] = lro.size
     _tally(lro, index)
-    return at.shape[0]
+    return b - a - gaps.shape[0]
 
 
 def _tally_pairs(
@@ -303,16 +356,19 @@ def _tally_pairs(
     """Tally one block's adjacent pairs (per anchor: the anchor's pair); return their count."""
     T, base, lo, hi = pieces
     if anchors is None:
-        at = _ranges(base + lo, base + np.minimum(hi, T - 1))
-        index = stream[at]
+        first, stop = lo, np.minimum(hi, T - 1)
     else:
         first, stop = np.maximum(lo, n_d), np.minimum(hi, T - n_d - 1)
-        at = _ranges(base + first, base + stop)
-        index = _ranges(first - n_d, stop - n_d) * n_o + stream[at]
-    index *= n_o
-    index += stream[1:][at]
+    a, b, gaps = _span(base, first, stop)
+    if a == b:
+        return 0
+    index = stream[a:b] * n_o
+    if anchors is not None:
+        index += _cyclic(a - base[0] - n_d, b - a, T[0], n_o * n_o)
+    index += stream[a + 1 : b + 1]
+    index[gaps] = oo.size
     _tally(oo, index)
-    return at.shape[0]
+    return b - a - gaps.shape[0]
 
 
 def _tally_starts(
@@ -342,13 +398,16 @@ def count_cooccurrences(
     :class:`~hsmm_spectral.hsmm.SequenceFile`, a 2-D array of equal-length
     rows, or 1-D arrays (concatenated once).  The stream passes through in
     blocks of positions (see :func:`_blocks`).  Per block the left- and
-    right-window codes are computed once per position, each anchor reads its
-    ``left``, ``right`` and ``right_next`` codes as shifted lookups, and the
-    composite indices are tallied with ``np.bincount``.  Per-anchor counting
-    (equal-length sequences with ``anchors`` anchors each) makes the anchor
-    the leading digit of every windowed index.  A symbol outside
-    ``[0, n_o)`` raises ``ValueError`` naming its sequence, and so do
-    tables over :data:`TABLE_BYTES`, before any is allocated.
+    right-window codes are computed once per position of the block's span,
+    each anchor's ``left``, ``right`` and ``right_next`` codes are shifted
+    slices of them, and the composite indices are tallied with
+    ``np.bincount``, the positions between sequences into a dropped bin.
+    Per-anchor counting (sequences with ``anchors`` anchors each) makes the
+    anchor the leading digit of every windowed index.  Tables over
+    :data:`TABLE_BYTES` raise ``ValueError`` before any is allocated; then
+    so does a symbol outside ``[0, n_o)``, naming its sequence, and, per
+    anchor, a sequence hosting another number of anchors, naming it and its
+    count.
     """
     n_o = int(n_o)  # table sizes in Python integers, which cannot overflow
     k = n_o**sched.ell
@@ -362,9 +421,16 @@ def count_cooccurrences(
             f"{'' if anchors is None else f', {anchors} anchors'}) need {size} bytes, "
             f"over the cap of {TABLE_BYTES}"
         )
+    seqs = SequenceFile.of(sequences).check_alphabet(n_o)
+    if anchors is not None:
+        hosted = np.maximum(seqs.lengths - (2 * sched.n_d + 1), 0)
+        wrong = np.flatnonzero(hosted != anchors)
+        if wrong.size:
+            raise ValueError(
+                f"sequence {wrong[0]} hosts {hosted[wrong[0]]} anchors, need {anchors}"
+            )
     lr, lr_shift, lro, oo, start = (np.zeros(shape, dtype=np.int64) for shape in shapes)
     windows = pairs = starts = 0
-    seqs = SequenceFile.of(sequences).check_alphabet(n_o)
     for stream, pieces in _blocks(seqs, sched.n_d):
         windows += _tally_windows(lr, lr_shift, lro, stream, pieces, n_o, sched, anchors)
         pairs += _tally_pairs(oo, stream, pieces, n_o, sched.n_d, anchors)

@@ -259,6 +259,50 @@ def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, 
             assert np.array_equal(getattr(model, field), getattr(alone, field))
 
 
+@pytest.mark.parametrize("block", [None, 5])  # bincount tallies; sorted tallies
+@pytest.mark.parametrize("per_anchor", [False, True])
+def test_dropped_bin_never_takes_a_real_count(monkeypatch, per_anchor, block):
+    # every symbol is n_o - 1, so every placement lands in the last real bin
+    # of lr, lr_shift, lro and oo, right next to the dropped one
+    if block:
+        monkeypatch.setattr(moments, "BLOCK", block)
+    sched = build_schedule(2, 2)
+    n_o = 3
+
+    def counts(lengths):
+        seqs = [np.full(T, n_o - 1) for T in lengths]
+        anchors = len(sched.anchor_range(lengths[0])) if per_anchor else None
+        got = count_cooccurrences(seqs, n_o, sched, anchors=anchors)
+        for g, e in zip(got, loop_counts(seqs, n_o, sched, per_anchor)):
+            assert np.array_equal(g, e)
+        return got
+
+    got = counts([12] * 5 if per_anchor else [12, 3, 20, 0, 7, 12, 1])
+    lead = 7 if per_anchor else 1
+    for table, count in ((got.lr, got.windows), (got.lr_shift, got.windows),
+                         (got.lro, got.windows), (got.oo, got.pairs)):
+        assert count > 0
+        assert (table.reshape(lead, -1)[:, -1] == count // lead).all()
+    # rows too short to host an anchor: no block has a window to tally
+    got = counts([5] * 4 if per_anchor else [1, 5, 3, 0, 5])
+    assert got.windows == 0
+    assert got.pairs == (0 if per_anchor else 10)
+
+
+@pytest.mark.parametrize("block", [None, 5])  # bincount tallies; sorted tallies
+@pytest.mark.parametrize("row,T,hosted", [(3, 20, 15), (1, 4, 0)])
+def test_per_anchor_counting_refuses_rows_of_another_length(monkeypatch, block, row, T, hosted):
+    if block:
+        monkeypatch.setattr(moments, "BLOCK", block)
+    sched = build_schedule(2, 2)
+    seqs = [np.random.default_rng(i).integers(0, 3, size=12) for i in range(4)]
+    seqs[row] = np.random.default_rng(9).integers(0, 3, size=T)
+    with pytest.raises(ValueError, match=f"sequence {row} hosts {hosted} anchors, need 7"):
+        count_cooccurrences(seqs, 3, sched, anchors=7)
+    # pooled counting takes rows of any length
+    count_cooccurrences(seqs, 3, sched)
+
+
 def _peak(fn, *args) -> int:
     """Peak bytes traced while ``fn(*args)`` runs."""
     tracemalloc.start()
