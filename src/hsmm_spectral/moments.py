@@ -23,11 +23,13 @@ side, so its temporaries are bounded by the block, not by the input.  Per
 block it runs over one contiguous span of stream positions, from the first
 placement any sequence has in the block to the last: the left- and
 right-window codes come from one multiply-add per window offset over that
-span, and each table's composite indices are shifted slices of them, never a
-gather of positions.  The few positions in the span between one sequence's
-placements and the next's go to one extra bin, one past the table's last
-entry, which the tally drops.  Integer counts are tallied with
-``np.bincount`` (or ``np.unique`` when the table is larger than the block).
+span, and each table's composite indices are shifted slices of them.  The
+gap positions in the span, between one sequence's placements and the
+next's, go to one extra bin, one past the table's last entry, which the
+tally drops; a block of short rows, whose span is mostly gaps, gathers its
+placements instead (:data:`SPAN_PLACEMENTS_PER_GAP`).  Integer counts are
+tallied with ``np.bincount`` (or ``np.unique`` when the table is larger than
+the block); ``lr`` is not tallied but summed out of ``lro`` at the end.
 Tables are divided by their counts once, at the end, so they equal the
 placement frequencies exactly.  Each moment table is that one quotient,
 marked read-only.  Count tables over :data:`TABLE_BYTES` are refused before
@@ -244,20 +246,46 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
+# Placements a block's span must hold per gap position for its tallies to run
+# over the whole span, the gap positions sent to a dropped bin; a block with
+# more gaps gathers its placements instead.  Every sequence boundary leaves
+# 2 * n_d + 1 gap positions, so short rows make the span mostly gaps, and
+# each gap then costs a scatter and a tally, against one gather per
+# placement.  Measured on rows cut from the k = 9 and k = 512 training files
+# (2 vCPU, NumPy 2.4), whole spans counted 1.5-1.8x slower than gathers on
+# rows of length 8 (k = 9) and 1.2-1.6x on rows of 20-30 (k = 512), a few
+# percent slower at 1.4-1.6 placements per gap (rows of 12 at k = 9, 50 at
+# k = 512), and faster at four or more (rows of 25 at k = 9, 100 at k = 512).
+SPAN_PLACEMENTS_PER_GAP = 4
+
+
 def _span(base: np.ndarray, first: np.ndarray, stop: np.ndarray):
     """The stream span of the pieces' positions ``base + first <= p < base + stop``.
 
-    Returns ``(lo, hi, gaps)``: ``[lo, hi)`` runs from the first such
-    position of any piece to the last, and ``gaps`` lists the positions in
-    it, counted from ``lo``, that no piece has (those between one
-    sequence's placements and the next's).
+    Returns ``(lo, hi, count, keep)``: ``[lo, hi)`` runs from the first such
+    position (a placement) of any piece to the last, ``count`` is the number
+    of placements, and ``keep(index, size)`` turns an index over the span
+    into the indices to tally in a table of ``size`` entries.  With at most
+    one gap position (between one sequence's placements and the next's) per
+    :data:`SPAN_PLACEMENTS_PER_GAP` placements, ``keep`` sends the gaps to
+    the dropped bin ``size`` in place; with more, it gathers the placements.
     """
     keep = stop > first
     starts, stops = (base + first)[keep], (base + stop)[keep]
     if not starts.size:
-        return 0, 0, starts
-    lo = int(starts[0])
-    return lo, int(stops[-1]), _ranges(stops[:-1] - lo, starts[1:] - lo)
+        return 0, 0, 0, None
+    lo, hi = int(starts[0]), int(stops[-1])
+    count = int((stops - starts).sum())
+    if SPAN_PLACEMENTS_PER_GAP * (hi - lo - count) > count:
+        at = _ranges(starts - lo, stops - lo)
+        return lo, hi, count, lambda index, size: index[at]
+    gaps = _ranges(stops[:-1] - lo, starts[1:] - lo)
+
+    def drop(index: np.ndarray, size: int) -> np.ndarray:
+        index[gaps] = size
+        return index
+
+    return lo, hi, count, drop
 
 
 def _cyclic(start: int, n: int, T: int, scale: int) -> np.ndarray:
@@ -304,7 +332,7 @@ def _tally(table: np.ndarray, index: np.ndarray) -> None:
     """Add the histogram of ``index`` into the integer ``table``, read flat.
 
     Index ``table.size``, one past the last entry, is the dropped bin: the
-    span tallies send the positions between sequences there.
+    span tallies send the gap positions between sequences there.
     """
     table = table.reshape(-1)
     if table.size > TALLY_SORT_RATIO * index.size:
@@ -316,17 +344,17 @@ def _tally(table: np.ndarray, index: np.ndarray) -> None:
 
 
 def _tally_windows(
-    lr: np.ndarray, lr_shift: np.ndarray, lro: np.ndarray, stream: np.ndarray,
-    pieces: np.ndarray, n_o: int, sched: ObservationSchedule, anchors: int | None,
+    lr_shift: np.ndarray, lro: np.ndarray, stream: np.ndarray, pieces: np.ndarray,
+    n_o: int, sched: ObservationSchedule, anchors: int | None,
 ) -> int:
-    """Tally one block's ``lr``, ``lr_shift`` and ``lro``; return its anchor count."""
+    """Tally one block's ``lr_shift`` and ``lro``; return its anchor count."""
     k = n_o**sched.ell
     n_d = sched.n_d
     T, base, lo, hi = pieces
     # anchor s is addressed by where its left window starts, s - n_d
     first, stop = np.maximum(lo, n_d) - n_d, np.minimum(hi, T - n_d - 1) - n_d
-    a, b, gaps = _span(base, first, stop)
-    if a == b:
+    a, b, count, keep = _span(base, first, stop)
+    if not count:
         return 0
     index = _window_codes(stream[a : b + sched.left_offsets[-1]], sched.left_offsets, n_o)
     reach = b + n_d + 2 + sched.right_offsets[-1]
@@ -336,17 +364,12 @@ def _tally_windows(
         # anchor digit runs 0, 1, .. along each row of the span
         index += _cyclic(a - base[0], b - a, T[0], k)
     index *= k
-    shift = index + right[1:]
-    shift[gaps] = lr_shift.size
-    _tally(lr_shift, shift)
+    _tally(lr_shift, keep(index + right[1:], lr_shift.size))
     index += right[:-1]
-    index[gaps] = lr.size
-    _tally(lr, index)
     index *= n_o
     index += stream[a + n_d : b + n_d]
-    index[gaps] = lro.size
-    _tally(lro, index)
-    return b - a - gaps.shape[0]
+    _tally(lro, keep(index, lro.size))
+    return count
 
 
 def _tally_pairs(
@@ -359,16 +382,15 @@ def _tally_pairs(
         first, stop = lo, np.minimum(hi, T - 1)
     else:
         first, stop = np.maximum(lo, n_d), np.minimum(hi, T - n_d - 1)
-    a, b, gaps = _span(base, first, stop)
-    if a == b:
+    a, b, count, keep = _span(base, first, stop)
+    if not count:
         return 0
     index = stream[a:b] * n_o
     if anchors is not None:
         index += _cyclic(a - base[0] - n_d, b - a, T[0], n_o * n_o)
     index += stream[a + 1 : b + 1]
-    index[gaps] = oo.size
-    _tally(oo, index)
-    return b - a - gaps.shape[0]
+    _tally(oo, keep(index, oo.size))
+    return count
 
 
 def _tally_starts(
@@ -401,13 +423,16 @@ def count_cooccurrences(
     right-window codes are computed once per position of the block's span,
     each anchor's ``left``, ``right`` and ``right_next`` codes are shifted
     slices of them, and the composite indices are tallied with
-    ``np.bincount``, the positions between sequences into a dropped bin.
-    Per-anchor counting (sequences with ``anchors`` anchors each) makes the
-    anchor the leading digit of every windowed index.  Tables over
-    :data:`TABLE_BYTES` raise ``ValueError`` before any is allocated; then
-    so does a symbol outside ``[0, n_o)``, naming its sequence, and, per
-    anchor, a sequence hosting another number of anchors, naming it and its
-    count.
+    ``np.bincount``, the gap positions between sequences into a dropped bin
+    (or, in a span that is mostly gaps, left out by a gather; see
+    :func:`_span`).  Per-anchor counting (sequences with ``anchors`` anchors
+    each) makes the anchor the leading digit of every windowed index.
+    Tables over :data:`TABLE_BYTES` raise ``ValueError`` before any is
+    allocated; then so does a symbol outside ``[0, n_o)``, naming its
+    sequence, and, per anchor, a sequence hosting another number of anchors,
+    naming it and its count.  That last check guards direct callers: the
+    per-anchor build (:func:`~hsmm_spectral.spectral.build_observable_per_t`)
+    refuses such input itself, with ``DegenerateMoments``, before it counts.
     """
     n_o = int(n_o)  # table sizes in Python integers, which cannot overflow
     k = n_o**sched.ell
@@ -429,12 +454,15 @@ def count_cooccurrences(
             raise ValueError(
                 f"sequence {wrong[0]} hosts {hosted[wrong[0]]} anchors, need {anchors}"
             )
-    lr, lr_shift, lro, oo, start = (np.zeros(shape, dtype=np.int64) for shape in shapes)
+    lr_shift, lro, oo, start = (np.zeros(shape, dtype=np.int64) for shape in shapes[1:])
     windows = pairs = starts = 0
     for stream, pieces in _blocks(seqs, sched.n_d):
-        windows += _tally_windows(lr, lr_shift, lro, stream, pieces, n_o, sched, anchors)
+        windows += _tally_windows(lr_shift, lro, stream, pieces, n_o, sched, anchors)
         pairs += _tally_pairs(oo, stream, pieces, n_o, sched.n_d, anchors)
         starts += _tally_starts(start, stream, pieces, n_o, sched)
+    # lr counts lro's placements without the symbol digit; einsum sums that
+    # axis about 5x faster than ndarray.sum at k = 512
+    lr = np.einsum("...o->...", lro)
     return Counts(lr, lr_shift, lro, oo, start, windows, pairs, starts)
 
 

@@ -259,13 +259,15 @@ def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, 
             assert np.array_equal(getattr(model, field), getattr(alone, field))
 
 
+@pytest.mark.parametrize("per_gap", [0, 10**9])  # whole spans; gathered placements
 @pytest.mark.parametrize("block", [None, 5])  # bincount tallies; sorted tallies
 @pytest.mark.parametrize("per_anchor", [False, True])
-def test_dropped_bin_never_takes_a_real_count(monkeypatch, per_anchor, block):
+def test_dropped_bin_never_takes_a_real_count(monkeypatch, per_anchor, block, per_gap):
     # every symbol is n_o - 1, so every placement lands in the last real bin
     # of lr, lr_shift, lro and oo, right next to the dropped one
     if block:
         monkeypatch.setattr(moments, "BLOCK", block)
+    monkeypatch.setattr(moments, "SPAN_PLACEMENTS_PER_GAP", per_gap)
     sched = build_schedule(2, 2)
     n_o = 3
 
