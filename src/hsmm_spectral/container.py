@@ -56,10 +56,12 @@ def _directory_entry(spec) -> tuple[str, tuple[int, ...]]:
 
 def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        magic_line = fh.readline().decode("ascii", errors="replace").strip()
+        # a bounded read, so a file that is not a model is neither read whole nor echoed
+        line = fh.readline(256)
+        magic_line = line.decode("ascii", errors="replace").strip()
         parts = magic_line.split()
-        if len(parts) != 3 or parts[0] != MAGIC:
-            raise ContainerError(f"bad magic line: {magic_line!r}")
+        if len(parts) != 3 or parts[0] != MAGIC or not line.endswith(b"\n"):
+            raise ContainerError(f"bad magic line: {magic_line[:32]!r}")
         if parts[1] != str(VERSION):
             raise ContainerError(f"unsupported version {parts[1]}")
         kind = parts[2]

@@ -20,6 +20,7 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -583,7 +584,13 @@ class SequenceFile(Sequence):
     def __init__(self, values: np.ndarray, offsets: np.ndarray, lines=None):
         self.values = values
         self.offsets = offsets
-        self.lines = np.arange(1, offsets.shape[0]) if lines is None else lines
+        if lines is not None:
+            self.lines = lines
+
+    @cached_property
+    def lines(self) -> np.ndarray:
+        """``i + 1`` for sequence ``i`` of a stream made in memory, made when first read."""
+        return np.arange(1, self.offsets.shape[0])
 
     @classmethod
     def of(cls, sequences) -> "SequenceFile":

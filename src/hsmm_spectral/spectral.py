@@ -467,16 +467,17 @@ def _product(mats: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Each row's ordered product of the ``r x r`` matrices ``mats[i, :]``, pairwise.
 
     A row holds a power of two ``b`` of them, reduced in ``log2(b)`` batched
-    products.  Each product is divided by its abs-sum, which goes to the next
-    row of ``scales`` (``b - 1`` rows, one column per row of ``mats``).
+    products.  Each product is divided by its abs-sum, which is reduced
+    straight into the next row of ``scales`` (``b - 1`` rows, one column per
+    row of ``mats``).
     """
-    at = 0
+    out, at = scales.T[:, :, None, None], 0  # scales as (row of mats, product, 1, 1)
     while mats.shape[1] > 1:
         mats = mats[:, 0::2] @ mats[:, 1::2]
-        scale = np.abs(mats).sum(axis=(2, 3))
-        mats /= scale[:, :, None, None]
-        scales[at : at + scale.shape[1]] = scale.T
-        at += scale.shape[1]
+        k = mats.shape[1]
+        scale = out[:, at : at + k]
+        mats /= np.add.reduce(np.abs(mats), axis=(2, 3), keepdims=True, out=scale)
+        at += k
     return mats[:, 0]
 
 
@@ -485,11 +486,14 @@ def _chain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log magnitudes and signs of the chained products of a batch of sequences.
 
-    ``seqs`` is a stream of validated sequences of any lengths (or what
-    :meth:`SequenceFile.of` takes), of which the sequences ``rows`` (ascending,
-    default all) are chained.  Rows of one length stored back to back are
-    viewed as an ``(n, T)`` array; others are scattered from the stream,
-    longest first, into one batch at once, padded with the identity.
+    ``seqs`` is a stream of validated sequences of any lengths, of which the
+    sequences ``rows`` (ascending, default all) are chained.  Rows of one
+    length stored back to back are viewed as an ``(n, T)`` array, and every
+    row advances at every position: they skip the sort, the per-position
+    count of advancing rows, the scatter from the stream and the per-row
+    closing index.  They are copied only when blocks pad them past ``T``.
+    Other rows are scattered from the stream, longest first, into one batch
+    at once, padded with the identity.
     The message starts as the start table at the first two symbols, moves
     over the interior symbols in blocks, and closes with the end table at the
     last symbol.  Rows run longest first, so the ``m`` rows still advancing
@@ -510,7 +514,6 @@ def _chain(
     scale into the log accumulator and never changes the result.
     """
     start, step, end, first = ops
-    seqs = SequenceFile.of(seqs)
     starts, lengths = seqs.offsets[:-1], seqs.lengths
     if rows is not None:
         starts, lengths = starts[rows], lengths[rows]
@@ -518,17 +521,20 @@ def _chain(
     if not n:
         return np.zeros(0), np.zeros(0, dtype=np.int64)
     T = int(lengths.max())
-    equal = (lengths == T).all() and starts[-1] - starts[0] == (n - 1) * T
-    order = None
-    if not equal:
-        order = np.argsort(-lengths, kind="stable")
-        starts, lengths = starts[order], lengths[order]
-    # rows with at least t + 2 symbols advance at position t
-    active = np.searchsorted(-lengths, -np.arange(4, T + 1), side="right").tolist()
+    equal = lengths.min() == T and starts[-1] - starts[0] == (n - 1) * T
     r = step.shape[-1]
     few = _TREE_WORK // (r * r + 4)
-    # more than `few` rows advance at the first `loop` positions
-    loop = max(int(lengths[few]) - 3, 0) if n > few else 0
+    order = None
+    if equal:  # every row advances at every position
+        active = [n] * (T - 3)
+        loop = T - 3 if n > few else 0
+    else:
+        order = np.argsort(-lengths, kind="stable")
+        starts, lengths = starts[order], lengths[order]
+        # rows with at least t + 2 symbols advance at position t
+        active = np.searchsorted(-lengths, -np.arange(4, T + 1), side="right").tolist()
+        # more than `few` rows advance at the first `loop` positions
+        loop = max(int(lengths[few]) - 3, 0) if n > few else 0
     rest, b, width = T - 3 - loop, 1, 0
     if rest:
         cap = max(_BLOCK_ENTRIES // (active[loop] * r * r), 1)
@@ -536,21 +542,22 @@ def _chain(
         width = -(-rest // b) * b
     span = max(T, loop + 2 + width)
     identity = step.shape[1] - 1
+    table = np.minimum(np.maximum(np.arange(span) - first, 0), step.shape[0] - 1)
     if equal:
         obs = seqs.values[starts[0] : starts[0] + n * T].reshape(n, T)
-    if width or not equal:
-        padded = np.full((n, span), identity)
-        if equal:
-            padded[:, :T] = obs
-        else:
-            inside = np.arange(T) < lengths[:, None]
-            padded[:, :T][inside] = seqs.values[_ranges(starts, starts + lengths)]
-        obs = padded
-    table = np.minimum(np.maximum(np.arange(span) - first, 0), step.shape[0] - 1)
-    ends = np.arange(n), lengths - 1
-    closing = end[table[ends[1]], :, obs[ends]]
-    if width:  # the blocks read the identity from each row's last symbol on
-        obs[ends] = identity
+        closing = end[table[T - 1], :, obs[:, T - 1]]
+        if width:  # the blocks read the identity from the last symbol on
+            padded = np.full((n, span), identity)
+            padded[:, : T - 1] = obs[:, : T - 1]
+            obs = padded
+    else:
+        obs = np.full((n, span), identity)
+        inside = np.arange(T) < lengths[:, None]
+        obs[:, :T][inside] = seqs.values[_ranges(starts, starts + lengths)]
+        ends = np.arange(n), lengths - 1
+        closing = end[table[ends[1]], :, obs[ends]]
+        if width:
+            obs[ends] = identity
     v = start[obs[:, 0], obs[:, 1]][:, None, :]
     norms = np.ones((loop + width, n))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -563,15 +570,16 @@ def _chain(
             m = active[t - 2]
             mats = step[table[t : t + b], obs[:m, t : t + b]]
             w = v[:m] @ _product(mats, norms[t - 2 : t + b - 3, :m])
-            norm = np.abs(w).sum(axis=2, keepdims=True)
+            norm = norms[t + b - 3, :m, None, None]
+            np.add.reduce(np.abs(w), axis=2, keepdims=True, out=norm)
             np.divide(w, norm, out=v[:m])
-            norms[t + b - 3, :m] = norm[:, 0, 0]
         scalar = (v[:, 0] * closing).sum(axis=1)
         log = np.log(np.abs(scalar)) + np.log(norms).sum(axis=0)
     sign = np.where(scalar > 0, 1, -1)
-    dead = (scalar == 0.0) | (norms == 0.0).any(axis=0)
-    log[dead] = -np.inf
-    sign[dead] = 0
+    if not np.isfinite(log).all():  # a dead row's log is -inf or NaN
+        dead = (scalar == 0.0) | (norms == 0.0).any(axis=0)
+        log[dead] = -np.inf
+        sign[dead] = 0
     if order is not None:
         log[order], sign[order] = log.copy(), sign.copy()
     return log, sign
@@ -592,7 +600,12 @@ def infer_batch(model: ObservableModel | Sequence[ObservableModel], obs) -> list
     """
     ops, n_o = _prepared(model)
     seqs = SequenceFile.of(obs)
-    errors = _row_errors(seqs, n_o)
+    # a 2-D integer array of valid symbols, at least 3 wide, has no row to refuse
+    valid = (
+        isinstance(obs, np.ndarray) and obs.ndim == 2 and obs.shape[1] >= 3
+        and obs.dtype.kind in "iu" and obs.size and obs.min() >= 0 and obs.max() < n_o
+    )
+    errors = [] if valid else _row_errors(seqs, n_o)
     if errors:
         raise errors[0][1]
     return _results(*_chain(ops, seqs))

@@ -332,6 +332,19 @@ def test_model_file_without_variant_exits_two(tmp_path, capsys):
     assert "SpectralError" in err and "variant" in err
 
 
+def test_a_file_that_is_not_a_model_is_not_echoed(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    data.write_text(" ".join(["0 1 2"] * 1000) + "\n" + "\n".join(GOOD) + "\n")
+    noise = np.random.default_rng(6).integers(0, 256, size=3_000_000, dtype=np.uint8)
+    no_newline = tmp_path / "noise.bin"
+    no_newline.write_bytes(noise[noise != ord("\n")].tobytes())
+    for model in (data, no_newline):
+        code, _, err = run(["score", "--model", str(model), "--data", str(data),
+                            "-o", str(tmp_path / "s.csv")], capsys)
+        assert code == 2 and err.startswith("ContainerError: bad magic line: ")
+        assert len(err.encode()) < 200, len(err.encode())
+
+
 def test_symbol_beyond_int64_exits_two(tmp_path, capsys):
     huge = "99999999999999999999"
     data = tmp_path / "d.txt"

@@ -308,8 +308,9 @@ def test_every_entry_point_refuses_a_bad_row_alike(tmp_path):
             row = np.array(row, dtype=np.int64)
             calls = [lambda: infer(model, row), lambda: infer_per_t(model, row),
                      lambda: infer_batch(model, SequenceFile.of([good, row, row]))]
-            if row.size:
+            if row.size:  # 2-D arrays, which a fast check passes when every row is valid
                 calls.append(lambda: infer_batch(model, np.stack([good[:row.size], row])))
+                calls.append(lambda: infer_batch(model, row[None]))
             for call in calls:
                 with pytest.raises(SpectralError) as err:
                     call()
@@ -621,7 +622,7 @@ def test_ragged_batch_matches_single_and_kspace_chains():
               sampled_model(31)[1], sampled_model(32, noise_floor=True)[1]]
     for model in models:
         seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(3, 41, size=25)]
-        log, sign = _chain(model.operators, seqs)
+        log, sign = _chain(model.operators, SequenceFile.of(seqs))
         for i, obs in enumerate(seqs):
             single = infer(model, obs)
             ref_log, ref_sign = pooled_kspace(model, obs)
@@ -713,7 +714,11 @@ def chain_models():
 
 
 def chain_batches(seed):
-    """Ragged rows (lengths 3 and 4, none a power of two past 4), equal rows, single rows."""
+    """Ragged rows (lengths 3 and 4, none a power of two past 4), equal rows, single rows.
+
+    Then 1, 2 and 3 equal rows at lengths whose ``T - 3`` interior positions
+    sit on each side of a power of two, so the tree runs at every block width.
+    """
     rng = np.random.default_rng(seed)
     lengths = [35, 3, 4, 14, 5, 33, 9, 20, 4, 17, 6, 13, 3]
     return [
@@ -722,6 +727,8 @@ def chain_batches(seed):
         rng.integers(0, 3, size=(1, 4)),
         rng.integers(0, 3, size=(1, 3)),
         rng.integers(0, 3, size=(1, 100)),
+        *[rng.integers(0, 3, size=(n, T))
+          for T in (4, 5, 6, 7, 11, 12, 67, 68, 131) for n in (1, 2, 3)],
     ]
 
 
@@ -735,7 +742,7 @@ def test_chain_at_width_one_is_the_per_step_loop(chain_models, name, monkeypatch
     monkeypatch.setattr(spectral, "_TREE_WORK", 0)
     ops, _ = spectral._prepared(chain_models[name])
     for seqs in chain_batches(40):
-        log, sign = spectral._chain(ops, seqs)
+        log, sign = spectral._chain(ops, SequenceFile.of(seqs))
         ref_log, ref_sign = chain_reference(ops, seqs)
         assert np.array_equal(log, ref_log) and np.array_equal(sign, ref_sign)
 
@@ -753,7 +760,7 @@ def test_chain_tree_matches_the_loop_and_kspace(chain_models, name, blocks, monk
     if blocks == "capped blocks":  # two positions per block for the ragged rows
         monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 2 * 13 * r * r)
     for seqs in chain_batches(41):
-        log, sign = spectral._chain(ops, seqs)
+        log, sign = spectral._chain(ops, SequenceFile.of(seqs))
         ref_log, ref_sign = chain_reference(ops, seqs)
         assert np.array_equal(sign, ref_sign)
         assert np.allclose(log, ref_log, rtol=1e-12, atol=0)
@@ -776,7 +783,8 @@ def test_chain_tree_keeps_scale_and_dead_rows_without_warnings(monkeypatch):
         warnings.simplefilter("error")
         for work in (0, 10**9):
             monkeypatch.setattr(spectral, "_TREE_WORK", work)
-            results[work] = spectral._chain(ops, [long]), spectral._chain(zero, seqs)
+            results[work] = (spectral._chain(ops, SequenceFile.of([long])),
+                             spectral._chain(zero, SequenceFile.of(seqs)))
     (loop_long, loop_zero), (tree_long, tree_zero) = results[0], results[10**9]
     # exp(log) is far below the smallest float64
     assert tree_long[0][0] < math.log(np.finfo(float).smallest_subnormal) * 10
