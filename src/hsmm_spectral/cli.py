@@ -167,7 +167,7 @@ def _cmd_gen_data(args) -> int:
         raise InvalidModel(
             f"{args.count} sequences of length {args.length} do not fit in memory"
         ) from None
-    write_sequences(list(obs), args.output)
+    write_sequences(obs, args.output)
     return 0
 
 

@@ -13,6 +13,7 @@ Joint ``(x, d)`` vectors are flattened with ``x`` fastest:
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
 import math
@@ -21,7 +22,6 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -355,11 +355,23 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.cumsum(table, axis=0).T)
 
 
-def _draw(cum: np.ndarray, cols: np.ndarray, rng) -> np.ndarray:
-    """Vectorized draw: one sample from column ``c`` of the table, for each c in ``cols``."""
-    u = rng.random(cols.shape[0])
+def _pick(cum: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sample uniform ``u[i]`` draws from column ``cols[i]`` of the table."""
     out = (u[:, None] > cum[cols]).sum(axis=1)
     return np.minimum(out, cum.shape[1] - 1)
+
+
+def _draw(cum: np.ndarray, cols: np.ndarray, rng) -> np.ndarray:
+    """Vectorized draw: one sample from column ``c`` of the table, for each c in ``cols``."""
+    return _pick(cum, cols, rng.random(cols.shape[0]))
+
+
+# A call on at most _FEW_ROWS rows steps them from renewal to renewal in Python
+# scalars, where the per-step loop's fixed cost of numpy rounds outweighs the
+# scalar work per row; fitted to a sweep of both loops on one BLAS thread
+# (CHANGES.md).
+_FEW_ROWS = 32
+_DRAW_ENTRIES = 1 << 16  # table entries one emission pass gathers: 512 KB
 
 
 def sample_many(
@@ -371,16 +383,28 @@ def sample_many(
     gathers the rows of the current states.  ``T < 1``, a negative count and
     a model that is not stochastic raise :class:`InvalidModel`, as in
     :func:`sample`.
+
+    The uniforms are read from ``rng`` in one order, whichever loop runs:
+    the first state of every row, then the first duration of every row;
+    then at each step the renewal state of each renewing row in row order,
+    then the renewal durations of the same rows, then the emission of every
+    row.  A value is drawn from a column's running sums as the number of
+    sums below its uniform, clamped to the last index.  So the result and
+    the generator's state after the call do not depend on the loop.  Calls
+    on at most :data:`_FEW_ROWS` rows take :func:`_sample_few`; others take
+    one numpy round per table per step.
     """
     if T < 1:
         raise InvalidModel("T must be at least 1")
     if n_sequences < 0:
         raise InvalidModel(f"n_sequences must be non-negative, got {n_sequences}")
     _require_stochastic(p)
-    obs = np.empty((n_sequences, T), dtype=np.int64)
     O, X, D = _cumulative(p.O), _cumulative(p.X), _cumulative(p.D)
     x = _draw(_cumulative(p.pi_x[:, None]), np.zeros(n_sequences, dtype=int), rng)
     d = _draw(_cumulative(p.initial_duration_table()), x, rng) + 1
+    if 0 < n_sequences <= _FEW_ROWS:
+        return _sample_few(O, X, D, x, d, T, rng)
+    obs = np.empty((n_sequences, T), dtype=np.int64)
     for t in range(T):
         if t > 0:
             renew = d == 1
@@ -390,6 +414,47 @@ def sample_many(
                 x[renew] = xr
                 d[renew] = _draw(D, xr, rng) + 1
         obs[:, t] = _draw(O, x, rng)
+    return obs
+
+
+def _sample_few(O, X, D, x, d, T: int, rng) -> np.ndarray:
+    """:func:`sample_many`'s rows after their first draws, stepped from renewal to renewal.
+
+    ``O``, ``X`` and ``D`` are cumulative tables, and ``x`` and ``d`` the
+    first states and durations.  A row with duration ``d`` at step ``t``
+    renews at step ``t + d``.  At a step where rows renew, their state and
+    duration uniforms come in one call and are read by ``bisect`` on list
+    copies of the cumulative rows.  Up to the next renewal no state
+    changes, so the emission uniforms of those steps come in one call too.
+    Emissions are drawn from the recorded states and uniforms in passes of
+    at most :data:`_DRAW_ENTRIES` gathered table entries.
+    """
+    n = x.shape[0]
+    obs = np.empty((n, T), dtype=np.int64)
+    x_rows, d_rows = X.tolist(), D.tolist()
+    top_x, top_d = X.shape[1] - 1, D.shape[1] - 1
+    x, until = x.tolist(), d.tolist()  # each row's state and its next renewal step
+    width = min(T, max(1, _DRAW_ENTRIES // (n * O.shape[1])))  # steps per pass
+    states = np.empty((width, n), dtype=np.intp)
+    u = np.empty((width, n))
+    t = 0
+    while t < T:
+        renew = [i for i in range(n) if until[i] == t]
+        if renew:
+            k = len(renew)
+            v = rng.random(2 * k).tolist()
+            for i, ux, ud in zip(renew, v[:k], v[k:]):
+                x[i] = min(bisect.bisect_left(x_rows[x[i]], ux), top_x)
+                until[i] = t + 1 + min(bisect.bisect_left(d_rows[x[i]], ud), top_d)
+        a = t % width
+        s = min(min(until), T, t - a + width)
+        m = a + s - t  # steps of the pass recorded once these are
+        states[a:m] = x
+        rng.random(out=u[a:m])
+        if m == width or s == T:
+            drawn = _pick(O, states[:m].reshape(-1), u[:m].reshape(-1))
+            obs[:, s - m : s] = drawn.reshape(m, n).T
+        t = s
     return obs
 
 
@@ -614,7 +679,9 @@ class SequenceFile(Sequence):
                     raise ValueError(f"sequence {i} has shape {s.shape}, need one axis")
             offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
             np.cumsum(np.array([s.shape[0] for s in seqs], dtype=np.int64), out=offsets[1:])
-            values = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+            # an empty item adds no symbol, so its dtype (float for ``[]``) is not promoted
+            parts = [s for s in seqs if s.size]
+            values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
         if values.dtype.kind not in "biu":
             with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are refused below
                 ints = values.astype(np.int64)
@@ -811,8 +878,54 @@ def _parse_lines(text_lines, first: int = 1) -> tuple[list[np.ndarray], list[int
     return seqs, lines, lineno + 1
 
 
-def write_sequences(sequences: Iterable[np.ndarray], path) -> None:
-    with open(path, "w") as fh:
-        for seq in sequences:
-            fh.write(" ".join(map(str, np.asarray(seq, dtype=np.int64).tolist())))
-            fh.write("\n")
+# Symbols per write_sequences block.  A block's temporaries are a few arrays
+# of this many entries, about 0.5 MB in all, whatever the file size.
+WRITE_BLOCK = 1 << 13
+_TENS = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+
+
+def write_sequences(sequences, path) -> None:
+    """Write one sequence per line, its symbols in decimal separated by spaces.
+
+    ``sequences`` is anything :meth:`SequenceFile.of` takes, and what it
+    refuses (a symbol that is not an integer, an item that is not 1-D) is
+    refused with its ``ValueError`` before the file is opened.  A line is
+    ``" ".join(map(str, row))``; an empty sequence is an empty line.  The
+    bytes are formatted in blocks of :data:`WRITE_BLOCK` symbols.
+    """
+    seqs = SequenceFile.of(sequences)
+    values, ends = seqs.values, seqs.offsets[1:]
+    with open(path, "wb") as fh:
+        fh.write(b"\n" * int(np.searchsorted(ends, 0, side="right")))  # empty first rows
+        for a in range(0, values.shape[0], WRITE_BLOCK):
+            fh.write(_format_block(values[a : a + WRITE_BLOCK], ends, a))
+
+
+def _format_block(v: np.ndarray, ends: np.ndarray, a: int) -> np.ndarray:
+    """The bytes of symbols ``v``, which start at stream position ``a``.
+
+    ``ends`` holds each sequence's end in the stream.  Each symbol is
+    followed by one newline per sequence ending right after it (the one it
+    closes, then any empty ones), or by a space when none does.  Digits are
+    written from the last place up, one pass per place.
+    """
+    lo, hi = np.searchsorted(ends, [a, a + v.shape[0]], side="right")
+    breaks = np.bincount(ends[lo:hi] - a - 1, minlength=v.shape[0])
+    neg = v < 0
+    mag = np.where(neg, ~v, v).astype(np.uint64) + neg  # |v|, with no int64 overflow
+    width = np.searchsorted(_TENS, mag, side="right") + 1 + neg
+    size = width + np.maximum(breaks, 1)
+    start = np.cumsum(size) - size
+    out = np.full(start[-1] + size[-1], ord(" "), dtype=np.uint8)
+    out[start[neg]] = ord("-")
+    at = start + width - 1
+    while mag.size:
+        out[at] = mag % 10 + ord("0")
+        mag = mag // 10
+        more = np.flatnonzero(mag)
+        mag, at = mag[more], at[more] - 1
+    sep = np.flatnonzero(breaks)
+    count = breaks[sep]
+    first = np.cumsum(count) - count
+    out[np.repeat(start[sep] + width[sep] - first, count) + np.arange(count.sum())] = ord("\n")
+    return out

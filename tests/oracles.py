@@ -229,8 +229,9 @@ def brute_window_joint(model_tuple, position_groups, T):
 def sample_many_per_step(p, n_sequences, T, rng):
     """Vectorized sampling that forms each cumulative table anew at every step.
 
-    Draws from the same uniforms in the same order as ``hsmm.sample_many``,
-    so the two agree exactly.
+    Draws from the same uniforms in the order ``hsmm.sample_many``'s
+    docstring states, so the two agree exactly, and leave the generator in
+    the same state.
     """
 
     def draw(table, cols):
@@ -252,6 +253,18 @@ def sample_many_per_step(p, n_sequences, T, rng):
                 d[renew] = draw(p.D, xr) + 1
         obs[:, t] = draw(p.O, x)
     return obs
+
+
+# ---------------------------------------------------------------------------
+# sequence-file oracle
+
+
+def write_sequences_reference(sequences, path):
+    """The per-row writer ``hsmm.write_sequences`` replaced: one ``join`` of ``str`` per row."""
+    with open(path, "w") as fh:
+        for seq in sequences:
+            fh.write(" ".join(map(str, np.asarray(seq, dtype=np.int64).tolist())))
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -438,6 +439,24 @@ def test_gen_data_refuses_a_model_that_is_not_stochastic(tmp_path, capsys):
     model.write_text(json.dumps(doc))
     assert run(["gen-data", "--model", str(model), "-n", "3", "-T", "4",
                 "-o", str(out)], capsys)[0] == 0
+
+
+def test_gen_data_bytes_are_pinned(tmp_path, capsys):
+    # digests of the files the per-step sampler and the per-row writer made;
+    # (1, 200) and (3, 50) take the few-row loop, (500, 100) the per-step one
+    model = tmp_path / "m.json"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "1", "-o", str(model)],
+        capsys)
+    pinned = {
+        (1, 200): "7d439d0198fcf992208041a7eb72640389270de5c7528da2982e16aef1a3d135",
+        (3, 50): "e0f9544d77924a0bd7e2f833c7fd55cbb8015972b653045a1687ee2ce78ff519",
+        (500, 100): "0fcd3c39a5739314d60019dab96eb71bcdc589b8f1fa7e33ebcfcbc5ced23549",
+    }
+    for (count, length), digest in pinned.items():
+        out = tmp_path / f"d{count}.txt"
+        assert run(["gen-data", "--model", str(model), "-n", str(count), "-T", str(length),
+                    "--seed", "2", "-o", str(out)], capsys)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (count, length)
 
 
 def test_gen_data_beyond_memory_exits_two(tmp_path, capsys):

@@ -44,6 +44,7 @@ from oracles import (
     sample_many_per_step,
     segment_likelihood,
     state_update_reference,
+    write_sequences_reference,
 )
 
 
@@ -223,15 +224,30 @@ def test_sample_many_refuses_what_sample_refuses():
     assert sample_many(p, 0, 5, np.random.default_rng(0)).shape == (0, 5)
 
 
+GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
 @pytest.mark.parametrize("dims", [(3, 2, 2), (8, 3, 9), (4, 1, 3)])
-def test_sample_many_matches_per_step_reference(dims):
+def test_sample_many_matches_per_step_reference(dims, monkeypatch):
+    # both loops (at most _FEW_ROWS rows take the scalar one), emission passes
+    # of one or a few steps, and each generator: equal draws, and an equal
+    # next draw, so the two read the same uniforms in the same order
     p = random_model(*dims, seed=12)
     with_pi_d = HsmmParams(O=p.O, X=p.X, D=p.D, pi_x=p.pi_x, pi_d=p.D[::-1] / p.D[::-1].sum(0))
-    for model in (p, with_pi_d):
-        for n, T in ((1, 1), (7, 30), (500, 40)):
-            got = sample_many(model, n, T, np.random.default_rng([n, T]))
-            want = sample_many_per_step(model, n, T, np.random.default_rng([n, T]))
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    few = hsmm._FEW_ROWS
+    shapes = [(1, 1), (7, 30), (500, 40)]
+    shapes += [(n, T) for n in (0, 1, 2, few, few + 1, 200) for T in (1, 2, 37)]
+    for entries in (hsmm._DRAW_ENTRIES, 8):
+        monkeypatch.setattr(hsmm, "_DRAW_ENTRIES", entries)
+        for bit_generator in GENERATORS if entries > 8 else GENERATORS[:1]:
+            for model in (p, with_pi_d):
+                for n, T in shapes:
+                    ours = np.random.Generator(bit_generator([n, T]))
+                    theirs = np.random.Generator(bit_generator([n, T]))
+                    got = sample_many(model, n, T, ours)
+                    want = sample_many_per_step(model, n, T, theirs)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (n, T)
+                    assert ours.random() == theirs.random(), (bit_generator, n, T)
 
 
 def test_enum_likelihood_single_state_product():
@@ -430,6 +446,45 @@ def test_sequence_file_roundtrip(tmp_path):
     write_sequences(grid, path)
     assert path.read_text() == "0 12 3\n40506070809012 0 7\n"
     assert np.array_equal(np.stack(list(read_sequences(path))), grid)
+
+
+def test_write_sequences_matches_the_per_row_reference(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    extremes = [2**63 - 1, -(2**63 - 1), -(2**63), 0, -1, 9, 10, -10, 99, 100, 10**18]
+    ragged = [rng.integers(-(10**6), 10**6, size=n) for n in rng.integers(0, 9, size=2500)]
+    cases = [
+        [],
+        [[]],
+        [[], [], [4, 5], [], []],
+        [[0, 1, 2], [], [3], [12, 345, 6789]],
+        [np.array(extremes), [], [7]],
+        np.zeros((0, 4), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+        rng.integers(-300, 3000, size=(40, 9)).astype(np.int32),
+        ragged,
+        rng.integers(0, 3, size=(100, 100)),
+    ]
+    # the last two cross the default block size
+    assert sum(map(len, ragged)) > hsmm.WRITE_BLOCK and 100 * 100 > hsmm.WRITE_BLOCK
+    ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
+    for block in (hsmm.WRITE_BLOCK, 999, 5, 2, 1):
+        monkeypatch.setattr(hsmm, "WRITE_BLOCK", block)
+        for seqs in cases if block > 5 else cases[:-2]:
+            write_sequences(seqs, ours)
+            write_sequences_reference(seqs, theirs)
+            assert ours.read_bytes() == theirs.read_bytes(), (block, seqs)
+
+
+def test_write_sequences_refuses_what_the_stream_refuses(tmp_path):
+    path = tmp_path / "seqs.txt"
+    for seqs, message in (
+        ([[0, 1, 2], [0, 1.5, 2]], "sequence 1: symbol 1.5 is not an integer"),
+        ([[0, 1], np.array([[1, 2], [3, 4]])], r"sequence 1 has shape \(2, 2\), need one axis"),
+        ([np.array([np.nan, 1.0])], "sequence 0: symbol nan is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            write_sequences(seqs, path)
+        assert not path.exists()
 
 
 def test_next_state_table_layout():
