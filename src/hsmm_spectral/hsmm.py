@@ -662,16 +662,19 @@ class SequenceFile(Sequence):
         """The stream of ``sequences``: itself, a 2-D array's rows, or 1-D arrays.
 
         A C-contiguous int64 2-D array is viewed, not copied; a list of
-        arrays is concatenated once.  Integer symbols are taken as they are;
-        any other symbol must be a finite integral value.  ``ValueError``
-        names the sequence of the first one that is not, or of an item that
-        is not 1-D.
+        arrays is concatenated once.  When that would give floats, each item
+        is cast to int64 first, so that no item's dtype (float64 for ``[]``)
+        rounds another's symbols.
+        Integer symbols are taken as they are; any other symbol must be a
+        finite integral value.  ``ValueError`` names the sequence of the
+        first one that is not, or of an item that is not 1-D.
         """
         if isinstance(sequences, cls):
             return sequences
         if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
             n, T = sequences.shape
-            values, offsets = sequences.reshape(-1), np.arange(n + 1, dtype=np.int64) * T
+            offsets = np.arange(n + 1, dtype=np.int64) * T
+            values = _as_int64(sequences.reshape(-1), offsets)
         else:
             seqs = [np.asarray(s) for s in sequences]
             for i, s in enumerate(seqs):
@@ -679,17 +682,11 @@ class SequenceFile(Sequence):
                     raise ValueError(f"sequence {i} has shape {s.shape}, need one axis")
             offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
             np.cumsum(np.array([s.shape[0] for s in seqs], dtype=np.int64), out=offsets[1:])
-            # an empty item adds no symbol, so its dtype (float for ``[]``) is not promoted
-            parts = [s for s in seqs if s.size]
-            values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        if values.dtype.kind not in "biu":
-            with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are refused below
-                ints = values.astype(np.int64)
-            bad = np.flatnonzero(ints != values)
-            if bad.size:
-                row = np.searchsorted(offsets, bad[0], side="right") - 1
-                raise ValueError(f"sequence {row}: symbol {values[bad[0]]} is not an integer")
-            values = ints
+            values = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+            if values.dtype.kind not in "biu":  # cast item by item, so none rounds another
+                values = np.concatenate(
+                    [_as_int64(s, offsets, offsets[i]) for i, s in enumerate(seqs)]
+                )
         return cls(np.ascontiguousarray(values, dtype=np.int64), offsets)
 
     @property
@@ -731,6 +728,24 @@ class SequenceFile(Sequence):
                 f"outside alphabet of size {n_o}"
             )
         return self
+
+
+def _as_int64(values: np.ndarray, offsets: np.ndarray, start: int = 0) -> np.ndarray:
+    """Symbols ``values``, from stream position ``start`` on, as int64.
+
+    Integer symbols are cast as they are.  Any other must be a finite
+    integral value; ``ValueError`` names the sequence (by ``offsets``) and
+    the value of the first that is not.
+    """
+    if values.dtype.kind in "biu":
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are refused below
+        ints = values.astype(np.int64)
+    bad = np.flatnonzero(ints != values)
+    if bad.size:
+        row = np.searchsorted(offsets, start + bad[0], side="right") - 1
+        raise ValueError(f"sequence {row}: symbol {values[bad[0]]} is not an integer")
+    return ints
 
 
 def read_sequences(path, n_o: int | None = None) -> SequenceFile:

@@ -458,6 +458,9 @@ def test_write_sequences_matches_the_per_row_reference(tmp_path, monkeypatch):
         [[], [], [4, 5], [], []],
         [[0, 1, 2], [], [3], [12, 345, 6789]],
         [np.array(extremes), [], [7]],
+        # an item of another dtype does not round 2**62 + 1
+        [np.array([2**62 + 1]), np.array([1.0])],
+        [np.array([2**62 + 1]), np.array([1], dtype=np.uint64)],
         np.zeros((0, 4), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int64),
         rng.integers(-300, 3000, size=(40, 9)).astype(np.int32),
