@@ -448,7 +448,7 @@ def _sample_few(O, X, D, x, d, T: int, rng) -> np.ndarray:
                 until[i] = t + 1 + min(bisect.bisect_left(d_rows[x[i]], ud), top_d)
         a = t % width
         s = min(min(until), T, t - a + width)
-        m = a + s - t  # steps of the pass recorded once these are
+        m = a + s - t  # steps of the pass recorded once steps t to s - 1 are
         states[a:m] = x
         rng.random(out=u[a:m])
         if m == width or s == T:
