@@ -10,8 +10,10 @@ their seed; timing columns are the only non-reproducible output.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -19,30 +21,39 @@ import numpy as np
 
 from .em import EmConfig, em_fit
 from .hsmm import InvalidModel, forward_loglik_batch, random_model, sample_many
-from .moments import InsufficientData, build_schedule, estimate_moments
-from .spectral import DegenerateMoments, build_observable, infer_batch
+from .moments import InsufficientData, build_schedule
+from .spectral import DegenerateMoments, infer_batch, learn_spectral
 
 DEFAULT_SIZES = ((3, 2, 2), (5, 4, 6))
 DEFAULT_N_LIST = (500, 1000, 5000, 10_000, 100_000)
 
-CSV_COLUMNS = [
-    "n_o",
-    "n_x",
-    "n_d",
-    "n_train",
-    "seeds",
+# what a cell measures, NaN where it did not run; a row holds each one's mean
+# over the seeds that have it
+METRICS = (
     "rmse_spectral",
     "rmse_em",
     "learn_time_spectral",
     "learn_time_em",
     "infer_time_spectral",
     "infer_time_em",
-    "status",
-]
+)
+CSV_COLUMNS = ("n_o", "n_x", "n_d", "n_train", "seeds", *METRICS, "status")
+
+
+def _positive_ints(values) -> bool:
+    return all(isinstance(v, numbers.Integral) and v > 0 for v in values)
 
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """What ``bench`` runs; its fields, less ``em.seed``, are the run's record.
+
+    ``sizes`` are ``(n_o, n_x, n_d)`` triples and ``n_list`` the training
+    set sizes.  EM runs on training sets of at most ``em_max_n`` sequences:
+    on every one when it is None, on none when it is 0.  Each cell seeds EM
+    with its own seed, so ``em.seed`` is not used.
+    """
+
     sizes: tuple = DEFAULT_SIZES
     n_list: tuple = DEFAULT_N_LIST
     T: int = 100
@@ -50,16 +61,23 @@ class BenchConfig:
     seeds: tuple = (0, 1, 2)
     rtol: float = 1e-6
     em: EmConfig = field(default_factory=EmConfig)
-    run_em: bool = True
-    em_max_n: int | None = None  # skip EM on larger training sets
+    em_max_n: int | None = None
 
     def __post_init__(self):
-        if self.rtol <= 0:
-            raise InvalidModel("rtol must be positive")
-        if self.T < 1:
-            raise InvalidModel("T must be at least 1")
-        if self.n_test < 1:
-            raise InvalidModel("n_test must be at least 1")
+        if not self.rtol > 0:  # NaN too
+            raise InvalidModel(f"rtol must be positive, got {self.rtol!r}")
+        if not self.sizes or not all(
+            len(s) == 3 and _positive_ints(s) and s[1] <= s[0] for s in self.sizes
+        ):
+            raise InvalidModel(
+                f"sizes must be (n_o, n_x, n_d) triples of positive integers "
+                f"with n_x <= n_o, got {self.sizes!r}"
+            )
+        if not self.n_list or not _positive_ints(self.n_list):
+            raise InvalidModel(f"n_list must hold positive integers, got {self.n_list!r}")
+        for name in ("T", "n_test"):
+            if getattr(self, name) < 1:
+                raise InvalidModel(f"{name} must be at least 1")
         if not self.seeds:
             raise InvalidModel("seeds must not be empty")
 
@@ -86,8 +104,7 @@ class BenchReport:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: row[k] for k in CSV_COLUMNS})
+            writer.writerows(self.rows)
         with open(str(path) + ".config.json", "w") as fh:
             json.dump(self.config, fh, indent=1)
             fh.write("\n")
@@ -104,45 +121,29 @@ def rmse(errors: np.ndarray) -> float:
 
 
 def run_cell(size, n_train, seed, cfg: BenchConfig) -> dict:
-    """One benchmark cell; spectral degeneracy is recorded, not raised."""
+    """One cell's :data:`METRICS` and status; spectral degeneracy is recorded, not raised."""
     n_o, n_x, n_d = size
     truth = random_model(n_o, n_x, n_d, seed=seed)
     rng = np.random.default_rng([n_o, n_x, n_d, n_train, seed])
     train = sample_many(truth, n_train, cfg.T, rng)
     test = sample_many(truth, cfg.n_test, cfg.T, rng)
     log_true = forward_loglik_batch(truth, test)
-    out = {
-        "rmse_spectral": math.nan,
-        "rmse_em": math.nan,
-        "learn_time_spectral": math.nan,
-        "learn_time_em": math.nan,
-        "infer_time_spectral": math.nan,
-        "infer_time_em": math.nan,
-        "status": "ok",
-    }
-    sched = build_schedule(n_x, n_d)
+    out = dict.fromkeys(METRICS, math.nan)
+    out["status"] = "ok"
     try:
         t0 = time.perf_counter()
-        moments = estimate_moments(train, n_o, sched)
-        model = build_observable(moments, cfg.rtol, noise_floor=True)
+        model = learn_spectral(train, n_o, build_schedule(n_x, n_d), cfg.rtol)
         out["learn_time_spectral"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         results = infer_batch(model, test)
         out["infer_time_spectral"] = time.perf_counter() - t0
-        log_hat = np.array([r.log_value for r in results])
-        signs = np.array([r.sign for r in results], dtype=float)
+        log_hat, signs = np.array([(r.log_value, r.sign) for r in results], dtype=float).T
         out["rmse_spectral"] = rmse(relative_errors(log_hat, signs, log_true))
     except (DegenerateMoments, InsufficientData) as exc:
         out["status"] = f"spectral-degenerate: {exc}"
-    if cfg.run_em and (cfg.em_max_n is None or n_train <= cfg.em_max_n):
-        em_cfg = EmConfig(
-            max_iter=cfg.em.max_iter,
-            tol=cfg.em.tol,
-            restarts=cfg.em.restarts,
-            seed=seed,
-        )
+    if cfg.em_max_n is None or n_train <= cfg.em_max_n:
         t0 = time.perf_counter()
-        fitted, _ = em_fit(list(train), n_o, n_x, n_d, em_cfg)
+        fitted, _ = em_fit(train, n_o, n_x, n_d, dataclasses.replace(cfg.em, seed=seed))
         out["learn_time_em"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         log_em = forward_loglik_batch(fitted, test)
@@ -161,40 +162,13 @@ def run_synthetic_bench(cfg: BenchConfig, progress=None) -> BenchReport:
                 if progress:
                     progress(f"size={size} N={n_train} seed={seed}")
                 cells.append(run_cell(size, n_train, seed, cfg))
-            row = {
-                "n_o": size[0],
-                "n_x": size[1],
-                "n_d": size[2],
-                "n_train": n_train,
-                "seeds": len(cfg.seeds),
-                "status": ";".join(
-                    sorted({c["status"] for c in cells})
-                ),
-            }
-            for key in (
-                "rmse_spectral",
-                "rmse_em",
-                "learn_time_spectral",
-                "learn_time_em",
-                "infer_time_spectral",
-                "infer_time_em",
-            ):
+            row = dict(zip(("n_o", "n_x", "n_d"), size), n_train=n_train,
+                       seeds=len(cfg.seeds))
+            for key in METRICS:
                 vals = [c[key] for c in cells if not math.isnan(c[key])]
                 row[key] = float(np.mean(vals)) if vals else math.nan
+            row["status"] = ";".join(sorted({c["status"] for c in cells}))
             rows.append(row)
-    config = {
-        "sizes": [list(s) for s in cfg.sizes],
-        "n_list": list(cfg.n_list),
-        "T": cfg.T,
-        "n_test": cfg.n_test,
-        "seeds": list(cfg.seeds),
-        "rtol": cfg.rtol,
-        "em": {
-            "max_iter": cfg.em.max_iter,
-            "tol": cfg.em.tol,
-            "restarts": cfg.em.restarts,
-        },
-        "run_em": cfg.run_em,
-        "em_max_n": cfg.em_max_n,
-    }
+    config = dataclasses.asdict(cfg)
+    del config["em"]["seed"]
     return BenchReport(rows=tuple(rows), config=config)

@@ -241,45 +241,35 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_rank_check(args) -> int:
+    if args.seeds < 1:
+        raise InvalidModel(f"seeds must be at least 1, got {args.seeds}")
     rows = rank_grid(
         n_x_values=args.nx,
         n_d_values=args.nd,
         seeds=range(args.seed, args.seed + args.seeds),
     )
     with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_x", "n_d", "ell", "algorithm", "predicted", "observed", "pass"])
-        for r in rows:
-            writer.writerow(
-                [r["n_x"], r["n_d"], r["ell"], r["algorithm"], r["predicted"],
-                 r["observed"], str(r["pass"]).lower()]
-            )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**r, "pass": str(r["pass"]).lower()} for r in rows)
     failures = sum(1 for r in rows if not r["pass"])
     print(f"{len(rows)} cells, {failures} failures -> {args.output}")
     return 0 if failures == 0 else 2
 
 
 def _cmd_bench(args) -> int:
-    overrides = {}
+    given = dict(n_list=args.n_list and tuple(args.n_list), T=args.length,
+                 n_test=args.n_test, rtol=args.rtol, em_max_n=0 if args.no_em else None)
     if args.sizes is not None:
-        overrides["sizes"] = tuple(
+        given["sizes"] = tuple(
             tuple(int(x) for x in part.split(",")) for part in args.sizes.split(";")
         )
-    if args.n_list is not None:
-        overrides["n_list"] = tuple(args.n_list)
-    if args.length is not None:
-        overrides["T"] = args.length
-    if args.n_test is not None:
-        overrides["n_test"] = args.n_test
-    if args.rtol is not None:
-        overrides["rtol"] = args.rtol
-    if args.no_em:
-        overrides["run_em"] = False
-    overrides["seeds"] = tuple(range(args.seed, args.seed + args.seeds))
-    cfg = dataclasses.replace(preset(args.preset), **overrides)
-    report = run_synthetic_bench(
-        cfg, progress=lambda msg: print(msg, file=sys.stderr)
+    cfg = dataclasses.replace(
+        preset(args.preset),
+        seeds=tuple(range(args.seed, args.seed + args.seeds)),
+        **{name: value for name, value in given.items() if value is not None},
     )
+    report = run_synthetic_bench(cfg, progress=lambda msg: print(msg, file=sys.stderr))
     report.to_csv(args.output)
     print(f"wrote {len(report.rows)} rows -> {args.output}")
     return 0

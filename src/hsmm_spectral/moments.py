@@ -29,7 +29,8 @@ next's, go to one extra bin, one past the table's last entry, which the
 tally drops; a block of short rows, whose span is mostly gaps, gathers its
 placements instead (:data:`SPAN_PLACEMENTS_PER_GAP`).  Integer counts are
 tallied with ``np.bincount`` (or ``np.unique`` when the table is larger than
-the block); ``lr`` is not tallied but summed out of ``lro`` at the end.
+the block); ``lr`` is not tallied but summed out of ``lro`` at the end,
+and so, per anchor, is ``oo``.
 Tables are divided by their counts once, at the end, so they equal the
 placement frequencies exactly.  Each moment table is that one quotient,
 marked read-only.  Count tables over :data:`TABLE_BYTES` are refused before
@@ -372,22 +373,13 @@ def _tally_windows(
     return count
 
 
-def _tally_pairs(
-    oo: np.ndarray, stream: np.ndarray, pieces: np.ndarray, n_o: int, n_d: int,
-    anchors: int | None,
-) -> int:
-    """Tally one block's adjacent pairs (per anchor: the anchor's pair); return their count."""
+def _tally_pairs(oo: np.ndarray, stream: np.ndarray, pieces: np.ndarray, n_o: int) -> int:
+    """Tally one block's adjacent pairs; return their count."""
     T, base, lo, hi = pieces
-    if anchors is None:
-        first, stop = lo, np.minimum(hi, T - 1)
-    else:
-        first, stop = np.maximum(lo, n_d), np.minimum(hi, T - n_d - 1)
-    a, b, count, keep = _span(base, first, stop)
+    a, b, count, keep = _span(base, lo, np.minimum(hi, T - 1))
     if not count:
         return 0
     index = stream[a:b] * n_o
-    if anchors is not None:
-        index += _cyclic(a - base[0] - n_d, b - a, T[0], n_o * n_o)
     index += stream[a + 1 : b + 1]
     _tally(oo, keep(index, oo.size))
     return count
@@ -458,11 +450,17 @@ def count_cooccurrences(
     windows = pairs = starts = 0
     for stream, pieces in _blocks(seqs, sched.n_d):
         windows += _tally_windows(lr_shift, lro, stream, pieces, n_o, sched, anchors)
-        pairs += _tally_pairs(oo, stream, pieces, n_o, sched.n_d, anchors)
+        if anchors is None:
+            pairs += _tally_pairs(oo, stream, pieces, n_o)
         starts += _tally_starts(start, stream, pieces, n_o, sched)
     # lr counts lro's placements without the symbol digit; einsum sums that
     # axis about 5x faster than ndarray.sum at k = 512
     lr = np.einsum("...o->...", lro)
+    if anchors is not None:
+        # the anchor's pair is lro's symbol digit and the leading digit of its
+        # right window, which starts at offset 0
+        pairs = windows
+        oo[:] = lro.reshape(anchors, k, n_o, k // n_o, n_o).sum(axis=(1, 3)).swapaxes(1, 2)
     return Counts(lr, lr_shift, lro, oo, start, windows, pairs, starts)
 
 

@@ -16,8 +16,9 @@ multiplies the achievable rank by ``n_x`` per expansion and realizes
 exactly the geometric window offsets.
 
 The predicted-rank formulas assume at least two hidden states: with
-``n_x == 1`` every future-state table is an all-ones row of rank one, and
-the growth arguments behind both formulas are vacuous.
+``n_x == 1`` every future-state table is an all-ones row of rank one, the
+growth arguments behind both formulas are vacuous, and every prediction
+is one.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def compute_T_sequential(p: HsmmParams, ell: int) -> TReport:
     T = _t_from_marks(p, marks, ell)
     return TReport(
         T=T,
-        predicted_rank=min(ell * p.n_x, p.n_joint),
+        predicted_rank=1 if p.n_x == 1 else min(ell * p.n_x, p.n_joint),
         numerical_rank=numerical_rank(T, RANK_RTOL),
         algorithm="sequential",
         ell=ell,

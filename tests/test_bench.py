@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ def small_config(**overrides):
         seeds=(0, 1),
         rtol=1e-6,
         em=EmConfig(max_iter=10, tol=1e-6, restarts=1, seed=0),
-        run_em=True,
     )
     base.update(overrides)
     return BenchConfig(**base)
@@ -52,7 +52,7 @@ def test_relative_error_log_domain():
 
 
 def test_cell_is_deterministic_apart_from_timing():
-    cfg = small_config(run_em=False)
+    cfg = small_config(em_max_n=0)
     a = run_cell((3, 2, 2), 200, 0, cfg)
     b = run_cell((3, 2, 2), 200, 0, cfg)
     assert a["rmse_spectral"] == b["rmse_spectral"]
@@ -73,12 +73,22 @@ def test_report_shape_and_content(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("n_o,n_x,n_d,n_train,seeds,rmse_spectral")
-    assert (tmp_path / "report.csv.config.json").exists()
+    # the record is the config's fields, without the EM seed each cell replaces
+    assert json.loads((tmp_path / "report.csv.config.json").read_text()) == {
+        "sizes": [[3, 2, 2]],
+        "n_list": [200, 800],
+        "T": 30,
+        "n_test": 40,
+        "seeds": [0, 1],
+        "rtol": 1e-6,
+        "em": {"max_iter": 10, "tol": 1e-6, "restarts": 1},
+        "em_max_n": None,
+    }
 
 
 def test_more_data_helps_spectral():
     cfg = small_config(
-        n_list=(300, 30_000), T=40, n_test=100, seeds=(0, 1, 2), run_em=False
+        n_list=(300, 30_000), T=40, n_test=100, seeds=(0, 1, 2), em_max_n=0
     )
     report = run_synthetic_bench(cfg)
     rows = {r["n_train"]: r for r in report.rows}

@@ -246,8 +246,28 @@ def test_rank_check_cli(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "n_x,n_d,ell,algorithm,predicted,observed,pass"
+    assert lines[0] == "n_x,n_d,ell,algorithm,seed,predicted,observed,pass"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_rank_check_single_state_and_seed_column(tmp_path, capsys):
+    # with one hidden state every table has rank one, as predicted
+    out = tmp_path / "ranks.csv"
+    argv = ["rank-check", "--nx", "1", "2", "--nd", "2", "3", "--seeds", "2", "--seed", "4"]
+    code, msg, err = run(argv + ["-o", str(out)], capsys)
+    assert code == 0, (msg, err)
+    rows = out.read_text().strip().split("\n")[1:]
+    assert all(row.endswith(",true") for row in rows)
+    assert {row.split(",")[4] for row in rows} == {"4", "5"}
+    assert any(row.startswith("1,") for row in rows)
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_rank_check_refuses_no_seeds(tmp_path, capsys, seeds):
+    out = tmp_path / "ranks.csv"
+    code, _, err = run(["rank-check", "--seeds", seeds, "-o", str(out)], capsys)
+    assert code == 2 and "InvalidModel: seeds must be at least 1" in err, err
+    assert not out.exists()
 
 
 def test_bench_cli_smoke(tmp_path, capsys):
@@ -262,14 +282,22 @@ def test_bench_cli_smoke(tmp_path, capsys):
     cfg = json.loads((tmp_path / "report.csv.config.json").read_text())
     assert cfg["seeds"] == [0, 1]
     assert (cfg["T"], cfg["n_test"]) == (25, 20)
-    # a zero override is applied, and refused, not replaced by the default
+    # a zero override is applied, and refused, not replaced by the default;
+    # a bad config is refused before any cell runs
     base = ["bench", "--sizes", "3,2,2", "--n-list", "200", "--no-em",
             "-o", str(tmp_path / "zero.csv")]
     for bad, field in ((["--rtol", "0"], "rtol"), (["-T", "0"], "T"),
-                       (["--n-test", "0"], "n_test"), (["--seeds", "0"], "seeds")):
-        code, _, err = run(base + bad, capsys)
-        assert code == 2 and f"InvalidModel: {field} must" in err, (bad, err)
-        assert not (tmp_path / "zero.csv.config.json").exists()
+                       (["--n-test", "0"], "n_test"), (["--seeds", "0"], "seeds"),
+                       (["--rtol", "nan"], "rtol"), (["--n-list", "300", "0"], "n_list"),
+                       (["--sizes", "3,2,2;3,2"], "sizes"), (["--sizes", "3,2,0"], "sizes"),
+                       (["--sizes", "3,2,2;2,3,2"], "sizes")):
+        for no_em in (True, False):
+            argv = base + bad if no_em else [a for a in base if a != "--no-em"] + bad
+            code, _, err = run(argv, capsys)
+            assert code == 2 and f"InvalidModel: {field} must" in err, (argv, err)
+            assert "seed=" not in err, (argv, err)
+            assert not (tmp_path / "zero.csv").exists()
+            assert not (tmp_path / "zero.csv.config.json").exists()
 
 
 def _learn_bad_input(tmp_path, capsys, lines, extra):

@@ -209,7 +209,7 @@ def test_pooled_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, block):
 
 
 @pytest.mark.parametrize("as_array", [False, True])
-@pytest.mark.parametrize("n_x,n_d,T", [(2, 2, 12), (3, 9, 25)])
+@pytest.mark.parametrize("n_x,n_d,T", [(2, 2, 12), (3, 9, 25), (1, 3, 12), (2, 1, 8)])
 def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, as_array):
     monkeypatch.setattr(moments, "BLOCK", 7)
     sched = build_schedule(n_x, n_d)
