@@ -253,12 +253,12 @@ def test_rank_check_cli(tmp_path, capsys):
 def test_rank_check_single_state_and_seed_column(tmp_path, capsys):
     # with one hidden state every table has rank one, as predicted
     out = tmp_path / "ranks.csv"
-    argv = ["rank-check", "--nx", "1", "2", "--nd", "2", "3", "--seeds", "2", "--seed", "4"]
+    argv = ["rank-check", "--nx", "1", "2", "--nd", "2", "3", "--seeds", "2"]
     code, msg, err = run(argv + ["-o", str(out)], capsys)
     assert code == 0, (msg, err)
     rows = out.read_text().strip().split("\n")[1:]
     assert all(row.endswith(",true") for row in rows)
-    assert {row.split(",")[4] for row in rows} == {"4", "5"}
+    assert {row.split(",")[4] for row in rows} == {"0", "1"}
     assert any(row.startswith("1,") for row in rows)
 
 
