@@ -46,12 +46,12 @@ def _positive_ints(values) -> bool:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """What ``bench`` runs; its fields, less ``em.seed``, are the run's record.
+    """What ``bench`` runs; its fields are the run's record.
 
     ``sizes`` are ``(n_o, n_x, n_d)`` triples and ``n_list`` the training
     set sizes.  EM runs on training sets of at most ``em_max_n`` sequences:
     on every one when it is None, on none when it is 0.  Each cell seeds EM
-    with its own seed, so ``em.seed`` is not used.
+    with ``em.seed`` plus its own seed.
     """
 
     sizes: tuple = DEFAULT_SIZES
@@ -80,6 +80,8 @@ class BenchConfig:
                 raise InvalidModel(f"{name} must be at least 1")
         if not self.seeds:
             raise InvalidModel("seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise InvalidModel(f"seeds must be non-negative, got {self.seeds!r}")
 
 
 def preset(name: str) -> BenchConfig:
@@ -143,7 +145,8 @@ def run_cell(size, n_train, seed, cfg: BenchConfig) -> dict:
         out["status"] = f"spectral-degenerate: {exc}"
     if cfg.em_max_n is None or n_train <= cfg.em_max_n:
         t0 = time.perf_counter()
-        fitted, _ = em_fit(train, n_o, n_x, n_d, dataclasses.replace(cfg.em, seed=seed))
+        em_cfg = dataclasses.replace(cfg.em, seed=cfg.em.seed + seed)
+        fitted, _ = em_fit(train, n_o, n_x, n_d, em_cfg)
         out["learn_time_em"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         log_em = forward_loglik_batch(fitted, test)
@@ -169,6 +172,4 @@ def run_synthetic_bench(cfg: BenchConfig, progress=None) -> BenchReport:
                 row[key] = float(np.mean(vals)) if vals else math.nan
             row["status"] = ";".join(sorted({c["status"] for c in cells}))
             rows.append(row)
-    config = dataclasses.asdict(cfg)
-    del config["em"]["seed"]
-    return BenchReport(rows=tuple(rows), config=config)
+    return BenchReport(rows=tuple(rows), config=dataclasses.asdict(cfg))

@@ -295,6 +295,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidModel(f"--seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except DATA_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

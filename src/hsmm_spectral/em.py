@@ -65,6 +65,8 @@ class EmConfig:
             raise InvalidModel(f"tol must be positive, got {self.tol!r}")
         if self.restarts < 1:
             raise InvalidModel("restarts must be at least 1")
+        if self.seed < 0:
+            raise InvalidModel(f"seed must be non-negative, got {self.seed}")
 
 
 def _random_init(n_o: int, n_x: int, n_d: int, rng) -> HsmmParams:

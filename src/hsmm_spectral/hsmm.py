@@ -48,6 +48,9 @@ _STOCH_ATOL = 1e-12
 _ENUM_MAX_T = 12
 _ENUM_MAX_PATHS = 50_000_000
 
+# the model's distributions, in the order validate reports them
+_TABLES = ("O", "X", "D", "pi_x", "pi_d")
+
 
 @dataclass(frozen=True)
 class HsmmParams:
@@ -75,12 +78,12 @@ class HsmmParams:
     pi_d: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "O", np.array(self.O, dtype=float))
-        object.__setattr__(self, "X", np.array(self.X, dtype=float))
-        object.__setattr__(self, "D", np.array(self.D, dtype=float))
-        object.__setattr__(self, "pi_x", np.array(self.pi_x, dtype=float))
-        if self.pi_d is not None:
-            object.__setattr__(self, "pi_d", np.array(self.pi_d, dtype=float))
+        for name in _TABLES:
+            table = getattr(self, name)
+            if table is not None:
+                table = np.array(table, dtype=float)
+                table.flags.writeable = False
+                object.__setattr__(self, name, table)
         if self.O.ndim != 2 or self.X.ndim != 2 or self.D.ndim != 2:
             raise ShapeMismatch("O, X, D must be matrices")
         n_o, n_x = self.O.shape
@@ -92,10 +95,6 @@ class HsmmParams:
             raise ShapeMismatch(f"pi_x must have length {n_x}")
         if self.pi_d is not None and self.pi_d.shape != self.D.shape:
             raise ShapeMismatch(f"pi_d must match D's shape {self.D.shape}")
-        for arr in (self.O, self.X, self.D, self.pi_x):
-            arr.flags.writeable = False
-        if self.pi_d is not None:
-            self.pi_d.flags.writeable = False
 
     @property
     def n_o(self) -> int:
@@ -116,6 +115,39 @@ class HsmmParams:
     def initial_duration_table(self) -> np.ndarray:
         """Table the first duration is drawn from (``pi_d`` or ``D``)."""
         return self.D if self.pi_d is None else self.pi_d
+
+    @cached_property
+    def _stochastic(self) -> tuple[CheckResult, ...]:
+        """:func:`validate`'s ``stochastic[...]`` checks, made once: each column sums to one."""
+        checks = []
+        for name in _TABLES:
+            table = getattr(self, name)
+            if table is not None:
+                err = float(np.max(np.abs(table.sum(axis=0) - 1.0)))
+                ok = err <= _STOCH_ATOL and float(table.min()) >= 0.0
+                checks.append(CheckResult(f"stochastic[{name}]", ok, err,
+                                          "column sums and nonnegativity"))
+        return tuple(checks)
+
+    @cached_property
+    def _cuts(self) -> dict[str, tuple[np.ndarray, list]]:
+        """Cut points of the tables the samplers draw from, as an array and as lists of its rows.
+
+        Row ``c`` holds the running sums of column ``c`` but the total, so a
+        uniform draws the number of cut points below it: the number of running
+        sums below it, clamped to the last index.  Keyed ``pi_x`` (one column),
+        ``first`` (the first-duration table), ``O``, ``X`` and ``D``.  A model
+        that fails a ``stochastic[...]`` check is :class:`InvalidModel`.
+        """
+        unfit = [c.name for c in self._stochastic if not c.passed]
+        if unfit:
+            raise InvalidModel(f"cannot sample from a model that fails {', '.join(unfit)}")
+        out = {}
+        for name, table in (("pi_x", self.pi_x[:, None]), ("first", self.initial_duration_table()),
+                            ("O", self.O), ("X", self.X), ("D", self.D)):
+            cuts = np.ascontiguousarray(np.cumsum(table, axis=0)[:-1].T)
+            out[name] = cuts, cuts.tolist()
+        return out
 
 
 @dataclass(frozen=True)
@@ -145,40 +177,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _stochastic_checks(p: HsmmParams) -> list[CheckResult]:
-    """The ``stochastic[...]`` checks of :func:`validate`: every table is a distribution."""
-    checks = []
-    for name, arr in (("O", p.O), ("X", p.X), ("D", p.D)):
-        col_err = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
-        neg = float(arr.min())
-        checks.append(
-            CheckResult(
-                f"stochastic[{name}]",
-                col_err <= _STOCH_ATOL and neg >= 0.0,
-                col_err,
-                "column sums and nonnegativity",
-            )
-        )
-    pi_err = float(abs(p.pi_x.sum() - 1.0))
-    checks.append(
-        CheckResult(
-            "stochastic[pi_x]",
-            pi_err <= _STOCH_ATOL and p.pi_x.min() >= 0.0,
-            pi_err,
-        )
-    )
-    if p.pi_d is not None:
-        pd_err = float(np.max(np.abs(p.pi_d.sum(axis=0) - 1.0)))
-        checks.append(
-            CheckResult(
-                "stochastic[pi_d]",
-                pd_err <= _STOCH_ATOL and p.pi_d.min() >= 0.0,
-                pd_err,
-            )
-        )
-    return checks
-
-
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """``a``'s singular values; all NaN if ``a`` has a non-finite entry, which has no SVD."""
     if np.isfinite(a).all():
@@ -195,7 +193,7 @@ def validate(p: HsmmParams, rtol: float = 1e-10) -> ValidationReport:
     its ``sigma_min`` read one set of singular values; a table with a
     non-finite entry fails its rank check with ``sigma_min`` NaN.
     """
-    checks = _stochastic_checks(p)
+    checks = list(p._stochastic)
     s_x = _singular_values(p.X)
     checks.append(
         CheckResult(
@@ -211,13 +209,6 @@ def validate(p: HsmmParams, rtol: float = 1e-10) -> ValidationReport:
     a3_ok = p.n_x <= p.n_o and spectrum_rank(s_o, rtol) == p.n_x
     checks.append(CheckResult("A3[rank O]", a3_ok, float(s_o.min()), "sigma_min of O"))
     return ValidationReport(tuple(checks))
-
-
-def _require_stochastic(p: HsmmParams) -> None:
-    """Refuse, as :class:`InvalidModel`, a model with a table that is not a distribution."""
-    unfit = [c.name for c in _stochastic_checks(p) if not c.passed]
-    if unfit:
-        raise InvalidModel(f"cannot sample from a model that fails {', '.join(unfit)}")
 
 
 def random_model(
@@ -326,44 +317,45 @@ class SampledSequence:
 
 
 def sample(p: HsmmParams, T: int, rng: np.random.Generator) -> SampledSequence:
-    """Sample one sequence of length ``T``.
+    """Sample one sequence of length ``T``, with its hidden path.
 
-    ``T < 1`` and a model that fails a ``stochastic[...]`` check of
-    :func:`validate` raise :class:`InvalidModel`; A1-A3 are not needed.
+    It reads the uniforms of a one-row :func:`sample_many` call in the same
+    order and draws by the same rule, so its observations are that call's
+    row and ``rng`` ends in the same state.  ``T < 1`` and a model that
+    fails a ``stochastic[...]`` check of :func:`validate` raise
+    :class:`InvalidModel`; A1-A3 are not needed.
     """
     if T < 1:
         raise InvalidModel("T must be at least 1")
-    _require_stochastic(p)
+    cuts = p._cuts
+
+    def draw(table: str, col: int) -> int:
+        return bisect.bisect_left(cuts[table][1][col], rng.random())
+
     obs = np.empty(T, dtype=np.int64)
     hidden = []
-    x = int(rng.choice(p.n_x, p=p.pi_x))
-    d = int(rng.choice(p.n_d, p=p.initial_duration_table()[:, x])) + 1
+    x = draw("pi_x", 0)
+    d = draw("first", x) + 1
     for t in range(T):
         if t > 0:
             if d > 1:
                 d -= 1
             else:
-                x = int(rng.choice(p.n_x, p=p.X[:, x]))
-                d = int(rng.choice(p.n_d, p=p.D[:, x])) + 1
+                x = draw("X", x)
+                d = draw("D", x) + 1
         hidden.append((x, d))
-        obs[t] = int(rng.choice(p.n_o, p=p.O[:, x]))
+        obs[t] = draw("O", x)
     return SampledSequence(observations=obs, hidden_states=tuple(hidden))
 
 
-def _cumulative(table: np.ndarray) -> np.ndarray:
-    """Row ``c`` is the running sum of ``table[:, c]``, the form :func:`_draw` reads."""
-    return np.ascontiguousarray(np.cumsum(table, axis=0).T)
+def _pick(cuts: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sample uniform ``u[i]`` draws from column ``cols[i]`` of a table's ``cuts``."""
+    return (u[:, None] > cuts[cols]).sum(axis=1)
 
 
-def _pick(cum: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The sample uniform ``u[i]`` draws from column ``cols[i]`` of the table."""
-    out = (u[:, None] > cum[cols]).sum(axis=1)
-    return np.minimum(out, cum.shape[1] - 1)
-
-
-def _draw(cum: np.ndarray, cols: np.ndarray, rng) -> np.ndarray:
+def _draw(cuts: np.ndarray, cols: np.ndarray, rng) -> np.ndarray:
     """Vectorized draw: one sample from column ``c`` of the table, for each c in ``cols``."""
-    return _pick(cum, cols, rng.random(cols.shape[0]))
+    return _pick(cuts, cols, rng.random(cols.shape[0]))
 
 
 # A call on at most _FEW_ROWS rows steps them from renewal to renewal in Python
@@ -379,10 +371,9 @@ def sample_many(
 ) -> np.ndarray:
     """Sample ``n_sequences`` independent length-``T`` sequences, vectorized.
 
-    Each table's cumulative sums are formed once per call; every step only
-    gathers the rows of the current states.  ``T < 1``, a negative count and
-    a model that is not stochastic raise :class:`InvalidModel`, as in
-    :func:`sample`.
+    The model's cut points are made once per model; every step only gathers
+    the rows of the current states.  ``T < 1``, a negative count and a model
+    that is not stochastic raise :class:`InvalidModel`, as in :func:`sample`.
 
     The uniforms are read from ``rng`` in one order, whichever loop runs:
     the first state of every row, then the first duration of every row;
@@ -398,12 +389,12 @@ def sample_many(
         raise InvalidModel("T must be at least 1")
     if n_sequences < 0:
         raise InvalidModel(f"n_sequences must be non-negative, got {n_sequences}")
-    _require_stochastic(p)
-    O, X, D = _cumulative(p.O), _cumulative(p.X), _cumulative(p.D)
-    x = _draw(_cumulative(p.pi_x[:, None]), np.zeros(n_sequences, dtype=int), rng)
-    d = _draw(_cumulative(p.initial_duration_table()), x, rng) + 1
+    cuts = p._cuts
+    O, X, D = (cuts[name][0] for name in "OXD")
+    x = _draw(cuts["pi_x"][0], np.zeros(n_sequences, dtype=int), rng)
+    d = _draw(cuts["first"][0], x, rng) + 1
     if 0 < n_sequences <= _FEW_ROWS:
-        return _sample_few(O, X, D, x, d, T, rng)
+        return _sample_few(cuts, x, d, T, rng)
     obs = np.empty((n_sequences, T), dtype=np.int64)
     for t in range(T):
         if t > 0:
@@ -417,24 +408,24 @@ def sample_many(
     return obs
 
 
-def _sample_few(O, X, D, x, d, T: int, rng) -> np.ndarray:
+def _sample_few(cuts: dict, x, d, T: int, rng) -> np.ndarray:
     """:func:`sample_many`'s rows after their first draws, stepped from renewal to renewal.
 
-    ``O``, ``X`` and ``D`` are cumulative tables, and ``x`` and ``d`` the
-    first states and durations.  A row with duration ``d`` at step ``t``
-    renews at step ``t + d``.  At a step where rows renew, their state and
-    duration uniforms come in one call and are read by ``bisect`` on list
-    copies of the cumulative rows.  Up to the next renewal no state
-    changes, so the emission uniforms of those steps come in one call too.
-    Emissions are drawn from the recorded states and uniforms in passes of
-    at most :data:`_DRAW_ENTRIES` gathered table entries.
+    ``cuts`` are the model's cut points, and ``x`` and ``d`` the first
+    states and durations.  A row with duration ``d`` at step ``t`` renews at
+    step ``t + d``.  At a step where rows renew, their state and duration
+    uniforms come in one call and are read by ``bisect`` on the cut rows.
+    Up to the next renewal no state changes, so the emission uniforms of
+    those steps come in one call too.  Emissions are drawn from the
+    recorded states and uniforms in passes of at most :data:`_DRAW_ENTRIES`
+    gathered table entries.
     """
     n = x.shape[0]
     obs = np.empty((n, T), dtype=np.int64)
-    x_rows, d_rows = X.tolist(), D.tolist()
-    top_x, top_d = X.shape[1] - 1, D.shape[1] - 1
+    O, x_rows, d_rows = cuts["O"][0], cuts["X"][1], cuts["D"][1]
     x, until = x.tolist(), d.tolist()  # each row's state and its next renewal step
-    width = min(T, max(1, _DRAW_ENTRIES // (n * O.shape[1])))  # steps per pass
+    n_o = O.shape[1] + 1  # a cut row holds all but the last running sum
+    width = min(T, max(1, _DRAW_ENTRIES // (n * n_o)))  # steps per pass
     states = np.empty((width, n), dtype=np.intp)
     u = np.empty((width, n))
     t = 0
@@ -444,8 +435,8 @@ def _sample_few(O, X, D, x, d, T: int, rng) -> np.ndarray:
             k = len(renew)
             v = rng.random(2 * k).tolist()
             for i, ux, ud in zip(renew, v[:k], v[k:]):
-                x[i] = min(bisect.bisect_left(x_rows[x[i]], ux), top_x)
-                until[i] = t + 1 + min(bisect.bisect_left(d_rows[x[i]], ud), top_d)
+                x[i] = bisect.bisect_left(x_rows[x[i]], ux)
+                until[i] = t + 1 + bisect.bisect_left(d_rows[x[i]], ud)
         a = t % width
         s = min(min(until), T, t - a + width)
         m = a + s - t  # steps of the pass recorded once steps t to s - 1 are

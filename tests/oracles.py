@@ -255,6 +255,31 @@ def sample_many_per_step(p, n_sequences, T, rng):
     return obs
 
 
+def sample_reference(p, T, rng):
+    """One sequence and its hidden path, drawn by ``rng.choice`` at every step.
+
+    ``rng.choice`` reads one uniform per draw and takes the first index
+    whose normalized running sum exceeds it, so this reads the uniforms of
+    a one-row ``hsmm.sample_many`` in the same order and agrees with it
+    unless a uniform falls within rounding of a running sum.  Returns the
+    observations and the ``(x, d)`` path, ``d`` 1-based.
+    """
+    pi_d = p.D if p.pi_d is None else p.pi_d
+    obs, hidden = [], []
+    x = int(rng.choice(p.n_x, p=p.pi_x))
+    d = int(rng.choice(p.n_d, p=pi_d[:, x])) + 1
+    for t in range(T):
+        if t > 0:
+            if d > 1:
+                d -= 1
+            else:
+                x = int(rng.choice(p.n_x, p=p.X[:, x]))
+                d = int(rng.choice(p.n_d, p=p.D[:, x])) + 1
+        hidden.append((x, d))
+        obs.append(int(rng.choice(p.n_o, p=p.O[:, x])))
+    return np.array(obs, dtype=np.int64), tuple(hidden)
+
+
 # ---------------------------------------------------------------------------
 # sequence-file oracle
 

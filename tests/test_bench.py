@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from hsmm_spectral.bench import (
     BenchConfig,
@@ -12,6 +13,7 @@ from hsmm_spectral.bench import (
     run_synthetic_bench,
 )
 from hsmm_spectral.em import EmConfig
+from hsmm_spectral.hsmm import InvalidModel
 
 
 def small_config(**overrides):
@@ -73,7 +75,7 @@ def test_report_shape_and_content(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("n_o,n_x,n_d,n_train,seeds,rmse_spectral")
-    # the record is the config's fields, without the EM seed each cell replaces
+    # the record is the config's fields
     assert json.loads((tmp_path / "report.csv.config.json").read_text()) == {
         "sizes": [[3, 2, 2]],
         "n_list": [200, 800],
@@ -81,9 +83,31 @@ def test_report_shape_and_content(tmp_path):
         "n_test": 40,
         "seeds": [0, 1],
         "rtol": 1e-6,
-        "em": {"max_iter": 10, "tol": 1e-6, "restarts": 1},
+        "em": {"max_iter": 10, "tol": 1e-6, "restarts": 1, "seed": 0},
         "em_max_n": None,
     }
+
+
+def test_em_seed_offsets_every_cell_and_is_recorded(tmp_path):
+    # each cell seeds EM with em.seed plus its own seed; the spectral columns
+    # do not read it
+    runs = {}
+    for em_seed in (0, 5):
+        em = EmConfig(max_iter=10, tol=1e-6, restarts=1, seed=em_seed)
+        report = run_synthetic_bench(small_config(n_list=(200,), seeds=(0,), em=em))
+        report.to_csv(tmp_path / f"{em_seed}.csv")
+        config = json.loads((tmp_path / f"{em_seed}.csv.config.json").read_text())
+        assert config["em"]["seed"] == em_seed
+        runs[em_seed] = report.rows[0]
+    assert runs[0]["rmse_spectral"] == runs[5]["rmse_spectral"]
+    assert runs[0]["rmse_em"] != runs[5]["rmse_em"]
+
+
+def test_negative_seeds_are_refused():
+    for make, message in ((lambda: small_config(seeds=(0, -1)), "seeds must be non-negative"),
+                          (lambda: EmConfig(seed=-1), "seed must be non-negative, got -1")):
+        with pytest.raises(InvalidModel, match=message):
+            make()
 
 
 def test_more_data_helps_spectral():

@@ -6,7 +6,7 @@ import pytest
 
 from hsmm_spectral import cli
 from hsmm_spectral.cli import main
-from hsmm_spectral.hsmm import load_model, read_sequences
+from hsmm_spectral.hsmm import load_model, random_model, read_sequences, save_model
 from hsmm_spectral.spectral import load_observable, score_file
 
 
@@ -268,6 +268,28 @@ def test_rank_check_refuses_no_seeds(tmp_path, capsys, seeds):
     code, _, err = run(["rank-check", "--seeds", seeds, "-o", str(out)], capsys)
     assert code == 2 and "InvalidModel: seeds must be at least 1" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-model", "--no", "3", "--nx", "2", "--nd", "2"],
+    ["gen-data", "--model", "{in}/m.json", "-n", "3", "-T", "4"],
+    ["learn-em", "--data", "{in}/d.txt", "--no", "3", "--nx", "2", "--nd", "2"],
+    ["rank-check", "--nx", "2", "--nd", "2", "--seeds", "1"],
+    ["bench", "--sizes", "3,2,2", "--n-list", "200", "-T", "20", "--n-test", "5"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, argv):
+    # each command failed inside numpy with "expected non-negative integer",
+    # naming no option; bench first printed a progress line
+    given = tmp_path / "in"
+    given.mkdir()
+    save_model(random_model(3, 2, 2, seed=0), given / "m.json")
+    (given / "d.txt").write_text("0 1 2 1\n2 1 0 0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.replace("{in}", str(given)) for a in argv]
+    code, msg, err = run(argv + ["--seed", "-1", "-o", str(out / "result")], capsys)
+    assert (code, msg, err) == (2, "", "InvalidModel: --seed must be non-negative, got -1\n")
+    assert list(out.iterdir()) == []
 
 
 def test_bench_cli_smoke(tmp_path, capsys):

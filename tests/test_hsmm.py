@@ -42,6 +42,7 @@ from oracles import (
     joint_transition_reference,
     next_state_reference,
     sample_many_per_step,
+    sample_reference,
     segment_likelihood,
     state_update_reference,
     write_sequences_reference,
@@ -116,6 +117,27 @@ def test_validate_decomposes_x_and_o_once_each(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert validate(p).ok
     assert sorted(calls) == [(3, 3), (5, 3)]
+
+
+def test_validate_reads_every_table_by_one_stochastic_rule():
+    # each row gives the worst column sum's distance from one and passes when
+    # it is within 1e-12 and no entry is negative; pi_x and pi_d rows now say so
+    p = random_model(4, 2, 3, seed=5)
+    with_pi_d = HsmmParams(O=p.O, X=p.X, D=p.D, pi_x=p.pi_x, pi_d=p.D[::-1] / p.D[::-1].sum(0))
+    nan = HsmmParams(O=[[np.nan], [1.0]], X=[[1.0]], D=[[1.0]], pi_x=[1.0])
+    for model, names in ((with_pi_d, ["O", "X", "D", "pi_x", "pi_d"]),
+                         (nan, ["O", "X", "D", "pi_x"])):
+        rows = [c for c in validate(model).checks if c.name.startswith("stochastic")]
+        assert [c.name for c in rows] == [f"stochastic[{name}]" for name in names]
+        for c, name in zip(rows, names):
+            table = getattr(model, name)
+            err = float(np.max(np.abs(table.sum(axis=0) - 1.0)))
+            assert c.passed == (err <= 1e-12 and table.min() >= 0.0), c
+            assert c.value == err or math.isnan(c.value) and math.isnan(err), c
+            assert c.detail == "column sums and nonnegativity", c
+    assert [c.passed for c in validate(with_pi_d).checks[:5]] == [True] * 5
+    assert [c.passed for c in validate(nan).checks[:4]] == [False, True, True, True]
+    assert math.isnan(validate(nan).checks[0].value)
 
 
 def test_sampling_refuses_a_table_that_is_not_a_distribution():
@@ -248,6 +270,16 @@ def test_sample_many_matches_per_step_reference(dims, monkeypatch):
                     want = sample_many_per_step(model, n, T, theirs)
                     assert got.dtype == want.dtype and np.array_equal(got, want), (n, T)
                     assert ours.random() == theirs.random(), (bit_generator, n, T)
+                # sample is the one-row call with its hidden path, and draws
+                # what rng.choice at every step drew
+                for T in (1, 2, 37, 200):
+                    one, row, ref = (np.random.Generator(bit_generator([T, 1])) for _ in "abc")
+                    got = sample(model, T, one)
+                    assert np.array_equal(got.observations, sample_many(model, 1, T, row)[0])
+                    np.testing.assert_equal(one.bit_generator.state, row.bit_generator.state)
+                    obs, hidden = sample_reference(model, T, ref)
+                    assert np.array_equal(got.observations, obs) and got.hidden_states == hidden
+                    assert one.random() == ref.random(), (bit_generator, T)
 
 
 def test_enum_likelihood_single_state_product():
