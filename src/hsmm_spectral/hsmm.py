@@ -329,8 +329,8 @@ def sample(p: HsmmParams, T: int, rng: np.random.Generator) -> SampledSequence:
         raise InvalidModel("T must be at least 1")
     cuts = p._cuts
 
-    def draw(table: str, col: int) -> int:
-        return bisect.bisect_left(cuts[table][1][col], rng.random())
+    def draw(name: str, col: int) -> int:
+        return bisect.bisect_left(cuts[name][1][col], rng.random())
 
     obs = np.empty(T, dtype=np.int64)
     hidden = []

@@ -273,7 +273,7 @@ def test_sample_many_matches_per_step_reference(dims, monkeypatch):
                 # sample is the one-row call with its hidden path, and draws
                 # what rng.choice at every step drew
                 for T in (1, 2, 37, 200):
-                    one, row, ref = (np.random.Generator(bit_generator([T, 1])) for _ in "abc")
+                    one, row, ref = (np.random.Generator(bit_generator([T, 1])) for _ in range(3))
                     got = sample(model, T, one)
                     assert np.array_equal(got.observations, sample_many(model, 1, T, row)[0])
                     np.testing.assert_equal(one.bit_generator.state, row.bit_generator.state)
