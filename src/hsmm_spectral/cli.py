@@ -160,6 +160,10 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.count < 0:
+        raise InvalidModel(f"-n/--count must be non-negative, got {args.count}")
+    if args.length < 1:
+        raise InvalidModel(f"-T/--length must be at least 1, got {args.length}")
     p = load_model(args.model)
     try:
         obs = sample_many(p, args.count, args.length, np.random.default_rng(args.seed))

@@ -22,10 +22,11 @@ folds the posterior over durations, and a ``bincount`` per state gives the
 emission counts.
 
 A pass takes and returns plain ``(O, X, D, pi_x)`` arrays: the joint kernel
-is :func:`~hsmm_spectral.hsmm.renewal_kernel` of ``X`` and ``D``, and an
-:class:`HsmmParams` is made only for each restart's result.  Per step of a
-sequence a chunk holds three joint-space rows (emissions, ``alpha``, and
-``beta``, which becomes the posterior), the folded posterior, and three
+is :func:`~hsmm_spectral.hsmm.renewal_kernel` of ``X`` and ``D``.  A random
+restart starts from the tables of :func:`~hsmm_spectral.hsmm.random_tables`,
+and an :class:`HsmmParams` is made only for each restart's result.  Per step
+of a sequence a chunk holds three joint-space rows (emissions, ``alpha``,
+and ``beta``, which becomes the posterior), the folded posterior, and three
 scalars; :func:`_chunked` sizes chunks so that all of it stays within
 :data:`CHUNK_ENTRIES` float64 entries.
 """
@@ -43,6 +44,7 @@ from .hsmm import (
     SequenceFile,
     forward_loglik_batch,
     joint_states,
+    random_tables,
     renewal_kernel,
 )
 
@@ -67,15 +69,6 @@ class EmConfig:
             raise InvalidModel("restarts must be at least 1")
         if self.seed < 0:
             raise InvalidModel(f"seed must be non-negative, got {self.seed}")
-
-
-def _random_init(n_o: int, n_x: int, n_d: int, rng) -> HsmmParams:
-    return HsmmParams(
-        O=rng.dirichlet(np.ones(n_o), size=n_x).T,
-        X=rng.dirichlet(np.ones(n_x), size=n_x).T,
-        D=rng.dirichlet(np.ones(n_d), size=n_x).T,
-        pi_x=rng.dirichlet(np.ones(n_x)),
-    )
 
 
 def _normalize_columns(acc: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -281,16 +274,16 @@ def em_fit(
     del groups  # the chunks hold copies
     lat = _lattice(n_x, n_d)
 
-    rng = np.random.default_rng(cfg.seed)
-    inits = (
-        [init]
-        if init is not None
-        else [_random_init(n_o, n_x, n_d, rng) for _ in range(cfg.restarts)]
-    )
+    # each start's (O, X, D, pi_x) and first-duration table
+    if init is not None:
+        starts = [((init.O, init.X, init.D, init.pi_x), init.initial_duration_table())]
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        draws = [random_tables(n_o, n_x, n_d, rng) for _ in range(cfg.restarts)]
+        starts = [(tables, tables[2]) for tables in draws]
     best: tuple[float, HsmmParams, np.ndarray] | None = None
-    for p in inits:
+    for params, first in starts:
         trace = []
-        params, first = (p.O, p.X, p.D, p.pi_x), p.initial_duration_table()
         for _ in range(cfg.max_iter):
             updated, ll = _em_pass(params, first, chunks, lat)
             if trace:

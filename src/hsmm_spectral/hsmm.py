@@ -52,9 +52,11 @@ _ENUM_MAX_PATHS = 50_000_000
 _TABLES = ("O", "X", "D", "pi_x", "pi_d")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HsmmParams:
     """Ground-truth model parameters.
+
+    Models compare and hash by identity, as their tables are arrays.
 
     Parameters
     ----------
@@ -211,6 +213,22 @@ def validate(p: HsmmParams, rtol: float = 1e-10) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+def random_tables(n_o: int, n_x: int, n_d: int, rng, no_self_transitions: bool = False):
+    """One draw of ``(O, X, D, pi_x)`` with Dirichlet(1) columns, in that order.
+
+    With ``no_self_transitions`` (and ``n_x > 1``) ``X``'s diagonal is zeroed
+    and its columns renormalised.
+    """
+    O = rng.dirichlet(np.ones(n_o), size=n_x).T
+    X = rng.dirichlet(np.ones(n_x), size=n_x).T
+    if no_self_transitions and n_x > 1:
+        X = X * (1.0 - np.eye(n_x))
+        X = X / X.sum(axis=0, keepdims=True)
+    D = rng.dirichlet(np.ones(n_d), size=n_x).T
+    pi_x = rng.dirichlet(np.ones(n_x))
+    return O, X, D, pi_x
+
+
 def random_model(
     n_o: int,
     n_x: int,
@@ -219,7 +237,7 @@ def random_model(
     min_sigma: float = 0.05,
     no_self_transitions: bool = False,
 ) -> HsmmParams:
-    """Draw a well-conditioned model with Dirichlet(1) columns.
+    """Draw a well-conditioned model with :func:`random_tables`.
 
     Rejection-resamples until ``sigma_min(O) >= min_sigma``,
     ``sigma_min(X) >= min_sigma`` and every duration probability is at least
@@ -231,13 +249,7 @@ def random_model(
         raise InvalidModel("dimensions must be positive")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
-        O = rng.dirichlet(np.ones(n_o), size=n_x).T
-        X = rng.dirichlet(np.ones(n_x), size=n_x).T
-        if no_self_transitions and n_x > 1:
-            X = X * (1.0 - np.eye(n_x))
-            X = X / X.sum(axis=0, keepdims=True)
-        D = rng.dirichlet(np.ones(n_d), size=n_x).T
-        pi_x = rng.dirichlet(np.ones(n_x))
+        O, X, D, pi_x = random_tables(n_o, n_x, n_d, rng, no_self_transitions)
         if np.linalg.svd(O, compute_uv=False).min() < min_sigma:
             continue
         if n_x > 1 and np.linalg.svd(X, compute_uv=False).min() < min_sigma:
@@ -319,33 +331,14 @@ class SampledSequence:
 def sample(p: HsmmParams, T: int, rng: np.random.Generator) -> SampledSequence:
     """Sample one sequence of length ``T``, with its hidden path.
 
-    It reads the uniforms of a one-row :func:`sample_many` call in the same
-    order and draws by the same rule, so its observations are that call's
-    row and ``rng`` ends in the same state.  ``T < 1`` and a model that
-    fails a ``stochastic[...]`` check of :func:`validate` raise
-    :class:`InvalidModel`; A1-A3 are not needed.
+    It is a one-row :func:`sample_many` call that also records the path, so
+    its observations are that call's row and ``rng`` ends in the same state.
+    ``T < 1`` and a model that fails a ``stochastic[...]`` check of
+    :func:`validate` raise :class:`InvalidModel`; A1-A3 are not needed.
     """
-    if T < 1:
-        raise InvalidModel("T must be at least 1")
-    cuts = p._cuts
-
-    def draw(name: str, col: int) -> int:
-        return bisect.bisect_left(cuts[name][1][col], rng.random())
-
-    obs = np.empty(T, dtype=np.int64)
-    hidden = []
-    x = draw("pi_x", 0)
-    d = draw("first", x) + 1
-    for t in range(T):
-        if t > 0:
-            if d > 1:
-                d -= 1
-            else:
-                x = draw("X", x)
-                d = draw("D", x) + 1
-        hidden.append((x, d))
-        obs[t] = draw("O", x)
-    return SampledSequence(observations=obs, hidden_states=tuple(hidden))
+    path = []
+    obs = _sample_few(*_first_draws(p, 1, T, rng), T, rng, path)
+    return SampledSequence(observations=obs[0], hidden_states=tuple(path))
 
 
 def _pick(cuts: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -385,16 +378,10 @@ def sample_many(
     on at most :data:`_FEW_ROWS` rows take :func:`_sample_few`; others take
     one numpy round per table per step.
     """
-    if T < 1:
-        raise InvalidModel("T must be at least 1")
-    if n_sequences < 0:
-        raise InvalidModel(f"n_sequences must be non-negative, got {n_sequences}")
-    cuts = p._cuts
-    O, X, D = (cuts[name][0] for name in "OXD")
-    x = _draw(cuts["pi_x"][0], np.zeros(n_sequences, dtype=int), rng)
-    d = _draw(cuts["first"][0], x, rng) + 1
+    cuts, x, d = _first_draws(p, n_sequences, T, rng)
     if 0 < n_sequences <= _FEW_ROWS:
         return _sample_few(cuts, x, d, T, rng)
+    O, X, D = (cuts[name][0] for name in "OXD")
     obs = np.empty((n_sequences, T), dtype=np.int64)
     for t in range(T):
         if t > 0:
@@ -408,12 +395,24 @@ def sample_many(
     return obs
 
 
-def _sample_few(cuts: dict, x, d, T: int, rng) -> np.ndarray:
+def _first_draws(p: HsmmParams, n_sequences: int, T: int, rng):
+    """The samplers' refusals, the model's cut points, and each row's first state and duration."""
+    if T < 1:
+        raise InvalidModel("T must be at least 1")
+    if n_sequences < 0:
+        raise InvalidModel(f"n_sequences must be non-negative, got {n_sequences}")
+    cuts = p._cuts
+    x = _draw(cuts["pi_x"][0], np.zeros(n_sequences, dtype=int), rng)
+    return cuts, x, _draw(cuts["first"][0], x, rng) + 1
+
+
+def _sample_few(cuts: dict, x, d, T: int, rng, path: list | None = None) -> np.ndarray:
     """:func:`sample_many`'s rows after their first draws, stepped from renewal to renewal.
 
     ``cuts`` are the model's cut points, and ``x`` and ``d`` the first
-    states and durations.  A row with duration ``d`` at step ``t`` renews at
-    step ``t + d``.  At a step where rows renew, their state and duration
+    states and durations.  ``path``, if given, gets the first row's
+    ``(state, countdown)`` at each step.  A row with duration ``d`` at step
+    ``t`` renews at step ``t + d``.  At a step where rows renew, their state and duration
     uniforms come in one call and are read by ``bisect`` on the cut rows.
     Up to the next renewal no state changes, so the emission uniforms of
     those steps come in one call too.  Emissions are drawn from the
@@ -439,6 +438,8 @@ def _sample_few(cuts: dict, x, d, T: int, rng) -> np.ndarray:
                 until[i] = t + 1 + bisect.bisect_left(d_rows[x[i]], ud)
         a = t % width
         s = min(min(until), T, t - a + width)
+        if path is not None:
+            path.extend((x[0], until[0] - step) for step in range(t, s))
         m = a + s - t  # steps of the pass recorded once steps t to s - 1 are
         states[a:m] = x
         rng.random(out=u[a:m])

@@ -221,14 +221,10 @@ def rank_grid(
     return rows
 
 
-def _draw(n_x: int, n_d: int, seed: int, min_sigma: float) -> HsmmParams:
-    return random_model(n_x + 1, n_x, n_d, seed=seed, min_sigma=min_sigma)
-
-
 def _grid_cell(report, n_x, n_d, seed, min_sigma):
     """Whether the draw's rank (or, on a miss, a shifted seed's) meets the prediction."""
     for s in (seed, seed + 7919):
-        rep = report(_draw(n_x, n_d, s, min_sigma))
+        rep = report(random_model(n_x + 1, n_x, n_d, seed=s, min_sigma=min_sigma))
         if rep.numerical_rank == rep.predicted_rank:
             return True, rep.predicted_rank, rep.numerical_rank
     return False, rep.predicted_rank, rep.numerical_rank

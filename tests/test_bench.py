@@ -61,6 +61,16 @@ def test_cell_is_deterministic_apart_from_timing():
     assert a["status"] == b["status"]
 
 
+def test_cell_records_a_spectral_fit_its_length_cannot_host():
+    # (3, 2, 2)'s windows need rows of 6: the cell records the refusal, and EM still runs
+    cell = run_cell((3, 2, 2), 50, 0, small_config(T=5))
+    assert cell["status"] == (
+        "spectral-degenerate: no sequence hosts a full window placement; need length >= 6"
+    )
+    assert math.isnan(cell["rmse_spectral"]) and math.isnan(cell["learn_time_spectral"])
+    assert math.isfinite(cell["rmse_em"])
+
+
 def test_report_shape_and_content(tmp_path):
     cfg = small_config()
     report = run_synthetic_bench(cfg)

@@ -457,15 +457,21 @@ def test_learn_em_refuses_empty_dimensions(tmp_path, capsys):
         assert not (tmp_path / "em.json").exists()
 
 
-def test_gen_data_refuses_empty_length_and_negative_count(tmp_path, capsys):
-    model = tmp_path / "m.json"
+@pytest.mark.parametrize("option,value,message", [
+    ("-n", "-1", "-n/--count must be non-negative, got -1"),
+    ("--count", "-3", "-n/--count must be non-negative, got -3"),
+    ("-T", "0", "-T/--length must be at least 1, got 0"),
+    ("--length", "-2", "-T/--length must be at least 1, got -2"),
+], ids=["n", "count", "T", "length"])
+def test_gen_data_names_the_refused_option(tmp_path, capsys, option, value, message):
+    # refused before the model is read: the model file does not exist
     out = tmp_path / "d.txt"
-    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "-o", str(model)], capsys)
-    for bad, message in ((["-n", "4", "-T", "0"], "T must be at least 1"),
-                         (["-n", "-1", "-T", "5"], "n_sequences must be non-negative")):
-        code, _, err = run(["gen-data", "--model", str(model), *bad, "-o", str(out)], capsys)
-        assert code == 2 and f"InvalidModel: {message}" in err, (bad, err)
-        assert not out.exists()
+    good = {"-n": "4", "--count": "4", "-T": "5", "--length": "5"}
+    other = "-T" if option in ("-n", "--count") else "-n"
+    code, _, err = run(["gen-data", "--model", str(tmp_path / "missing.json"),
+                        option, value, other, good[other], "-o", str(out)], capsys)
+    assert (code, err) == (2, f"InvalidModel: {message}\n")
+    assert not out.exists()
 
 
 def test_gen_data_refuses_a_model_that_is_not_stochastic(tmp_path, capsys):
@@ -533,3 +539,26 @@ def test_learn_refuses_count_tables_over_the_cap(tmp_path, capsys):
     code, _, err = _learn_bad_input(tmp_path, capsys, [*GOOD, "0 1 999999999 1 0 2"], [])
     assert code == 2 and "count tables for n_o=1000000000, ell=2" in err, err
     assert not (tmp_path / "s.bin").exists()
+
+
+def test_learn_spectral_refuses_a_file_with_no_sequences(tmp_path, capsys):
+    for extra in ([], ["--basic"]):
+        code, _, err = _learn_bad_input(tmp_path, capsys, ["# only a comment", ""], extra)
+        assert (code, err) == (2, "InvalidModel: no sequences in input\n"), extra
+        assert not (tmp_path / "s.bin").exists()
+
+
+ONE_OF = "provide exactly one of --sequence or --data"
+
+
+@pytest.mark.parametrize("given,message", [
+    (["--sequence", "0 1 2 1 0 2", "--data", "DATA"], ONE_OF),
+    ([], ONE_OF),
+    (["--data", "DATA", "--index", "30"], "--index 30 out of range"),
+    (["--data", "DATA", "--index", "-1"], "--index -1 out of range"),
+], ids=["both", "neither", "index-past-end", "negative-index"])
+def test_infer_refuses_what_it_cannot_score(tmp_path, capsys, given, message):
+    assert _learn_bad_input(tmp_path, capsys, GOOD, [])[0] == 0
+    argv = [str(tmp_path / "bad.txt") if arg == "DATA" else arg for arg in given]
+    code, out, err = run(["infer", "--model", str(tmp_path / "s.bin"), *argv], capsys)
+    assert (code, out, err) == (2, "", f"InvalidModel: {message}\n")

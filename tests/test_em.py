@@ -10,6 +10,7 @@ from hsmm_spectral.hsmm import (
     HsmmParams,
     forward_loglik_batch,
     random_model,
+    random_tables,
     sample_many,
 )
 
@@ -26,6 +27,17 @@ def test_config_validation():
         EmConfig(tol=0.0)
     with pytest.raises(InvalidModel):
         EmConfig(tol=float("nan"))
+
+
+def test_fit_refuses_no_sequences_and_no_restarts():
+    from hsmm_spectral.hsmm import InvalidModel
+
+    with pytest.raises(InvalidModel) as exc:
+        em_fit([], 3, 2, 2, EmConfig())
+    assert str(exc.value) == "no training sequences"
+    with pytest.raises(InvalidModel) as exc:
+        EmConfig(restarts=0)
+    assert str(exc.value) == "restarts must be at least 1"
 
 
 def test_matches_reference_baum_welch_when_durations_trivial():
@@ -164,7 +176,7 @@ def assert_same_pass(p, groups):
 def test_pass_matches_per_step_reference(n_x, n_d, T):
     truth = random_model(4, n_x, n_d, seed=10 * n_x + n_d)
     obs = sample_many(truth, 9, T, np.random.default_rng(T))
-    p = em._random_init(4, n_x, n_d, np.random.default_rng(T + 1))
+    p = HsmmParams(*random_tables(4, n_x, n_d, np.random.default_rng(T + 1)))
     assert_same_pass(p, [obs])
 
 
@@ -172,14 +184,14 @@ def test_pass_matches_reference_on_mixed_lengths():
     truth = random_model(4, 2, 3, seed=1)
     rng = np.random.default_rng(2)
     groups = [sample_many(truth, n, T, rng) for n, T in ((5, 1), (3, 8), (7, 30))]
-    assert_same_pass(em._random_init(4, 2, 3, rng), groups)
+    assert_same_pass(HsmmParams(*random_tables(4, 2, 3, rng)), groups)
 
 
 def test_pass_matches_reference_when_a_state_sees_no_symbol():
     # state 1 emits only symbol 3, which never occurs: its emission,
     # transition and duration columns have no mass and keep their values
     obs = np.random.default_rng(3).integers(0, 3, size=(12, 10))
-    p = em._random_init(4, 2, 2, np.random.default_rng(4))
+    p = HsmmParams(*random_tables(4, 2, 2, np.random.default_rng(4)))
     O = p.O.copy()
     O[:, 1] = [0.0, 0.0, 0.0, 1.0]
     p = HsmmParams(O=O, X=p.X, D=p.D, pi_x=p.pi_x)
@@ -197,7 +209,7 @@ def test_pass_matches_reference_over_several_chunks(monkeypatch):
     chunks = em._chunked([obs], 2, 4)
     assert [c.shape for c in chunks] == [(12, 12)] * 3 + [(12, 4)]
     assert np.array_equal(np.concatenate(chunks, axis=1), obs.T)
-    assert_same_pass(em._random_init(4, 2, 2, np.random.default_rng(6)), [obs])
+    assert_same_pass(HsmmParams(*random_tables(4, 2, 2, np.random.default_rng(6))), [obs])
 
 
 @pytest.mark.parametrize("exponent", [-100, -318 / em.RESCALE_EVERY])
@@ -207,7 +219,7 @@ def test_pass_matches_reference_when_every_step_is_improbable(exponent):
     # the mass underflows to 0 (-100) or into the subnormal floats, where it
     # loses precision (-318 / RESCALE_EVERY): the chunk is redone dividing
     # at every step, as the reference does
-    p = em._random_init(3, 2, 3, np.random.default_rng(11))
+    p = HsmmParams(*random_tables(3, 2, 3, np.random.default_rng(11)))
     tiny = 10.0**exponent
     O = np.array([[tiny, tiny], [0.6, 0.3], [0.4 - tiny, 0.7 - tiny]])
     p = HsmmParams(O=O, X=p.X, D=p.D, pi_x=p.pi_x)
@@ -256,7 +268,7 @@ def test_pass_working_set_stays_within_the_chunk_cap():
     obs = sample_many(truth, 9000, 100, np.random.default_rng(9))
     chunks = em._chunked([obs], 2, 4)
     assert len(chunks) == 2
-    p = em._random_init(3, 2, 2, np.random.default_rng(10))
+    p = HsmmParams(*random_tables(3, 2, 2, np.random.default_rng(10)))
     lat = em._lattice(2, 2)
     tracemalloc.start()
     try:

@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import warnings
 
@@ -166,6 +168,25 @@ def test_sampling_refuses_a_table_that_is_not_a_distribution():
 def test_shape_mismatch_raised_on_construction():
     with pytest.raises(ShapeMismatch):
         HsmmParams(O=np.eye(2), X=np.eye(3), D=np.full((2, 2), 0.5), pi_x=np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("tables,message", [
+    (dict(O=np.full(2, 0.5)), "O, X, D must be matrices"),
+    (dict(D=np.full((2, 3), 0.5)), "D must have 2 columns, got (2, 3)"),
+    (dict(pi_x=np.full(3, 1 / 3)), "pi_x must have length 2"),
+    (dict(pi_d=np.full((3, 2), 1 / 3)), "pi_d must match D's shape (2, 2)"),
+], ids=["O-not-a-matrix", "D-columns", "pi_x-length", "pi_d-shape"])
+def test_every_shape_refusal_names_its_table(tables, message):
+    base = dict(O=np.eye(2), X=np.eye(2), D=np.full((2, 2), 0.5), pi_x=np.full(2, 0.5))
+    with pytest.raises(ShapeMismatch) as exc:
+        HsmmParams(**{**base, **tables})
+    assert str(exc.value) == message
+
+
+def test_models_compare_and_hash_by_identity():
+    p, q = random_model(3, 2, 2, seed=1), random_model(3, 2, 2, seed=1)
+    assert (p == q) is False and (p != q) is True and p == p
+    assert {p: "p", q: "q"}[p] == "p" and len({p, q, p}) == 2
 
 
 def test_random_model_reference_sizes_pass_validation():
@@ -463,6 +484,28 @@ def test_model_json_roundtrip(tmp_path):
     assert np.array_equal(p.pi_x, q.pi_x)
 
 
+def test_model_json_roundtrip_keeps_pi_d(tmp_path):
+    p = random_model(4, 3, 2, seed=15)
+    with_pi_d = HsmmParams(O=p.O, X=p.X, D=p.D, pi_x=p.pi_x, pi_d=p.D[::-1] / p.D[::-1].sum(0))
+    path = tmp_path / "m.json"
+    save_model(with_pi_d, path)
+    q = load_model(path)
+    for name in ("O", "X", "D", "pi_x", "pi_d"):
+        assert np.array_equal(getattr(q, name), getattr(with_pi_d, name)), name
+    save_model(p, path)
+    assert load_model(path).pi_d is None
+
+
+def test_load_model_refuses_declared_dimensions_the_tables_contradict(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(random_model(3, 2, 2, seed=1), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "n_o": 4}))
+    with pytest.raises(ShapeMismatch) as exc:
+        load_model(path)
+    assert str(exc.value) == "declared dimensions (4, 2, 2) disagree with matrices (3, 2, 2)"
+
+
 def test_sequence_file_roundtrip(tmp_path):
     path = tmp_path / "seqs.txt"
     seqs = [np.array([0, 1, 2]), np.array([3, 0])]
@@ -632,6 +675,20 @@ def test_tokenizer_matches_per_line_parser(monkeypatch, tmp_path, block):
         errors += isinstance(want, str)
     assert 10 < errors < 150
     assert any(f is None for f in fast) and any(f is not None for f in fast)
+
+
+@pytest.mark.parametrize("block", [4, 1 << 14])
+def test_tokenizer_grows_its_buffer_past_the_stated_size(monkeypatch, block):
+    # a pipe, or a file that grew after its size was read: more bytes than
+    # ``size`` arrive, and the stream takes them all
+    monkeypatch.setattr(hsmm, "READ_BLOCK", block)
+    data = b"1 2 3\n\n45 6\n" * 20
+    want = hsmm._tokenize(io.BytesIO(data), len(data))
+    for size in (0, 1, 7):
+        got = hsmm._tokenize(io.BytesIO(data), size)
+        assert got.values.tolist() == want.values.tolist() == [1, 2, 3, 45, 6] * 20
+        assert got.offsets.tolist() == want.offsets.tolist()
+        assert got.lines.tolist() == want.lines.tolist()
 
 
 def test_symbol_beyond_int64_names_its_line(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hsmm_spectral import moments
 from hsmm_spectral.hsmm import (
     HsmmParams,
+    InvalidModel,
     random_model,
     read_sequences,
     sample_many,
@@ -409,6 +410,17 @@ def test_analytic_moments_average_multiple_anchors():
         )
         tables.append(tab.reshape(4, 4))
     assert np.allclose(m.m_lr, np.mean(tables, axis=0), atol=1e-12)
+
+
+@pytest.mark.parametrize("T,anchors,error,message", [
+    (5, None, InsufficientData, "horizon T=5 admits no anchor; need T >= 6"),
+    (30, [1], InvalidModel, "anchor set [1].. outside the valid range"),
+    (30, [2, 27], InvalidModel, "anchor set [2, 27].. outside the valid range"),
+], ids=["no-anchor", "below", "above"])
+def test_analytic_moments_refuses_anchors_the_horizon_cannot_host(T, anchors, error, message):
+    with pytest.raises(error) as exc:
+        analytic_moments(random_model(3, 2, 2, seed=1), build_schedule(2, 2), T, anchors)
+    assert str(exc.value) == message
 
 
 def test_analytic_moments_single_state_outer_product():

@@ -174,6 +174,18 @@ def test_identical_sequences_degenerate_per_anchor():
     assert err.value.anchor is not None
 
 
+@pytest.mark.parametrize("seqs,detail", [
+    ([], "no sequences"),
+    ([[0, 1, 2, 0, 1, 2, 0, 1], [0, 1, 2, 0, 1, 2, 0]],
+     "per-anchor estimation needs equal-length sequences"),
+    ([[0, 1, 2, 0, 1]] * 4, "length 5 hosts no anchor (need 6)"),
+], ids=["none", "unequal", "short"])
+def test_per_anchor_build_refuses_sequences_it_cannot_count(seqs, detail):
+    with pytest.raises(DegenerateMoments) as exc:
+        build_observable_per_t(seqs, 3, build_schedule(2, 2), RTOL)
+    assert str(exc.value) == f"degenerate moment tensor m_lr: {detail}"
+
+
 def test_per_anchor_analytic_tensors_are_anchor_invariant():
     p = random_model(3, 2, 2, seed=4)
     sched = build_schedule(2, 2)
@@ -532,6 +544,35 @@ def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path, capsys):
         code = main(["score", "--model", str(path), "--data", str(data),
                      "-o", str(tmp_path / "s.csv")])
         assert code == 2 and capsys.readouterr().err.startswith("ContainerError:")
+
+
+@pytest.mark.parametrize("head,message", [
+    (b"HSPECBIN 2 observable-model\n{}\n", "unsupported version 2"),
+    (b"HSPECBIN 1 observable-model\n{not json\n",
+     "bad header: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"HSPECBIN 1 observable-model\n\xff\n", "bad header: 'ascii' codec can't decode byte"),
+], ids=["version", "not-json", "not-ascii"])
+def test_container_refuses_another_version_and_a_bad_header(tmp_path, head, message):
+    path = tmp_path / "t.bin"
+    path.write_bytes(head)
+    with pytest.raises(ContainerError) as exc:
+        read_container(path)
+    assert str(exc.value).startswith(message), str(exc.value)
+
+
+@pytest.mark.parametrize("kind,variant,message", [
+    ("moment-set", "batched", "not an observable-model file (kind=moment-set)"),
+    ("observable-model", "pooled", "unknown model variant 'pooled'"),
+], ids=["kind", "variant"])
+def test_read_stack_refuses_another_kind_and_an_unknown_variant(tmp_path, kind, variant, message):
+    model, _, _ = analytic_model(random_model(3, 2, 2, seed=39))
+    path = tmp_path / "model.bin"
+    save_observable(path, model)
+    _, meta, tensors = read_container(path)
+    write_container(path, kind, {**meta, "variant": variant}, list(tensors.items()))
+    with pytest.raises(SpectralError) as exc:
+        spectral._read_stack(path)
+    assert str(exc.value) == message
 
 
 def test_per_t_roundtrip(tmp_path):
