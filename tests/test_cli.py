@@ -457,19 +457,17 @@ def test_learn_em_refuses_empty_dimensions(tmp_path, capsys):
         assert not (tmp_path / "em.json").exists()
 
 
-@pytest.mark.parametrize("option,value,message", [
-    ("-n", "-1", "-n/--count must be non-negative, got -1"),
-    ("--count", "-3", "-n/--count must be non-negative, got -3"),
-    ("-T", "0", "-T/--length must be at least 1, got 0"),
-    ("--length", "-2", "-T/--length must be at least 1, got -2"),
+@pytest.mark.parametrize("given,message", [
+    (["-n", "-1", "-T", "5"], "-n/--count must be non-negative, got -1"),
+    (["--count", "-3", "-T", "5"], "-n/--count must be non-negative, got -3"),
+    (["-n", "4", "-T", "0"], "-T/--length must be at least 1, got 0"),
+    (["-n", "4", "--length", "-2"], "-T/--length must be at least 1, got -2"),
 ], ids=["n", "count", "T", "length"])
-def test_gen_data_names_the_refused_option(tmp_path, capsys, option, value, message):
+def test_gen_data_names_the_refused_option(tmp_path, capsys, given, message):
     # refused before the model is read: the model file does not exist
     out = tmp_path / "d.txt"
-    good = {"-n": "4", "--count": "4", "-T": "5", "--length": "5"}
-    other = "-T" if option in ("-n", "--count") else "-n"
-    code, _, err = run(["gen-data", "--model", str(tmp_path / "missing.json"),
-                        option, value, other, good[other], "-o", str(out)], capsys)
+    code, _, err = run(["gen-data", "--model", str(tmp_path / "missing.json"), *given,
+                        "-o", str(out)], capsys)
     assert (code, err) == (2, f"InvalidModel: {message}\n")
     assert not out.exists()
 

@@ -548,9 +548,8 @@ def test_container_payloads_roundtrip_and_reject_bad_lengths(tmp_path, capsys):
 
 @pytest.mark.parametrize("head,message", [
     (b"HSPECBIN 2 observable-model\n{}\n", "unsupported version 2"),
-    (b"HSPECBIN 1 observable-model\n{not json\n",
-     "bad header: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    (b"HSPECBIN 1 observable-model\n\xff\n", "bad header: 'ascii' codec can't decode byte"),
+    (b"HSPECBIN 1 observable-model\n{not json\n", "bad header: Expecting property name"),
+    (b"HSPECBIN 1 observable-model\n\xff\n", "bad header: 'ascii' codec can't decode byte 0xff"),
 ], ids=["version", "not-json", "not-ascii"])
 def test_container_refuses_another_version_and_a_bad_header(tmp_path, head, message):
     path = tmp_path / "t.bin"
