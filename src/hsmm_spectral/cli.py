@@ -203,13 +203,19 @@ def _cmd_learn_spectral(args) -> int:
 
 
 def _cmd_learn_em(args) -> int:
-    seqs = read_sequences(args.data, n_o=args.n_o)
+    if args.max_iter < 1:
+        raise InvalidModel(f"--max-iter must be at least 1, got {args.max_iter}")
+    if not args.tol > 0:  # NaN too
+        raise InvalidModel(f"--tol must be positive, got {args.tol}")
+    if args.restarts < 1:
+        raise InvalidModel(f"--restarts must be at least 1, got {args.restarts}")
     cfg = EmConfig(
         max_iter=args.max_iter,
         tol=args.tol,
         restarts=args.restarts,
         seed=args.seed,
     )
+    seqs = read_sequences(args.data, n_o=args.n_o)
     fitted, trace = em_fit(seqs, args.n_o, args.n_x, args.n_d, cfg)
     save_model(fitted, args.output)
     print(f"iterations={len(trace) - 1} loglik={trace[-1]:.6f}")

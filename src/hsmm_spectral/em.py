@@ -279,7 +279,9 @@ def em_fit(
         starts = [((init.O, init.X, init.D, init.pi_x), init.initial_duration_table())]
     else:
         rng = np.random.default_rng(cfg.seed)
-        draws = [random_tables(n_o, n_x, n_d, rng) for _ in range(cfg.restarts)]
+        # C-order copies: no restart holds a transposed view of a draw
+        draws = [[np.ascontiguousarray(t) for t in random_tables(n_o, n_x, n_d, rng)]
+                 for _ in range(cfg.restarts)]
         starts = [(tables, tables[2]) for tables in draws]
     best: tuple[float, HsmmParams, np.ndarray] | None = None
     for params, first in starts:

@@ -27,14 +27,14 @@ span, and each table's composite indices are shifted slices of them.  The
 gap positions in the span, between one sequence's placements and the
 next's, go to one extra bin, one past the table's last entry, which the
 tally drops; a block of short rows, whose span is mostly gaps, gathers its
-placements instead (:data:`SPAN_PLACEMENTS_PER_GAP`).  Integer counts are
-tallied with ``np.bincount`` (or ``np.unique`` when the table is larger than
-the block); ``lr`` is not tallied but summed out of ``lro`` at the end,
-and so, per anchor, is ``oo``.
-Tables are divided by their counts once, at the end, so they equal the
-placement frequencies exactly.  Each moment table is that one quotient,
-marked read-only.  Count tables over :data:`TABLE_BYTES` are refused before
-any is allocated.
+placements instead (:data:`SPAN_PLACEMENTS_PER_GAP`).  Each tallied table
+is a float64 view of a buffer whose one extra entry is that bin, and one
+unbuffered ``np.add.at`` per table and block counts into it; ``lr`` is
+summed out of ``lro`` at the end, and so, per anchor, is ``oo``.  Tables
+are divided by their counts once, at the end and in place, so they equal
+the placement frequencies exactly and each moment table is its count
+table, marked read-only.  Count tables over :data:`TABLE_BYTES` are refused
+before any is allocated.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ TABLE_BYTES = 1 << 30
 
 
 class Counts(NamedTuple):
-    """Integer placement counts behind the moment tensors.
+    """Placement counts behind the moment tensors, as exact float64 integers.
 
     Tables are as in :class:`MomentSet`, unnormalised.  When counted per
     anchor, ``lr``, ``lr_shift``, ``lro`` and ``oo`` carry a leading anchor
@@ -215,6 +215,13 @@ class Counts(NamedTuple):
     windows: int
     pairs: int
     starts: int
+
+    def averaged(self, windows: int, pairs: int, starts: int) -> list[np.ndarray]:
+        """The five tables, each divided in place by its count and marked read-only."""
+        tables = self[:5]
+        for table, count in zip(tables, (windows, windows, windows, pairs, starts)):
+            table /= count
+        return [read_only(table) for table in tables]
 
 
 def _blocks(seqs: SequenceFile, n_d: int):
@@ -321,34 +328,11 @@ def _window_codes(stream: np.ndarray, offsets: Sequence[int], n_o: int) -> np.nd
     return codes
 
 
-# Table entries per block index above which a tally sorts the block's indices
-# (``np.unique``) instead of running a full-length ``np.bincount``, whose cost
-# grows with the table.  Measured on 1k to 16k uniform indices (2 vCPU, NumPy
-# 2.4), the bincount is 1.2-2.6x the faster at 16 entries per index and
-# 1.3-3.6x the slower at 64; between them the block size decides.
-TALLY_SORT_RATIO = 16
-
-
-def _tally(table: np.ndarray, index: np.ndarray) -> None:
-    """Add the histogram of ``index`` into the integer ``table``, read flat.
-
-    Index ``table.size``, one past the last entry, is the dropped bin: the
-    span tallies send the gap positions between sequences there.
-    """
-    table = table.reshape(-1)
-    if table.size > TALLY_SORT_RATIO * index.size:
-        bins, hits = np.unique(index, return_counts=True)
-        real = np.searchsorted(bins, table.size)
-        table[bins[:real]] += hits[:real]
-    else:
-        table += np.bincount(index, minlength=table.size + 1)[: table.size]
-
-
 def _tally_windows(
     lr_shift: np.ndarray, lro: np.ndarray, stream: np.ndarray, pieces: np.ndarray,
     n_o: int, sched: ObservationSchedule, anchors: int | None,
 ) -> int:
-    """Tally one block's ``lr_shift`` and ``lro``; return its anchor count."""
+    """Tally one block into the flat ``lr_shift`` and ``lro`` buffers; return its anchor count."""
     k = n_o**sched.ell
     n_d = sched.n_d
     T, base, lo, hi = pieces
@@ -365,23 +349,23 @@ def _tally_windows(
         # anchor digit runs 0, 1, .. along each row of the span
         index += _cyclic(a - base[0], b - a, T[0], k)
     index *= k
-    _tally(lr_shift, keep(index + right[1:], lr_shift.size))
+    np.add.at(lr_shift, keep(index + right[1:], lr_shift.size - 1), 1.0)
     index += right[:-1]
     index *= n_o
     index += stream[a + n_d : b + n_d]
-    _tally(lro, keep(index, lro.size))
+    np.add.at(lro, keep(index, lro.size - 1), 1.0)
     return count
 
 
 def _tally_pairs(oo: np.ndarray, stream: np.ndarray, pieces: np.ndarray, n_o: int) -> int:
-    """Tally one block's adjacent pairs; return their count."""
+    """Tally one block's adjacent pairs into the flat ``oo`` buffer; return their count."""
     T, base, lo, hi = pieces
     a, b, count, keep = _span(base, lo, np.minimum(hi, T - 1))
     if not count:
         return 0
     index = stream[a:b] * n_o
     index += stream[a + 1 : b + 1]
-    _tally(oo, keep(index, oo.size))
+    np.add.at(oo, keep(index, oo.size - 1), 1.0)
     return count
 
 
@@ -396,7 +380,7 @@ def _tally_starts(
     for o in sched.right_offsets:
         index *= n_o
         index += stream[at + 2 + o]
-    _tally(start, index)
+    np.add.at(start, index, 1.0)
     return at.shape[0]
 
 
@@ -415,7 +399,7 @@ def count_cooccurrences(
     right-window codes are computed once per position of the block's span,
     each anchor's ``left``, ``right`` and ``right_next`` codes are shifted
     slices of them, and the composite indices are tallied with
-    ``np.bincount``, the gap positions between sequences into a dropped bin
+    ``np.add.at``, the gap positions between sequences into a dropped bin
     (or, in a span that is mostly gaps, left out by a gather; see
     :func:`_span`).  Per-anchor counting (sequences with ``anchors`` anchors
     each) makes the anchor the leading digit of every windowed index.
@@ -446,13 +430,16 @@ def count_cooccurrences(
             raise ValueError(
                 f"sequence {wrong[0]} hosts {hosted[wrong[0]]} anchors, need {anchors}"
             )
-    lr_shift, lro, oo, start = (np.zeros(shape, dtype=np.int64) for shape in shapes[1:])
+    # each table views a buffer with its dropped bin behind it; the float 1.0
+    # keeps np.add.at on NumPy's fast path, where an int costs about 20x
+    buffers = [np.zeros(math.prod(shape) + 1) for shape in shapes[1:]]
+    lr_shift, lro, oo, start = (b[:-1].reshape(s) for b, s in zip(buffers, shapes[1:]))
     windows = pairs = starts = 0
     for stream, pieces in _blocks(seqs, sched.n_d):
-        windows += _tally_windows(lr_shift, lro, stream, pieces, n_o, sched, anchors)
+        windows += _tally_windows(*buffers[:2], stream, pieces, n_o, sched, anchors)
         if anchors is None:
-            pairs += _tally_pairs(oo, stream, pieces, n_o)
-        starts += _tally_starts(start, stream, pieces, n_o, sched)
+            pairs += _tally_pairs(buffers[2], stream, pieces, n_o)
+        starts += _tally_starts(buffers[3], stream, pieces, n_o, sched)
     # lr counts lro's placements without the symbol digit; einsum sums that
     # axis about 5x faster than ndarray.sum at k = 512
     lr = np.einsum("...o->...", lro)
@@ -481,11 +468,7 @@ def estimate_moments(
             sched.min_sequence_length,
         )
     return MomentSet(
-        m_lr=read_only(c.lr / c.windows),
-        m_lr_shift=read_only(c.lr_shift / c.windows),
-        m_lro=read_only(c.lro / c.windows),
-        m_oo=read_only(c.oo / c.pairs),
-        m_start=read_only(c.start / max(c.starts, 1)),
+        *c.averaged(c.windows, c.pairs, max(c.starts, 1)),
         n_o=n_o,
         schedule=sched,
         window_count=c.windows,

@@ -316,7 +316,7 @@ def build_observable_per_t(
         )
     n = len(seqs)
     counts = count_cooccurrences(seqs, n_o, sched, anchors=len(anchors))
-    tables = [read_only(table / n) for table in counts[:5]]
+    tables = counts.averaged(n, n, n)
     return _unstack(_build(tables, n_o, sched, rtol, noise_floor, (n, n), anchors[0]))
 
 

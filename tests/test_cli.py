@@ -449,7 +449,7 @@ def test_learn_em_refuses_empty_dimensions(tmp_path, capsys):
     for dims, message in (
         (["--nx", "0", "--nd", "2"], "n_x=0 and n_d=2 must be at least 1"),
         (["--nx", "2", "--nd", "0"], "n_x=2 and n_d=0 must be at least 1"),
-        (["--nx", "2", "--nd", "2", "--tol", "nan"], "tol must be positive, got nan"),
+        (["--nx", "2", "--nd", "2", "--tol", "nan"], "--tol must be positive, got nan"),
     ):
         code, _, err = run(base + dims, capsys)
         assert code == 2, (dims, err)
@@ -468,6 +468,21 @@ def test_gen_data_names_the_refused_option(tmp_path, capsys, given, message):
     out = tmp_path / "d.txt"
     code, _, err = run(["gen-data", "--model", str(tmp_path / "missing.json"), *given,
                         "-o", str(out)], capsys)
+    assert (code, err) == (2, f"InvalidModel: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given,message", [
+    (["--max-iter", "0"], "--max-iter must be at least 1, got 0"),
+    (["--tol", "0"], "--tol must be positive, got 0.0"),
+    (["--tol", "-0.001"], "--tol must be positive, got -0.001"),
+    (["--restarts", "0"], "--restarts must be at least 1, got 0"),
+], ids=["max-iter", "tol", "negative-tol", "restarts"])
+def test_learn_em_names_the_refused_option(tmp_path, capsys, given, message):
+    # refused before the data is read: the data file does not exist
+    out = tmp_path / "em.json"
+    code, _, err = run(["learn-em", "--data", str(tmp_path / "missing.txt"), "--no", "3",
+                        "--nx", "2", "--nd", "2", *given, "-o", str(out)], capsys)
     assert (code, err) == (2, f"InvalidModel: {message}\n")
     assert not out.exists()
 

@@ -261,7 +261,7 @@ def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, 
 
 
 @pytest.mark.parametrize("per_gap", [0, 10**9])  # whole spans; gathered placements
-@pytest.mark.parametrize("block", [None, 5])  # bincount tallies; sorted tallies
+@pytest.mark.parametrize("block", [None, 5])  # whole blocks; pieces cut every 5 positions
 @pytest.mark.parametrize("per_anchor", [False, True])
 def test_dropped_bin_never_takes_a_real_count(monkeypatch, per_anchor, block, per_gap):
     # every symbol is n_o - 1, so every placement lands in the last real bin
@@ -292,7 +292,7 @@ def test_dropped_bin_never_takes_a_real_count(monkeypatch, per_anchor, block, pe
     assert got.pairs == (0 if per_anchor else 10)
 
 
-@pytest.mark.parametrize("block", [None, 5])  # bincount tallies; sorted tallies
+@pytest.mark.parametrize("block", [None, 5])  # whole blocks; pieces cut every 5 positions
 @pytest.mark.parametrize("row,T,hosted", [(3, 20, 15), (1, 4, 0)])
 def test_per_anchor_counting_refuses_rows_of_another_length(monkeypatch, block, row, T, hosted):
     if block:
@@ -317,13 +317,51 @@ def _peak(fn, *args) -> int:
 
 
 def test_moment_tables_are_one_quotient_of_the_counts():
-    # k = 512: the lro table (k x k x n_o) is 16.8 MB, and dividing it into
-    # the moment table may add one float copy of it, not more
+    # k = 512: the lro table (k x k x n_o) is 16.8 MB, and the count tables
+    # are divided in place, so averaging them adds no copy of any
     sched = build_schedule(3, 9)
     obs = sample_many(random_model(8, 3, 9, seed=1), 200, 100, np.random.default_rng(1))
     lro_bytes = 8 * (8**sched.ell) ** 2 * 8
     extra = _peak(estimate_moments, obs, 8, sched) - _peak(count_cooccurrences, obs, 8, sched)
-    assert extra < 1.5 * lro_bytes, extra / lro_bytes
+    assert extra < 0.1 * lro_bytes, extra / lro_bytes
+
+
+def test_each_moment_table_is_its_count_table(monkeypatch):
+    sched = build_schedule(2, 2)
+    seqs = [np.random.default_rng(i).integers(0, 3, size=T) for i, T in enumerate((12, 30, 7))]
+    counted = []
+
+    def count(*args, **kwargs):
+        counted.append(count_cooccurrences(*args, **kwargs))
+        return counted[-1]
+
+    monkeypatch.setattr(moments, "count_cooccurrences", count)
+    m = estimate_moments(seqs, 3, sched)
+    (c,) = counted
+    fields = ("m_lr", "m_lr_shift", "m_lro", "m_oo", "m_start")
+    totals = (c.windows,) * 3 + (c.pairs, c.starts)
+    for field, table, expect, total in zip(fields, c, loop_counts(seqs, 3, sched), totals):
+        got = getattr(m, field)
+        assert np.shares_memory(got, table), field
+        assert not got.flags.writeable
+        assert np.array_equal(got, expect / total)
+
+
+@pytest.mark.parametrize("per_anchor", [False, True])
+def test_count_tables_are_exact_float64_integers(per_anchor):
+    sched = build_schedule(3, 9)
+    n_o, k, T = 4, 4**sched.ell, 25
+    obs = sample_many(random_model(n_o, 3, 9, seed=2), 40, T, np.random.default_rng(2))
+    anchors = len(sched.anchor_range(T)) if per_anchor else None
+    got = count_cooccurrences(obs, n_o, sched, anchors=anchors)
+    lead = (anchors,) if per_anchor else ()
+    shapes = (lead + (k, k), lead + (k, k), lead + (k, k, n_o), lead + (n_o, n_o),
+              (n_o, n_o, k))
+    for table, shape, expect in zip(got, shapes, loop_counts(list(obs), n_o, sched, per_anchor)):
+        assert table.dtype == np.float64 and table.shape == shape
+        assert table.flags.c_contiguous and table.flags.writeable
+        assert (table == np.round(table)).all() and (table >= 0).all()
+        assert np.array_equal(table, expect)
 
 
 def test_count_tables_are_capped_before_allocation(monkeypatch):
