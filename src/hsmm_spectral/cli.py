@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data or model errors.
+Exit codes: 0 on success, 1 on usage errors, 2 on out-of-range numbers (named
+by their option, before any file is opened) and on data or model errors.
 """
 
 from __future__ import annotations
@@ -55,11 +56,48 @@ DATA_ERRORS = (
 )
 
 
+# the rules a numeric option's ``must`` names; NaN breaks each
+_RULES = {
+    "at least 1": lambda value: value >= 1,
+    "non-negative": lambda value: value >= 0,
+    "positive": lambda value: value > 0,
+}
+
+
+def _sizes(text: str) -> tuple:
+    """``;``-separated comma lists of integers; ``BenchConfig`` judges their shape."""
+    try:
+        return tuple(tuple(int(x) for x in part.split(",")) for part in text.split(";"))
+    except ValueError:
+        raise InvalidModel("--sizes must be ';'-separated comma lists of integers, "
+                           f"got {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def add_argument(self, *flags, must=None, **kwargs):
+        """``must`` names the ``_RULES`` entry a numeric option's values keep.
+
+        A value that breaks it is refused by the option's name as it is parsed:
+        ``InvalidModel`` passes through argparse to ``main`` (exit 2), while text
+        that is not a number stays argparse's usage error (exit 1).
+        """
+        cast, name = kwargs.get("type"), "/".join(flags)
+
+        def convert(text):
+            value = cast(text)
+            if not _RULES[must](value):
+                raise InvalidModel(f"{name} must be {must}, got {value}")
+            return value
+
+        if must is not None:
+            convert.__name__ = cast.__name__  # argparse's "invalid int value: 'abc'"
+            kwargs["type"] = convert
+        return super().add_argument(*flags, **kwargs)
 
 
 @functools.cache
@@ -69,32 +107,32 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     g = sub.add_parser("gen-model", help="draw a random model and write JSON")
-    g.add_argument("--no", type=int, required=True, dest="n_o")
-    g.add_argument("--nx", type=int, required=True, dest="n_x")
-    g.add_argument("--nd", type=int, required=True, dest="n_d")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--min-sigma", type=float, default=0.05)
+    g.add_argument("--no", type=int, must="at least 1", required=True, dest="n_o")
+    g.add_argument("--nx", type=int, must="at least 1", required=True, dest="n_x")
+    g.add_argument("--nd", type=int, must="at least 1", required=True, dest="n_d")
+    g.add_argument("--seed", type=int, must="non-negative", default=0)
+    g.add_argument("--min-sigma", type=float, must="non-negative", default=0.05)
     g.add_argument("--no-self-transitions", action="store_true")
     g.add_argument("-o", "--output", required=True)
 
     d = sub.add_parser("gen-data", help="sample sequences from a model")
     d.add_argument("--model", required=True)
-    d.add_argument("-n", "--count", type=int, required=True)
-    d.add_argument("-T", "--length", type=int, required=True)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("-n", "--count", type=int, must="non-negative", required=True)
+    d.add_argument("-T", "--length", type=int, must="at least 1", required=True)
+    d.add_argument("--seed", type=int, must="non-negative", default=0)
     d.add_argument("-o", "--output", required=True)
 
     v = sub.add_parser("validate", help="check stochasticity and assumptions")
     v.add_argument("model")
-    v.add_argument("--rtol", type=float, default=1e-10)
+    v.add_argument("--rtol", type=float, must="positive", default=1e-10)
 
     ls = sub.add_parser("learn-spectral", help="estimate the observable model")
     ls.add_argument("--data", required=True)
-    ls.add_argument("--nx", type=int, required=True, dest="n_x")
-    ls.add_argument("--nd", type=int, required=True, dest="n_d")
-    ls.add_argument("--no", type=int, default=None, dest="n_o",
+    ls.add_argument("--nx", type=int, must="at least 1", required=True, dest="n_x")
+    ls.add_argument("--nd", type=int, must="at least 1", required=True, dest="n_d")
+    ls.add_argument("--no", type=int, must="at least 1", default=None, dest="n_o",
                     help="alphabet size (default: largest symbol + 1)")
-    ls.add_argument("--rtol", type=float, default=1e-6)
+    ls.add_argument("--rtol", type=float, must="positive", default=1e-6)
     ls.add_argument("--no-noise-floor", action="store_true",
                     help="keep directions below the sampling-noise level")
     ls.add_argument("--basic", action="store_true",
@@ -103,20 +141,21 @@ def _build_parser() -> _Parser:
 
     le = sub.add_parser("learn-em", help="fit parameters by EM")
     le.add_argument("--data", required=True)
-    le.add_argument("--no", type=int, required=True, dest="n_o")
-    le.add_argument("--nx", type=int, required=True, dest="n_x")
-    le.add_argument("--nd", type=int, required=True, dest="n_d")
-    le.add_argument("--max-iter", type=int, default=200)
-    le.add_argument("--tol", type=float, default=1e-6)
-    le.add_argument("--restarts", type=int, default=3)
-    le.add_argument("--seed", type=int, default=0)
+    le.add_argument("--no", type=int, must="at least 1", required=True, dest="n_o")
+    le.add_argument("--nx", type=int, must="at least 1", required=True, dest="n_x")
+    le.add_argument("--nd", type=int, must="at least 1", required=True, dest="n_d")
+    le.add_argument("--max-iter", type=int, must="at least 1", default=200)
+    le.add_argument("--tol", type=float, must="positive", default=1e-6)
+    le.add_argument("--restarts", type=int, must="at least 1", default=3)
+    le.add_argument("--seed", type=int, must="non-negative", default=0)
     le.add_argument("-o", "--output", required=True)
 
     inf = sub.add_parser("infer", help="probability of one sequence")
     inf.add_argument("--model", required=True)
     inf.add_argument("--sequence", default=None, help="space-separated symbols")
-    inf.add_argument("--data", default=None, help="file; scores its line --index")
-    inf.add_argument("--index", type=int, default=0)
+    inf.add_argument("--data", default=None, help="sequence file; scores its "
+                     "--index-th sequence (0-based; blank and '#' lines are not sequences)")
+    inf.add_argument("--index", type=int, must="non-negative", default=0)
 
     sc = sub.add_parser("score", help="per-sequence scores as CSV")
     sc.add_argument("--model", required=True)
@@ -124,23 +163,23 @@ def _build_parser() -> _Parser:
     sc.add_argument("-o", "--output", required=True)
 
     rc = sub.add_parser("rank-check", help="numerical rank sweep as CSV")
-    rc.add_argument("--nx", type=int, nargs="+", default=[2, 3, 4])
-    rc.add_argument("--nd", type=int, nargs="+", default=[2, 3, 4, 5, 6])
-    rc.add_argument("--seeds", type=int, default=5)
-    rc.add_argument("--seed", type=int, default=0, help="first seed")
+    rc.add_argument("--nx", type=int, must="at least 1", nargs="+", default=[2, 3, 4])
+    rc.add_argument("--nd", type=int, must="at least 1", nargs="+", default=[2, 3, 4, 5, 6])
+    rc.add_argument("--seeds", type=int, must="at least 1", default=5)
+    rc.add_argument("--seed", type=int, must="non-negative", default=0, help="first seed")
     rc.add_argument("-o", "--output", required=True)
 
     b = sub.add_parser("bench", help="synthetic accuracy/runtime comparison")
     b.add_argument("--preset", choices=["paper-small", "paper-full"],
                    default="paper-small")
-    b.add_argument("--sizes", default=None,
+    b.add_argument("--sizes", type=_sizes, default=None,
                    help="semicolon-separated n_o,n_x,n_d triples")
-    b.add_argument("--n-list", type=int, nargs="+", default=None)
-    b.add_argument("-T", "--length", type=int, default=None)
-    b.add_argument("--n-test", type=int, default=None)
-    b.add_argument("--seeds", type=int, default=3)
-    b.add_argument("--seed", type=int, default=0, help="first seed")
-    b.add_argument("--rtol", type=float, default=None)
+    b.add_argument("--n-list", type=int, must="at least 1", nargs="+", default=None)
+    b.add_argument("-T", "--length", type=int, must="at least 1", default=None)
+    b.add_argument("--n-test", type=int, must="at least 1", default=None)
+    b.add_argument("--seeds", type=int, must="at least 1", default=3)
+    b.add_argument("--seed", type=int, must="non-negative", default=0, help="first seed")
+    b.add_argument("--rtol", type=float, must="positive", default=None)
     b.add_argument("--no-em", action="store_true")
     b.add_argument("-o", "--output", required=True)
     return parser
@@ -160,10 +199,6 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.count < 0:
-        raise InvalidModel(f"-n/--count must be non-negative, got {args.count}")
-    if args.length < 1:
-        raise InvalidModel(f"-T/--length must be at least 1, got {args.length}")
     p = load_model(args.model)
     try:
         obs = sample_many(p, args.count, args.length, np.random.default_rng(args.seed))
@@ -185,9 +220,7 @@ def _cmd_learn_spectral(args) -> int:
     seqs = read_sequences(args.data, n_o=args.n_o)
     if not seqs:
         raise InvalidModel("no sequences in input")
-    n_o = args.n_o
-    if n_o is None:
-        n_o = int(seqs.values.max()) + 1
+    n_o = args.n_o or int(seqs.values.max()) + 1
     sched = build_schedule(args.n_x, args.n_d)
     if args.basic:
         model = build_observable_per_t(
@@ -203,12 +236,6 @@ def _cmd_learn_spectral(args) -> int:
 
 
 def _cmd_learn_em(args) -> int:
-    if args.max_iter < 1:
-        raise InvalidModel(f"--max-iter must be at least 1, got {args.max_iter}")
-    if not args.tol > 0:  # NaN too
-        raise InvalidModel(f"--tol must be positive, got {args.tol}")
-    if args.restarts < 1:
-        raise InvalidModel(f"--restarts must be at least 1, got {args.restarts}")
     cfg = EmConfig(
         max_iter=args.max_iter,
         tol=args.tol,
@@ -230,7 +257,7 @@ def _cmd_infer(args) -> int:
         obs = parse_symbols(args.sequence)
     else:
         seqs = read_sequences(args.data)
-        if not 0 <= args.index < len(seqs):
+        if args.index >= len(seqs):
             raise InvalidModel(f"--index {args.index} out of range")
         obs = seqs[args.index]
     res = infer(model, obs)
@@ -251,8 +278,6 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_rank_check(args) -> int:
-    if args.seeds < 1:
-        raise InvalidModel(f"seeds must be at least 1, got {args.seeds}")
     rows = rank_grid(
         n_x_values=args.nx,
         n_d_values=args.nd,
@@ -268,12 +293,9 @@ def _cmd_rank_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    given = dict(n_list=args.n_list and tuple(args.n_list), T=args.length,
-                 n_test=args.n_test, rtol=args.rtol, em_max_n=0 if args.no_em else None)
-    if args.sizes is not None:
-        given["sizes"] = tuple(
-            tuple(int(x) for x in part.split(",")) for part in args.sizes.split(";")
-        )
+    given = dict(sizes=args.sizes, n_list=args.n_list and tuple(args.n_list),
+                 T=args.length, n_test=args.n_test, rtol=args.rtol,
+                 em_max_n=0 if args.no_em else None)
     cfg = dataclasses.replace(
         preset(args.preset),
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
@@ -299,15 +321,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # a number out of its option's range is refused while parsing (exit 2)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if getattr(args, "seed", 0) < 0:
-            raise InvalidModel(f"--seed must be non-negative, got {args.seed}")
-        return _COMMANDS[args.command](args)
     except DATA_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

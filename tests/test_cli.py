@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -37,6 +38,11 @@ def test_usage_error_exits_one(capsys):
     assert code == 1
     code, _, _ = run(["bench", "--bogus-flag"], capsys)
     assert code == 1
+    # text that is not a number stays argparse's usage error, named by option
+    for flag, text, kind in (("--nx", "abc", "int"), ("--rtol", "tiny", "float")):
+        code, _, err = run(["learn-spectral", "--data", "d.txt", "--nx", "2", "--nd", "2",
+                            flag, text, "-o", "m.bin"], capsys)
+        assert code == 1 and f"argument {flag}: invalid {kind} value: '{text}'" in err
     # learn-spectral options that no longer exist
     learn = ["learn-spectral", "--data", "d.txt", "--nx", "2", "--nd", "2", "-o", "m.bin"]
     for removed in (["--seed", "0"], ["--save-moments", "moments.bin"]):
@@ -52,6 +58,9 @@ def test_reused_parser_behaves_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert run(gen, capsys)[0] == 0
     code, _, err = run(gen[:3], capsys)
     assert code == 1 and "the following arguments are required: --nx, --nd" in err
+    assert run(gen, capsys)[0] == 0
+    # and an out-of-range number between two successes
+    assert run(gen + ["--nx", "0"], capsys)[:2] == (2, "")
     assert run(gen, capsys)[0] == 0
     # help prints what a freshly built parser prints
     for argv in (["--help"], ["score", "--help"]):
@@ -266,7 +275,7 @@ def test_rank_check_single_state_and_seed_column(tmp_path, capsys):
 def test_rank_check_refuses_no_seeds(tmp_path, capsys, seeds):
     out = tmp_path / "ranks.csv"
     code, _, err = run(["rank-check", "--seeds", seeds, "-o", str(out)], capsys)
-    assert code == 2 and "InvalidModel: seeds must be at least 1" in err, err
+    assert code == 2 and f"InvalidModel: --seeds must be at least 1, got {seeds}" in err, err
     assert not out.exists()
 
 
@@ -304,13 +313,13 @@ def test_bench_cli_smoke(tmp_path, capsys):
     cfg = json.loads((tmp_path / "report.csv.config.json").read_text())
     assert cfg["seeds"] == [0, 1]
     assert (cfg["T"], cfg["n_test"]) == (25, 20)
-    # a zero override is applied, and refused, not replaced by the default;
-    # a bad config is refused before any cell runs
+    # a zero override is refused, not replaced by the default; a bad config
+    # is refused before any cell runs
     base = ["bench", "--sizes", "3,2,2", "--n-list", "200", "--no-em",
             "-o", str(tmp_path / "zero.csv")]
-    for bad, field in ((["--rtol", "0"], "rtol"), (["-T", "0"], "T"),
-                       (["--n-test", "0"], "n_test"), (["--seeds", "0"], "seeds"),
-                       (["--rtol", "nan"], "rtol"), (["--n-list", "300", "0"], "n_list"),
+    for bad, field in ((["--rtol", "0"], "--rtol"), (["-T", "0"], "-T/--length"),
+                       (["--n-test", "0"], "--n-test"), (["--seeds", "0"], "--seeds"),
+                       (["--rtol", "nan"], "--rtol"), (["--n-list", "300", "0"], "--n-list"),
                        (["--sizes", "3,2,2;3,2"], "sizes"), (["--sizes", "3,2,0"], "sizes"),
                        (["--sizes", "3,2,2;2,3,2"], "sizes")):
         for no_em in (True, False):
@@ -447,8 +456,8 @@ def test_learn_em_refuses_empty_dimensions(tmp_path, capsys):
     data.write_text("0 1 2 1 0\n1 2 0 0 1\n")
     base = ["learn-em", "--data", str(data), "--no", "3", "-o", str(tmp_path / "em.json")]
     for dims, message in (
-        (["--nx", "0", "--nd", "2"], "n_x=0 and n_d=2 must be at least 1"),
-        (["--nx", "2", "--nd", "0"], "n_x=2 and n_d=0 must be at least 1"),
+        (["--nx", "0", "--nd", "2"], "--nx must be at least 1, got 0"),
+        (["--nx", "2", "--nd", "0"], "--nd must be at least 1, got 0"),
         (["--nx", "2", "--nd", "2", "--tol", "nan"], "--tol must be positive, got nan"),
     ):
         code, _, err = run(base + dims, capsys)
@@ -568,10 +577,119 @@ ONE_OF = "provide exactly one of --sequence or --data"
     (["--sequence", "0 1 2 1 0 2", "--data", "DATA"], ONE_OF),
     ([], ONE_OF),
     (["--data", "DATA", "--index", "30"], "--index 30 out of range"),
-    (["--data", "DATA", "--index", "-1"], "--index -1 out of range"),
+    (["--data", "DATA", "--index", "-1"], "--index must be non-negative, got -1"),
 ], ids=["both", "neither", "index-past-end", "negative-index"])
 def test_infer_refuses_what_it_cannot_score(tmp_path, capsys, given, message):
     assert _learn_bad_input(tmp_path, capsys, GOOD, [])[0] == 0
     argv = [str(tmp_path / "bad.txt") if arg == "DATA" else arg for arg in given]
     code, out, err = run(["infer", "--model", str(tmp_path / "s.bin"), *argv], capsys)
     assert (code, out, err) == (2, "", f"InvalidModel: {message}\n")
+
+
+# each numeric option with its rule, as the refusal names it
+NUMERIC_OPTIONS = [
+    ("gen-model", "--no", "at least 1"),
+    ("gen-model", "--nx", "at least 1"),
+    ("gen-model", "--nd", "at least 1"),
+    ("gen-model", "--seed", "non-negative"),
+    ("gen-model", "--min-sigma", "non-negative"),
+    ("gen-data", "-n/--count", "non-negative"),
+    ("gen-data", "-T/--length", "at least 1"),
+    ("gen-data", "--seed", "non-negative"),
+    ("validate", "--rtol", "positive"),
+    ("learn-spectral", "--nx", "at least 1"),
+    ("learn-spectral", "--nd", "at least 1"),
+    ("learn-spectral", "--no", "at least 1"),
+    ("learn-spectral", "--rtol", "positive"),
+    ("learn-em", "--no", "at least 1"),
+    ("learn-em", "--nx", "at least 1"),
+    ("learn-em", "--nd", "at least 1"),
+    ("learn-em", "--max-iter", "at least 1"),
+    ("learn-em", "--tol", "positive"),
+    ("learn-em", "--restarts", "at least 1"),
+    ("learn-em", "--seed", "non-negative"),
+    ("infer", "--index", "non-negative"),
+    ("rank-check", "--nx", "at least 1"),
+    ("rank-check", "--nd", "at least 1"),
+    ("rank-check", "--seeds", "at least 1"),
+    ("rank-check", "--seed", "non-negative"),
+    ("bench", "--n-list", "at least 1"),
+    ("bench", "-T/--length", "at least 1"),
+    ("bench", "--n-test", "at least 1"),
+    ("bench", "--seeds", "at least 1"),
+    ("bench", "--seed", "non-negative"),
+    ("bench", "--rtol", "positive"),
+]
+FLOAT_OPTIONS = ("--min-sigma", "--rtol", "--tol")
+# options that take a list, each of whose values keeps the rule
+LIST_OPTIONS = {("rank-check", "--nx"), ("rank-check", "--nd"), ("bench", "--n-list")}
+# what each command needs besides the refused option; no file named exists
+NEEDS = {
+    "gen-model": ["--no", "3", "--nx", "2", "--nd", "2"],
+    "gen-data": ["--model", "MISSING", "-n", "3", "-T", "4"],
+    "validate": ["MISSING"],
+    "learn-spectral": ["--data", "MISSING", "--nx", "2", "--nd", "2"],
+    "learn-em": ["--data", "MISSING", "--no", "3", "--nx", "2", "--nd", "2"],
+    "infer": ["--model", "MISSING", "--data", "MISSING"],
+    "rank-check": [],
+    "bench": ["--sizes", "3,2,2", "--n-list", "200", "-T", "20", "--n-test", "5"],
+}
+# values that break each rule, for int and float options
+BELOW = {
+    ("at least 1", int): ["0"],
+    ("non-negative", int): ["-1"],
+    ("non-negative", float): ["-0.5", "nan"],
+    ("positive", float): ["0", "nan"],
+}
+
+
+def _refusals():
+    for command, name, rule in NUMERIC_OPTIONS:
+        cast = float if name in FLOAT_OPTIONS else int
+        for given in BELOW[rule, cast]:
+            yield pytest.param(command, name, given,
+                               f"{name} must be {rule}, got {cast(given)}",
+                               id=f"{command} {name} {given}")
+
+
+@pytest.mark.parametrize("command,name,given,message", _refusals())
+def test_every_numeric_option_is_refused_by_name_before_any_file_is_opened(
+        tmp_path, capsys, command, name, given, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, *[str(tmp_path / "missing") if a == "MISSING" else a
+                       for a in NEEDS[command]]]
+    # a list's good first value does not hide its bad second one
+    values = ["2", given] if (command, name) in LIST_OPTIONS else [given]
+    argv += [name.split("/")[0], *values]
+    if command not in ("validate", "infer"):
+        argv += ["-o", str(out / "result")]
+    code, msg, err = run(argv, capsys)
+    assert (code, msg, err) == (2, "", f"InvalidModel: {message}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_no_numeric_option_skips_its_rule():
+    # a bare int or float type would accept any number, and leave the refusal
+    # to the library's parameter names, after the files are read
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    numeric = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.type not in (int, float), (command, action.option_strings)
+            if getattr(action.type, "__name__", None) in ("int", "float"):
+                numeric.add((command, "/".join(action.option_strings)))
+    assert numeric == {(command, name) for command, name, _ in NUMERIC_OPTIONS}
+
+
+@pytest.mark.parametrize("sizes", ["a,b,c", "3,,2", "3,2,2;x", ""])
+def test_bench_names_sizes_that_are_not_integers(tmp_path, capsys, sizes):
+    # int() refused them with "invalid literal for int() with base 10", naming
+    # no option
+    out = tmp_path / "r.csv"
+    code, msg, err = run(["bench", "--sizes", sizes, "-o", str(out)], capsys)
+    assert (code, msg) == (2, "")
+    assert err == ("InvalidModel: --sizes must be ';'-separated comma lists of "
+                   f"integers, got {sizes!r}\n")
+    assert list(tmp_path.iterdir()) == []
