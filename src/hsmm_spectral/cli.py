@@ -10,7 +10,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import json
 import sys
 
 import numpy as np
@@ -52,7 +51,6 @@ DATA_ERRORS = (
     MonotonicityViolation,
     OSError,
     ValueError,
-    json.JSONDecodeError,
 )
 
 
@@ -250,9 +248,9 @@ def _cmd_learn_em(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    model = _read_stack(args.model)
     if (args.sequence is None) == (args.data is None):
         raise InvalidModel("provide exactly one of --sequence or --data")
+    model = _read_stack(args.model)
     if args.sequence is not None:
         obs = parse_symbols(args.sequence)
     else:

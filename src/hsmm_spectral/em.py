@@ -297,7 +297,7 @@ def em_fit(
             improved = not trace or (ll - trace[-1]) > cfg.tol * abs(trace[-1])
             trace.append(ll)
             params, first = updated, updated[2]
-            if not improved and len(trace) > 1:
+            if not improved:
                 break
         O, X, D, pi_x = params
         current = HsmmParams(O=O, X=X, D=D, pi_x=pi_x)

@@ -768,9 +768,10 @@ def _tokenize(fh, size: int) -> SequenceFile:
     """Read a binary sequence file of about ``size`` bytes into one stream.
 
     Blocks of about :data:`READ_BLOCK` bytes, each cut after a newline, go
-    through :func:`_fast_block`; a block it declines goes to
-    :func:`_parse_lines`, the exact per-line reference.  Every token takes
-    at least one byte and a separator, so ``values`` is allocated once for
+    through :func:`_fast_block`, or through :func:`_parse_lines` (the exact
+    per-line reference) when it declines one; both give the block's
+    symbols and a symbol count per text line.  Every token takes at least
+    one byte and a separator, so ``values`` is allocated once for
     ``(size + 1) // 2`` symbols and trimmed at the end (and grown, should
     more bytes arrive than ``size``).
     """
@@ -778,24 +779,17 @@ def _tokenize(fh, size: int) -> SequenceFile:
     lengths, lines = [], []
     n, lineno = 0, 1
     for block in _newline_blocks(fh):
-        fast = _fast_block(block)
-        if fast is None:
-            text = io.TextIOWrapper(io.BytesIO(block))
-            seqs, seq_lines, next_line = _parse_lines(text, lineno)
-            vals = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
-            lengths.append(np.array([s.shape[0] for s in seqs], dtype=np.int64))
-            lines.append(np.array(seq_lines, dtype=np.int64))
-        else:
-            vals, per_line = fast
-            rows = np.flatnonzero(per_line)
-            lengths.append(per_line[rows])
-            lines.append(rows + lineno)
-            next_line = lineno + per_line.shape[0]
+        vals, per_line = _fast_block(block) or _parse_lines(
+            io.TextIOWrapper(io.BytesIO(block)), lineno
+        )
+        rows = np.flatnonzero(per_line)
+        lengths.append(per_line[rows])
+        lines.append(rows + lineno)
+        lineno += per_line.shape[0]
         if n + vals.shape[0] > values.shape[0]:  # a pipe, or a file that grew
             values.resize(2 * (n + vals.shape[0]), refcheck=False)
         values[n : n + vals.shape[0]] = vals
         n += vals.shape[0]
-        lineno = next_line
     values.resize(n, refcheck=False)
     lengths = np.concatenate(lengths) if lengths else np.zeros(0, dtype=np.int64)
     offsets = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
@@ -859,18 +853,20 @@ def _fast_block(block: bytes):
     return vals, per_line
 
 
-def _parse_lines(text_lines, first: int = 1) -> tuple[list[np.ndarray], list[int], int]:
-    """The per-line parser: sequences, their line numbers, and the next line number.
+def _parse_lines(text_lines, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The per-line parser: what :func:`_fast_block` gives, for any text.
 
-    ``text_lines`` yields lines, the first of them numbered ``first``.  A
-    token ``int`` rejects, or a symbol that does not fit in int64, raises
-    ``ValueError`` naming its line.
+    ``text_lines`` yields lines, the first of them numbered ``first``; the
+    result is their symbols as one int64 array and one symbol count per
+    line, 0 for a blank, whitespace-only or ``#`` line.  A token ``int``
+    rejects, or a symbol that does not fit in int64, raises ``ValueError``
+    naming its line.
     """
-    seqs, lines = [], []
-    lineno = first - 1
+    seqs, per_line = [], []
     for lineno, line in enumerate(text_lines, start=first):
         line = line.strip()
         if not line or line.startswith("#"):
+            per_line.append(0)
             continue
         try:
             symbols = [int(tok) for tok in line.split()]
@@ -881,8 +877,9 @@ def _parse_lines(text_lines, first: int = 1) -> tuple[list[np.ndarray], list[int
         except OverflowError:
             big = next(s for s in symbols if not -(2**63) <= s < 2**63)
             raise ValueError(f"line {lineno}: symbol {big} does not fit in int64") from None
-        lines.append(lineno)
-    return seqs, lines, lineno + 1
+        per_line.append(len(symbols))
+    values = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+    return values, np.array(per_line, dtype=np.int64)
 
 
 # Symbols per write_sequences block.  A block's temporaries are a few arrays

@@ -72,23 +72,29 @@ class InsufficientData(Exception):
 class ObservationSchedule:
     """Index sets of the left/right observation windows.
 
-    ``right_offsets`` are the distinct values of
-    ``max(0, (n_d - 1) - (n_x**i - 1))`` for ``i = 0 .. ell - 1`` (sorted
-    ascending); gaps between scheduled positions grow geometrically in
-    ``n_x`` so that ``ell`` stays logarithmic in ``n_d``.  For ``n_x == 1``
-    the geometric rule degenerates and the window falls back to ``n_d``
-    consecutive positions.
+    A schedule is its sizes and its ascending ``right_offsets`` in
+    ``[0, n_d - 1]``; ``ell`` and the mirrored ``left_offsets`` follow from
+    them.  :func:`build_schedule`'s offsets are the distinct values of
+    ``max(0, (n_d - 1) - (n_x**i - 1))`` for ``i = 0 .. ell - 1``; gaps
+    between scheduled positions grow geometrically in ``n_x`` so that
+    ``ell`` stays logarithmic in ``n_d``.  For ``n_x == 1`` the geometric
+    rule degenerates and the window falls back to ``n_d`` consecutive
+    positions.
     """
 
     n_x: int
     n_d: int
-    ell: int
     right_offsets: tuple[int, ...]
-    left_offsets: tuple[int, ...]
 
     @property
-    def span(self) -> int:
-        return self.n_d
+    def ell(self) -> int:
+        """Symbols per window."""
+        return len(self.right_offsets)
+
+    @property
+    def left_offsets(self) -> tuple[int, ...]:
+        """The left window's offsets, ``n_d - 1 - o`` for each right offset ``o``, ascending."""
+        return tuple(sorted(self.n_d - 1 - o for o in self.right_offsets))
 
     @property
     def joint_rank(self) -> int:
@@ -137,15 +143,7 @@ def build_schedule(n_x: int, n_d: int) -> ObservationSchedule:
             ell += 1
         raw = [max(0, (n_d - 1) - (n_x**i - 1)) for i in range(ell)]
         offsets = tuple(sorted(set(raw)))
-    span = n_d
-    left = tuple(sorted(span - 1 - o for o in offsets))
-    return ObservationSchedule(
-        n_x=n_x,
-        n_d=n_d,
-        ell=len(offsets),
-        right_offsets=offsets,
-        left_offsets=left,
-    )
+    return ObservationSchedule(n_x, n_d, offsets)
 
 
 @dataclass(frozen=True)
@@ -164,11 +162,15 @@ class MomentSet:
     m_lro: np.ndarray  # (k, k, n_o)
     m_oo: np.ndarray  # (n_o, n_o)
     m_start: np.ndarray  # (n_o, n_o, k)
-    n_o: int
     schedule: ObservationSchedule
     window_count: int
     pair_count: int
     start_count: int
+
+    @property
+    def n_o(self) -> int:
+        """Alphabet size, the side of ``m_oo``."""
+        return self.m_oo.shape[0]
 
 
 @dataclass(frozen=True)
@@ -469,7 +471,6 @@ def estimate_moments(
         )
     return MomentSet(
         *c.averaged(c.windows, c.pairs, max(c.starts, 1)),
-        n_o=n_o,
         schedule=sched,
         window_count=c.windows,
         pair_count=c.pairs,
@@ -594,7 +595,6 @@ def analytic_moments(
         m_lro=read_only(m_lro),
         m_oo=read_only(m_oo),
         m_start=read_only(m_start),
-        n_o=p.n_o,
         schedule=sched,
         window_count=len(anchors),
         pair_count=T - 1,

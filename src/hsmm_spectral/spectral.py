@@ -324,14 +324,16 @@ def build_observable_per_t(
 class InferenceResult:
     """Signed log-magnitude of one sequence-probability estimate.
 
-    ``sign`` is 0 only when the raw estimate is exactly zero; ``clamped``
-    flags estimates that a caller would have to floor before taking a log
-    likelihood (nonpositive raw values).
+    ``sign`` is 0 only when the raw estimate is exactly zero.
     """
 
     log_value: float
     sign: int
-    clamped: bool
+
+    @property
+    def clamped(self) -> bool:
+        """A nonpositive estimate, which a caller must floor before taking its log."""
+        return self.sign <= 0
 
     @property
     def value(self) -> float:
@@ -586,9 +588,7 @@ def _chain(
 
 
 def _results(log: np.ndarray, sign: np.ndarray) -> list[InferenceResult]:
-    return [
-        InferenceResult(lv, sg, sg <= 0) for lv, sg in zip(log.tolist(), sign.tolist())
-    ]
+    return [InferenceResult(lv, sg) for lv, sg in zip(log.tolist(), sign.tolist())]
 
 
 def infer_batch(model: ObservableModel | Sequence[ObservableModel], obs) -> list[InferenceResult]:
@@ -624,12 +624,13 @@ def learn_spectral(
     n_o: int,
     sched: ObservationSchedule,
     rtol: float,
-    noise_floor: bool = True,
 ) -> ObservableModel:
-    """Pooled moment estimation followed by the batched build."""
-    return build_observable(
-        estimate_moments(sequences, n_o, sched), rtol, noise_floor=noise_floor
-    )
+    """Pooled moment estimation followed by the batched build, with the noise floor.
+
+    The floor is what finite-sample data needs (see :func:`build_observable`);
+    a build without it is ``build_observable(estimate_moments(...), rtol)``.
+    """
+    return build_observable(estimate_moments(sequences, n_o, sched), rtol, noise_floor=True)
 
 
 # ---------------------------------------------------------------------------

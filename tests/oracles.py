@@ -493,7 +493,7 @@ def score_csv_reference(model, sequences, error_sink):
             failed[idx] = True
             print(f"line {seqs.lines[idx]}: {type(exc).__name__}: {exc}", file=error_sink)
         log, sign = spectral._chain(ops, seqs, rows=np.flatnonzero(~failed))
-        results = iter([spectral.InferenceResult(lv, sg, sg <= 0)
+        results = iter([spectral.InferenceResult(lv, sg)
                         for lv, sg in zip(log.tolist(), sign.tolist())])
         for idx, (bad, T) in enumerate(zip(failed.tolist(), seqs.lengths.tolist())):
             if bad:
@@ -654,7 +654,6 @@ def build_observable_per_t_reference(sequences, n_o, sched, rtol, noise_floor=Fa
             m_lro=lro[j],
             m_oo=oo[j],
             m_start=start,
-            n_o=n_o,
             schedule=sched,
             window_count=n,
             pair_count=n,

@@ -21,7 +21,12 @@ from hsmm_spectral.hsmm import (
     random_model,
     sample_many,
 )
-from hsmm_spectral.moments import analytic_moments, build_schedule, estimate_moments
+from hsmm_spectral.moments import (
+    ObservationSchedule,
+    analytic_moments,
+    build_schedule,
+    estimate_moments,
+)
 from hsmm_spectral.rank_analysis import (
     build_F,
     compute_T_efficient,
@@ -168,6 +173,8 @@ def test_criterion_4_efficient_rank_and_schedule(verdict):
             )
             checked += 1
         sched = build_schedule(n_x, n_d)
+        # a schedule is its right offsets: ell and the left offsets follow from them
+        assert sched == ObservationSchedule(n_x, n_d, sched.right_offsets)
         _, rep = build_F(p, sched.right_offsets)
         assert rep.numerical_rank == n_x * n_d, (n_x, n_d, seed)
         checked += 1

@@ -573,16 +573,20 @@ def test_learn_spectral_refuses_a_file_with_no_sequences(tmp_path, capsys):
 ONE_OF = "provide exactly one of --sequence or --data"
 
 
-@pytest.mark.parametrize("given,message", [
-    (["--sequence", "0 1 2 1 0 2", "--data", "DATA"], ONE_OF),
-    ([], ONE_OF),
-    (["--data", "DATA", "--index", "30"], "--index 30 out of range"),
-    (["--data", "DATA", "--index", "-1"], "--index must be non-negative, got -1"),
-], ids=["both", "neither", "index-past-end", "negative-index"])
-def test_infer_refuses_what_it_cannot_score(tmp_path, capsys, given, message):
+@pytest.mark.parametrize("model,given,message", [
+    ("s.bin", ["--sequence", "0 1 2 1 0 2", "--data", "DATA"], ONE_OF),
+    ("s.bin", [], ONE_OF),
+    # the arguments are checked before the model file is read
+    ("missing.bin", ["--sequence", "0 1 2 1 0 2", "--data", "DATA"], ONE_OF),
+    ("missing.bin", [], ONE_OF),
+    ("s.bin", ["--data", "DATA", "--index", "30"], "--index 30 out of range"),
+    ("s.bin", ["--data", "DATA", "--index", "-1"], "--index must be non-negative, got -1"),
+], ids=["both", "neither", "both-missing-model", "neither-missing-model",
+        "index-past-end", "negative-index"])
+def test_infer_refuses_what_it_cannot_score(tmp_path, capsys, model, given, message):
     assert _learn_bad_input(tmp_path, capsys, GOOD, [])[0] == 0
     argv = [str(tmp_path / "bad.txt") if arg == "DATA" else arg for arg in given]
-    code, out, err = run(["infer", "--model", str(tmp_path / "s.bin"), *argv], capsys)
+    code, out, err = run(["infer", "--model", str(tmp_path / model), *argv], capsys)
     assert (code, out, err) == (2, "", f"InvalidModel: {message}\n")
 
 

@@ -636,7 +636,9 @@ def fuzzed_file(rng) -> str:
 def read_per_line(path):
     """The per-line parser over the whole file, with read_sequences' symbol check."""
     with open(path) as fh:
-        seqs, lines, _ = hsmm._parse_lines(fh)
+        values, per_line = hsmm._parse_lines(fh)
+    lines = np.flatnonzero(per_line) + 1
+    seqs = np.split(values, np.cumsum(per_line[lines - 1])[:-1]) if lines.size else []
     for seq, line in zip(seqs, lines):
         if (seq < 0).any():
             raise ValueError(f"line {line}: symbol {seq[seq < 0][0]} is negative")

@@ -15,6 +15,7 @@ from hsmm_spectral.hsmm import (
 from hsmm_spectral.moments import (
     InsufficientData,
     MomentSet,
+    ObservationSchedule,
     analytic_moments,
     build_schedule,
     count_cooccurrences,
@@ -40,7 +41,6 @@ def test_schedule_worked_example_3_20():
     assert s.ell == 4
     assert s.right_offsets == (0, 11, 17, 19)
     assert s.left_offsets == (0, 2, 8, 19)
-    assert s.span == 20
 
 
 @pytest.mark.parametrize(
@@ -171,13 +171,17 @@ def loop_counts(sequences, n_o, sched, per_anchor=False):
 
 
 @pytest.mark.parametrize("block", [None, 5])
-@pytest.mark.parametrize("n_x,n_d", [(2, 2), (3, 9)])
-def test_pooled_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, block):
+@pytest.mark.parametrize(
+    "sched",
+    # the last is a hand-built schedule off the geometric rule
+    [build_schedule(2, 2), build_schedule(3, 9), ObservationSchedule(2, 4, (0, 1, 3))],
+    ids=["2-2", "3-9", "2-4-hand-built"],
+)
+def test_pooled_counts_match_plain_loop(monkeypatch, tmp_path, sched, block):
     if block:
         monkeypatch.setattr(moments, "BLOCK", block)
-    sched = build_schedule(n_x, n_d)
     n_o = 3
-    rng = np.random.default_rng(n_d)
+    rng = np.random.default_rng(sched.n_d)
     lengths = [T for T in range(sched.min_sequence_length + 2) for _ in range(2)]
     lengths += [60, 3 * sched.min_sequence_length, 41]
     seqs = [rng.integers(0, n_o, size=T) for T in rng.permutation(lengths)]
@@ -247,7 +251,6 @@ def test_per_anchor_counts_match_plain_loop(monkeypatch, tmp_path, n_x, n_d, T, 
                 m_lro=lro[j] / 300,
                 m_oo=oo[j] / 300,
                 m_start=start / 300,
-                n_o=n_o,
                 schedule=sched,
                 window_count=300,
                 pair_count=300,

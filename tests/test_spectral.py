@@ -145,7 +145,6 @@ def test_zero_moments_raise_degenerate():
         m_lro=np.zeros((k, k, 2)),
         m_oo=np.zeros((2, 2)),
         m_start=np.zeros((2, 2, k)),
-        n_o=2,
         schedule=sched,
         window_count=1,
         pair_count=1,
