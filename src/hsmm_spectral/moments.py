@@ -49,6 +49,7 @@ from .hsmm import (
     HsmmParams,
     InvalidModel,
     SequenceFile,
+    _ranges,
     emissions_on_joint,
     initial_joint,
     joint_transition_matrix,
@@ -74,7 +75,8 @@ class ObservationSchedule:
 
     A schedule is its sizes and its ascending ``right_offsets`` in
     ``[0, n_d - 1]``; ``ell`` and the mirrored ``left_offsets`` follow from
-    them.  :func:`build_schedule`'s offsets are the distinct values of
+    them.  Other sizes or offsets are :class:`InvalidModel`, named with the
+    schedule.  :func:`build_schedule`'s offsets are the distinct values of
     ``max(0, (n_d - 1) - (n_x**i - 1))`` for ``i = 0 .. ell - 1``; gaps
     between scheduled positions grow geometrically in ``n_x`` so that
     ``ell`` stays logarithmic in ``n_d``.  For ``n_x == 1`` the geometric
@@ -85,6 +87,20 @@ class ObservationSchedule:
     n_x: int
     n_d: int
     right_offsets: tuple[int, ...]
+
+    def __post_init__(self):
+        o = self.right_offsets
+        if self.n_x < 1 or self.n_d < 1:
+            rule = "n_x and n_d must be at least 1"
+        elif not o:
+            rule = "right_offsets must not be empty"
+        elif any(a >= b for a, b in zip(o, o[1:])):
+            rule = "right_offsets must be strictly ascending"
+        elif o[0] < 0 or o[-1] > self.n_d - 1:
+            rule = f"right_offsets must lie in [0, n_d - 1] = [0, {self.n_d - 1}]"
+        else:
+            return
+        raise InvalidModel(f"{self!r}: {rule}")
 
     @property
     def ell(self) -> int:
@@ -246,14 +262,6 @@ def _blocks(seqs: SequenceFile, n_d: int):
         start, T = offsets[i], lengths[i]
         lo, hi = np.maximum(cut - start, 0), np.minimum(end - start, T)
         yield values[a : end + n_d + 1], np.stack((T, start - a, lo, hi))
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, stop)`` over the pairs (empty where stop <= start)."""
-    lengths = np.maximum(stops - starts, 0)
-    ends = np.cumsum(lengths)
-    total = ends[-1] if ends.size else 0
-    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
 # Placements a block's span must hold per gap position for its tallies to run

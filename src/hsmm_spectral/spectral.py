@@ -71,11 +71,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .container import read_container, write_container
-from .hsmm import SequenceFile
+from .hsmm import SequenceFile, _ranges
 from .moments import (
     MomentSet,
     ObservationSchedule,
-    _ranges,
     count_cooccurrences,
     estimate_moments,
 )

@@ -255,6 +255,16 @@ def sample_many_per_step(p, n_sequences, T, rng):
     return obs
 
 
+def pick_reference(cuts, cols, u):
+    """The count of cut points below each uniform, from column-major ``cuts``.
+
+    ``cuts[c]`` holds column ``c``'s running sums but the total, so this is
+    ``hsmm._pick`` on the transposed table, by a fancy-indexed gather and a
+    bool sum over the cut axis.
+    """
+    return (u[:, None] > cuts[cols]).sum(axis=1)
+
+
 def sample_reference(p, T, rng):
     """One sequence and its hidden path, drawn by ``rng.choice`` at every step.
 
@@ -375,8 +385,7 @@ def em_pass_reference(p, groups):
 
 def chain_reference(ops, seqs, rows=None):
     """Log magnitudes and signs of the chained products, one position at a time."""
-    from hsmm_spectral.hsmm import SequenceFile
-    from hsmm_spectral.moments import _ranges
+    from hsmm_spectral.hsmm import SequenceFile, _ranges
 
     start, step, end, first = ops
     seqs = SequenceFile.of(seqs)

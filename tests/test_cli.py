@@ -521,20 +521,30 @@ def test_gen_data_refuses_a_model_that_is_not_stochastic(tmp_path, capsys):
 
 def test_gen_data_bytes_are_pinned(tmp_path, capsys):
     # digests of the files the per-step sampler and the per-row writer made;
-    # (1, 200) and (3, 50) take the few-row loop, (500, 100) the per-step one
+    # (1, 200) and (3, 50) take the few-row loop, (500, 100) the per-step one;
+    # (2, 50000) takes the few-row loop over several emission passes at the
+    # default _DRAW_ENTRIES, and the (8, 3, 9) model's (40, 100) the per-step one
     model = tmp_path / "m.json"
     run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "1", "-o", str(model)],
+        capsys)
+    big = tmp_path / "m8.json"
+    run(["gen-model", "--no", "8", "--nx", "3", "--nd", "9", "--seed", "1", "-o", str(big)],
         capsys)
     pinned = {
         (1, 200): "7d439d0198fcf992208041a7eb72640389270de5c7528da2982e16aef1a3d135",
         (3, 50): "e0f9544d77924a0bd7e2f833c7fd55cbb8015972b653045a1687ee2ce78ff519",
         (500, 100): "0fcd3c39a5739314d60019dab96eb71bcdc589b8f1fa7e33ebcfcbc5ced23549",
+        (2, 50000): "9d89a6890fe09cf59854c6214a0d1d561fed6b7cdece8002d488ab6fd71c10c9",
     }
-    for (count, length), digest in pinned.items():
-        out = tmp_path / f"d{count}.txt"
-        assert run(["gen-data", "--model", str(model), "-n", str(count), "-T", str(length),
-                    "--seed", "2", "-o", str(out)], capsys)[0] == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (count, length)
+    pinned_big = {
+        (40, 100): "b97edf543c1619a57558a3a5792f80a1c0eb1b3d966d83a1b374e61d17a6de4e",
+    }
+    for model, table in ((model, pinned), (big, pinned_big)):
+        for (count, length), digest in table.items():
+            out = tmp_path / f"d{count}.txt"
+            assert run(["gen-data", "--model", str(model), "-n", str(count), "-T", str(length),
+                        "--seed", "2", "-o", str(out)], capsys)[0] == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (count, length)
 
 
 def test_gen_data_beyond_memory_exits_two(tmp_path, capsys):

@@ -43,6 +43,7 @@ from oracles import (
     joint_states_reference,
     joint_transition_reference,
     next_state_reference,
+    pick_reference,
     sample_many_per_step,
     sample_reference,
     segment_likelihood,
@@ -270,11 +271,13 @@ def test_sample_many_refuses_what_sample_refuses():
 GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 
-@pytest.mark.parametrize("dims", [(3, 2, 2), (8, 3, 9), (4, 1, 3)])
+@pytest.mark.parametrize("dims", [(3, 2, 2), (8, 3, 9), (4, 1, 3), (300, 2, 2)])
 def test_sample_many_matches_per_step_reference(dims, monkeypatch):
     # both loops (at most _FEW_ROWS rows take the scalar one), emission passes
     # of one or a few steps, and each generator: equal draws, and an equal
-    # next draw, so the two read the same uniforms in the same order
+    # next draw, so the two read the same uniforms in the same order; the
+    # long few-row calls span several emission passes at the default
+    # _DRAW_ENTRIES, and n_o = 300 puts 299 cut points in the emission table
     p = random_model(*dims, seed=12)
     with_pi_d = HsmmParams(O=p.O, X=p.X, D=p.D, pi_x=p.pi_x, pi_d=p.D[::-1] / p.D[::-1].sum(0))
     few = hsmm._FEW_ROWS
@@ -284,7 +287,7 @@ def test_sample_many_matches_per_step_reference(dims, monkeypatch):
         monkeypatch.setattr(hsmm, "_DRAW_ENTRIES", entries)
         for bit_generator in GENERATORS if entries > 8 else GENERATORS[:1]:
             for model in (p, with_pi_d):
-                for n, T in shapes:
+                for n, T in shapes + ([(1, 5000), (2, 3000)] if entries > 8 else []):
                     ours = np.random.Generator(bit_generator([n, T]))
                     theirs = np.random.Generator(bit_generator([n, T]))
                     got = sample_many(model, n, T, ours)
@@ -301,6 +304,33 @@ def test_sample_many_matches_per_step_reference(dims, monkeypatch):
                     obs, hidden = sample_reference(model, T, ref)
                     assert np.array_equal(got.observations, obs) and got.hidden_states == hidden
                     assert one.random() == ref.random(), (bit_generator, T)
+
+
+def test_pick_matches_reference():
+    # the cut-major count against the row-major gather and bool sum, from no
+    # cut points (one state, one duration) to more than a byte can count
+    rng = np.random.default_rng(7)
+    one = random_model(2, 1, 1, seed=1)
+    tables = [one._cuts[name][0] for name in ("pi_x", "X", "D")]
+    assert all(cuts.shape == (0, 1) for cuts in tables)
+    for n_o in (2, 3, 27, 300):
+        tables.append(random_model(n_o, 2, 2, seed=n_o)._cuts["O"][0])
+    for cuts in tables:
+        n_cuts, n_cols = cuts.shape
+        for size in (0, 1, 5, 1000):
+            cols = rng.integers(0, n_cols, size=size)
+            u = rng.random(size)
+            if n_cuts and size:
+                # a uniform on a cut point is not above it
+                u[::2] = cuts[rng.integers(0, n_cuts, size=u[::2].size), cols[::2]]
+            got = hsmm._pick(cuts, cols, u)
+            want = pick_reference(np.ascontiguousarray(cuts.T), cols, u)
+            assert got.shape == (size,) and np.array_equal(got, want), (cuts.shape, size)
+            assert got.dtype.kind == "i" and (got <= n_cuts).all()
+    # strictly above: a uniform equal to the first cut point draws index 0
+    cuts = np.array([[0.25], [0.75]])
+    got = hsmm._pick(cuts, np.zeros(4, dtype=np.intp), np.array([0.25, 0.2500001, 0.75, 0.9]))
+    assert got.tolist() == [0, 1, 1, 2]
 
 
 def test_enum_likelihood_single_state_product():

@@ -66,6 +66,29 @@ def test_schedule_single_state_fallback():
     assert s.right_offsets == (0, 1, 2, 3)
 
 
+def test_schedule_refuses_bad_sizes_and_offsets_by_name():
+    # each once failed deep in count_cooccurrences, or was taken silently
+    data = np.zeros((3, 20), dtype=np.int64)
+    for n_x, n_d, offsets, rule in (
+        (2, 4, (0, 5), r"must lie in \[0, n_d - 1\] = \[0, 3\]"),
+        (2, 4, (-1, 2), r"must lie in \[0, n_d - 1\]"),
+        (2, 4, (2, 0), "must be strictly ascending"),
+        (2, 4, (1, 1), "must be strictly ascending"),
+        (2, 4, (), "must not be empty"),
+        (0, 4, (0,), "n_x and n_d must be at least 1"),
+        (2, 0, (0,), "n_x and n_d must be at least 1"),
+    ):
+        name = f"ObservationSchedule(n_x={n_x}, n_d={n_d}, right_offsets={offsets!r})"
+        with pytest.raises(InvalidModel) as refused:
+            count_cooccurrences(data, 2, ObservationSchedule(n_x, n_d, offsets))
+        assert str(refused.value).startswith(name + ": "), str(refused.value)
+        assert refused.match(rule)
+    for n_x in (1, 2, 3, 4):
+        for n_d in range(1, 21):
+            s = build_schedule(n_x, n_d)
+            assert s == ObservationSchedule(n_x, n_d, s.right_offsets)
+
+
 def test_schedule_window_positions_mirror():
     s = build_schedule(3, 20)
     # anchor at 30 (0-based): left window mirrors the right one about it
