@@ -11,10 +11,8 @@ from .hsmm import (
     GenerationFailed,
     HsmmParams,
     InvalidModel,
-    OracleTooLarge,
     SampledSequence,
     ValidationReport,
-    exact_likelihood_enum,
     forward_likelihood,
     forward_loglik_batch,
     load_model,
@@ -34,10 +32,8 @@ from .moments import (
     analytic_moments,
     build_schedule,
     estimate_moments,
-    window_conditional,
 )
 from .rank_analysis import (
-    InvalidOffsets,
     TReport,
     build_F,
     compute_T_efficient,

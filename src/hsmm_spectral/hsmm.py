@@ -40,13 +40,7 @@ class GenerationFailed(ModelError):
     """Rejection sampling exhausted its retry budget."""
 
 
-class OracleTooLarge(ModelError):
-    """Brute-force enumeration would exceed the configured budget."""
-
-
 _STOCH_ATOL = 1e-12
-_ENUM_MAX_T = 12
-_ENUM_MAX_PATHS = 50_000_000
 
 # the model's distributions, in the order validate reports them
 _TABLES = ("O", "X", "D", "pi_x", "pi_d")
@@ -295,11 +289,6 @@ def state_update_matrix(p: HsmmParams) -> np.ndarray:
     return out
 
 
-def joint_transition_matrix(p: HsmmParams) -> np.ndarray:
-    """One-step kernel on (x, d) pairs: state update then duration update."""
-    return renewal_kernel(p.X, p.D)
-
-
 def next_state_table(p: HsmmParams) -> np.ndarray:
     """``[x', (x, d)] -> p(x_{t+1} = x' | x_t = x, d_t = d)``."""
     out = np.eye(p.n_x)[:, joint_states(p.n_x, p.n_d)]
@@ -491,34 +480,6 @@ def _sample_few(cuts: dict, x, d, T: int, rng, path: list | None = None) -> np.n
 
 # ---------------------------------------------------------------------------
 # exact likelihood
-
-
-def exact_likelihood_enum(p: HsmmParams, obs: Sequence[int]) -> float:
-    """Likelihood by exhaustive summation over all latent (x, d) paths.
-
-    Guarded by both sequence length and total path count; this is the
-    independent oracle, not a practical inference routine.  A symbol that is
-    not an integer in ``[0, n_o)`` raises :class:`InvalidModel`.
-    """
-    obs = _oracle_symbols(p, np.asarray(obs)[None]).values
-    T = len(obs)
-    if T < 1:
-        raise InvalidModel("empty observation sequence")
-    if T > _ENUM_MAX_T:
-        raise OracleTooLarge(f"T={T} exceeds the enumeration guard {_ENUM_MAX_T}")
-    S = p.n_joint
-    if S**T > _ENUM_MAX_PATHS:
-        raise OracleTooLarge(
-            f"{S}**{T} latent paths exceed the enumeration budget {_ENUM_MAX_PATHS}"
-        )
-    V = joint_transition_matrix(p)
-    em = emissions_on_joint(p)
-    # probs[i] is the probability of the i-th partial path (last state = i % S)
-    probs = initial_joint(p) * em[obs[0]]
-    for t in range(1, T):
-        step = V.T * em[obs[t]][None, :]
-        probs = (probs.reshape(-1, S)[:, :, None] * step[None, :, :]).reshape(-1)
-    return float(probs.sum())
 
 
 def _oracle_symbols(p: HsmmParams, sequences) -> "SequenceFile":

@@ -40,6 +40,7 @@ before any is allocated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -52,7 +53,6 @@ from .hsmm import (
     _ranges,
     emissions_on_joint,
     initial_joint,
-    joint_transition_matrix,
     next_state_table,
     renewal_kernel,
     state_update_matrix,
@@ -73,10 +73,11 @@ class InsufficientData(Exception):
 class ObservationSchedule:
     """Index sets of the left/right observation windows.
 
-    A schedule is its sizes and its ascending ``right_offsets`` in
-    ``[0, n_d - 1]``; ``ell`` and the mirrored ``left_offsets`` follow from
-    them.  Other sizes or offsets are :class:`InvalidModel`, named with the
-    schedule.  :func:`build_schedule`'s offsets are the distinct values of
+    A schedule is its integer sizes and its ascending integer
+    ``right_offsets`` in ``[0, n_d - 1]``; ``ell`` and the mirrored
+    ``left_offsets`` follow from them.  Other sizes or offsets are
+    :class:`InvalidModel`, named with the schedule.  :func:`build_schedule`'s
+    offsets are the distinct values of
     ``max(0, (n_d - 1) - (n_x**i - 1))`` for ``i = 0 .. ell - 1``; gaps
     between scheduled positions grow geometrically in ``n_x`` so that
     ``ell`` stays logarithmic in ``n_d``.  For ``n_x == 1`` the geometric
@@ -90,6 +91,11 @@ class ObservationSchedule:
 
     def __post_init__(self):
         o = self.right_offsets
+        try:
+            for v in (self.n_x, self.n_d, *o):
+                operator.index(v)  # np.int64 passes; a float does not
+        except TypeError:
+            raise InvalidModel(f"{self!r}: n_x, n_d and right_offsets must be integers") from None
         if self.n_x < 1 or self.n_d < 1:
             rule = "n_x and n_d must be at least 1"
         elif not o:
@@ -130,16 +136,6 @@ class ObservationSchedule:
     def anchor_range(self, T: int) -> range:
         """Anchors (0-based) where aligned and shifted placements all fit."""
         return range(self.n_d, T - self.n_d - 1)
-
-    def right_positions(self, anchor: int) -> np.ndarray:
-        return anchor + 1 + np.asarray(self.right_offsets)
-
-    def left_positions(self, anchor: int) -> np.ndarray:
-        return anchor - self.n_d + np.asarray(self.left_offsets)
-
-    def start_positions(self) -> np.ndarray:
-        """Right-window positions of the boundary tensor (anchor 1)."""
-        return 2 + np.asarray(self.right_offsets)
 
     @property
     def start_min_length(self) -> int:
@@ -512,20 +508,6 @@ def _window_walk(
     return a
 
 
-def window_conditional(p: HsmmParams, offsets: Sequence[int]) -> np.ndarray:
-    """Conditional table of scheduled observations given a joint state.
-
-    Entry ``[w, (x, d)]`` is the probability that the symbols at relative
-    positions ``1 + offset`` (for each offset, ascending) spell the
-    composite code ``w``, given the chain sits at ``(x, d)`` at relative
-    position 0.  Computed by forward marginalization, emitting only at
-    scheduled positions.
-    """
-    offsets = sorted(set(int(o) for o in offsets))
-    V = joint_transition_matrix(p)
-    return _window_walk(V, emissions_on_joint(p), V[None], offsets).sum(axis=1)
-
-
 def analytic_moments(
     p: HsmmParams,
     sched: ObservationSchedule,
@@ -552,7 +534,7 @@ def analytic_moments(
     if anchors[0] < sched.n_d or anchors[-1] >= T - sched.n_d - 1:
         raise InvalidModel(f"anchor set {anchors[:3]}.. outside the valid range")
 
-    V = joint_transition_matrix(p)
+    V = renewal_kernel(p.X, p.D)
     W = renewal_kernel(np.eye(p.n_x), p.D)
     XL = state_update_matrix(p)
     T0 = next_state_table(p)

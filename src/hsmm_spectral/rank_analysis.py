@@ -33,18 +33,14 @@ from .hsmm import (
     HsmmParams,
     InvalidModel,
     joint_states,
-    joint_transition_matrix,
     next_state_table,
     random_model,
+    renewal_kernel,
 )
-from .moments import build_schedule
+from .moments import ObservationSchedule, build_schedule
 from .tensors import khatri_rao_cols, numerical_rank
 
 RANK_RTOL = 1e-10
-
-
-class InvalidOffsets(Exception):
-    """Offsets must be distinct integers inside [0, n_d - 1]."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ def _t_from_marks(
     so ascending positions map to row-major digits (earliest slowest),
     matching the window-code convention used everywhere else.
     """
-    V = joint_transition_matrix(p)
+    V = renewal_kernel(p.X, p.D)
     E = np.eye(p.n_x)[:, joint_states(p.n_x, p.n_d)]
     T = next_state_table(p)
     s = 1
@@ -150,15 +146,10 @@ def build_F(p: HsmmParams, offsets: Sequence[int]) -> tuple[np.ndarray, TReport]
 
     Entry ``[w, (x, d)]`` is the probability of composite window code ``w``
     at relative positions ``1 + offset`` given the pair ``(x, d)``; it
-    matches the direct forward marginalization of the chain.
+    matches the direct forward marginalization of the chain.  The offsets
+    follow :class:`~hsmm_spectral.moments.ObservationSchedule`'s rule.
     """
-    offs = [int(o) for o in offsets]
-    if len(offs) != len(set(offs)) or sorted(offs) != offs:
-        raise InvalidOffsets(f"offsets must be sorted and distinct: {offsets}")
-    if not offs or offs[0] < 0 or offs[-1] > p.n_d - 1:
-        raise InvalidOffsets(
-            f"offsets must lie in [0, {p.n_d - 1}]: {offsets}"
-        )
+    offs = ObservationSchedule(p.n_x, p.n_d, tuple(offsets)).right_offsets
     d_max = offs[-1]
     marks = sorted(d_max - o for o in offs if o < d_max)
     T = _t_from_marks(p, marks, 1 + d_max)
@@ -172,7 +163,7 @@ def build_F(p: HsmmParams, offsets: Sequence[int]) -> tuple[np.ndarray, TReport]
         numerical_rank=numerical_rank(F, RANK_RTOL),
         algorithm="offsets",
         ell=len(offs),
-        offsets=tuple(offs),
+        offsets=offs,
     )
     return F, report
 

@@ -151,8 +151,8 @@ class ObservableModel:
 
     Every array is read-only.  ``d_tilde`` holds the transfer's
     coefficients ``Y_d`` (``r x k``, labelled ``("r", "or")``), so the
-    window-space transfer is ``basis @ d_tilde.data``.  ``x_tilde = basis @
-    y_x`` is derived on demand (``k x k x n_o``, for reference checks only).
+    window-space transfer is ``basis @ d_tilde.data``, and the window-space
+    symbol operator ``x_tilde`` is ``basis @ y_x``; neither is formed.
     """
 
     # a NamedTensor under its old name: the benchmark replaces it through dataclasses.replace
@@ -170,12 +170,6 @@ class ObservableModel:
     def rank(self) -> int:
         """The rank the build kept."""
         return self.basis.shape[1]
-
-    @property
-    def x_tilde(self) -> np.ndarray:
-        """``basis @ y_x``, the symbol operator in window space."""
-        r, k, n_o = self.y_x.shape
-        return read_only((self.basis @ self.y_x.reshape(r, k * n_o)).reshape(k, k, n_o))
 
     @cached_property
     def operators(self) -> Operators:

@@ -318,12 +318,12 @@ def em_pass_reference(p, groups):
         HsmmParams,
         emissions_on_joint,
         initial_joint,
-        joint_transition_matrix,
+        renewal_kernel,
     )
 
     n_x, n_d, n_o = p.n_x, p.n_d, p.n_o
     S = p.n_joint
-    V = joint_transition_matrix(p)
+    V = renewal_kernel(p.X, p.D)
     em = emissions_on_joint(p)  # [symbol, (x, d)]
     k1 = initial_joint(p)
     o_acc = np.zeros((n_o, n_x))
@@ -479,6 +479,66 @@ def joint_states_reference(n_x, n_d):
 
 
 # ---------------------------------------------------------------------------
+# lattice-built oracles
+#
+# References on the joint lattice above, with no library code: the
+# likelihood by enumeration of every latent path, and the conditional table
+# of a window of symbols by forward marginalisation.
+
+
+class OracleTooLarge(Exception):
+    """Enumeration would exceed the guards below."""
+
+
+ENUM_MAX_T = 12
+ENUM_MAX_PATHS = 50_000_000
+
+
+def exact_likelihood_enum(p, obs):
+    """Likelihood by summation over all latent (x, d) paths, as one array of paths.
+
+    Guarded by both sequence length and total path count.
+    """
+    obs = np.asarray(obs, dtype=np.int64)
+    T = len(obs)
+    if T > ENUM_MAX_T:
+        raise OracleTooLarge(f"T={T} exceeds the enumeration guard {ENUM_MAX_T}")
+    S = p.n_joint
+    if S**T > ENUM_MAX_PATHS:
+        raise OracleTooLarge(f"{S}**{T} latent paths exceed the enumeration budget {ENUM_MAX_PATHS}")
+    V = joint_transition_reference(p.X, p.D)
+    em = emissions_reference(p.O, p.n_d)
+    # probs[i] is the probability of the i-th partial path (last state = i % S)
+    probs = (p.initial_duration_table() * p.pi_x[None, :]).reshape(-1) * em[obs[0]]
+    for t in range(1, T):
+        step = V.T * em[obs[t]][None, :]
+        probs = (probs.reshape(-1, S)[:, :, None] * step[None, :, :]).reshape(-1)
+    return float(probs.sum())
+
+
+def window_conditional(p, offsets):
+    """``[w, (x, d)]``: the symbols at positions ``1 + offset`` spell ``w``, given ``(x, d)`` at 0.
+
+    One forward marginalisation per code ``w`` (earliest position the
+    slowest digit): the chain steps by the one-step kernel, and at each
+    offset's position keeps only the mass that emits the code's symbol there.
+    """
+    offsets = list(offsets)
+    V = joint_transition_reference(p.X, p.D)
+    em = emissions_reference(p.O, p.n_d)
+    rows = []
+    for code in itertools.product(range(p.n_o), repeat=len(offsets)):
+        a = V  # [(x, d) at position 1, (x, d) at 0]
+        for rel in range(offsets[-1] + 1):
+            if rel in offsets:
+                a = em[code[offsets.index(rel)]][:, None] * a
+            if rel < offsets[-1]:
+                a = V @ a
+        rows.append(a.sum(axis=0))
+    return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
 # score CSV oracle
 #
 # The writer that ``spectral.score_file`` replaced with one formatted write: a
@@ -521,6 +581,19 @@ def score_csv_reference(model, sequences, error_sink):
         writer.writerow(row)
         written.append(row)
     return written, buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# window-space view of a learned model
+#
+# A model holds its symbol operator's coefficients ``y_x`` in the basis; the
+# tests compare models by the ``k x k x n_o`` operator itself.
+
+
+def x_tilde(model):
+    """A model's window-space symbol operator ``basis @ y_x``, ``k x k x n_o``."""
+    r, k, n_o = model.y_x.shape
+    return (model.basis @ model.y_x.reshape(r, k * n_o)).reshape(k, k, n_o)
 
 
 # ---------------------------------------------------------------------------

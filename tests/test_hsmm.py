@@ -12,14 +12,11 @@ from hsmm_spectral.hsmm import (
     GenerationFailed,
     HsmmParams,
     InvalidModel,
-    OracleTooLarge,
     emissions_on_joint,
-    exact_likelihood_enum,
     forward_likelihood,
     forward_loglik_batch,
     initial_joint,
     joint_states,
-    joint_transition_matrix,
     load_model,
     next_state_table,
     random_model,
@@ -36,9 +33,11 @@ from hsmm_spectral.moments import analytic_moments, build_schedule
 from hsmm_spectral.tensors import ShapeMismatch
 
 from oracles import (
+    OracleTooLarge,
     duration_update_reference,
     emissions_reference,
     enumeration_likelihood,
+    exact_likelihood_enum,
     hmm_forward_loglik,
     joint_states_reference,
     joint_transition_reference,
@@ -243,7 +242,7 @@ def test_sample_many_matches_marginal_statistics():
     p = random_model(3, 2, 2, seed=11)
     n, T = 10_000, 100
     obs = sample_many(p, n, T, np.random.default_rng(42))
-    V = joint_transition_matrix(p)
+    V = renewal_kernel(p.X, p.D)
     k = initial_joint(p)
     mix = np.zeros(p.n_o)
     for _ in range(T):
@@ -610,21 +609,19 @@ def test_lattice_closed_forms_match_the_loop_builders(dims):
     assert np.array_equal(joint_states(n_x, n_d), joint_states_reference(n_x, n_d))
     assert np.array_equal(state_update_matrix(p), state_update_reference(p.X, n_d))
     assert np.array_equal(renewal_kernel(np.eye(n_x), p.D), duration_update_reference(p.D))
-    assert np.array_equal(joint_transition_matrix(p), joint_transition_reference(p.X, p.D))
+    assert np.array_equal(renewal_kernel(p.X, p.D), joint_transition_reference(p.X, p.D))
     assert np.array_equal(next_state_table(p), next_state_reference(p.X, n_d))
     assert np.array_equal(emissions_on_joint(p), emissions_reference(p.O, n_d))
 
 
 @pytest.mark.parametrize("bad", [1.5, -1, 3])
-@pytest.mark.parametrize("oracle", ["forward_likelihood", "forward_loglik_batch",
-                                    "exact_likelihood_enum"])
+@pytest.mark.parametrize("oracle", ["forward_likelihood", "forward_loglik_batch"])
 def test_likelihood_oracles_refuse_symbols_outside_the_alphabet(oracle, bad):
     # a fractional symbol was truncated, -1 read as the last symbol, and 3 an IndexError
     p = random_model(3, 2, 2, seed=1)
     call = {
         "forward_likelihood": lambda obs: forward_likelihood(p, obs),
         "forward_loglik_batch": lambda obs: forward_loglik_batch(p, np.array([[0, 1, 2], obs])),
-        "exact_likelihood_enum": lambda obs: exact_likelihood_enum(p, obs),
     }[oracle]
     call([0, 1, 2])
     row = 1 if oracle == "forward_loglik_batch" else 0

@@ -20,12 +20,11 @@ from hsmm_spectral.moments import (
     build_schedule,
     count_cooccurrences,
     estimate_moments,
-    window_conditional,
 )
 from hsmm_spectral.spectral import build_observable, build_observable_per_t
 from hsmm_spectral.tensors import numerical_rank
 
-from oracles import brute_window_joint
+from oracles import brute_window_joint, window_conditional
 
 
 def model_tuple(p):
@@ -89,13 +88,26 @@ def test_schedule_refuses_bad_sizes_and_offsets_by_name():
             assert s == ObservationSchedule(n_x, n_d, s.right_offsets)
 
 
+def test_schedule_refuses_sizes_and_offsets_that_are_not_integers():
+    # a fractional offset was taken, and slicing failed in count_cooccurrences
+    data = np.zeros((3, 20), dtype=np.int64)
+    for n_x, n_d, offsets in ((2, 4, (0.5, 2)), (2, 4, (0, 2.0)), (2.0, 4, (0,)), (2, 4.0, (0,))):
+        name = f"ObservationSchedule(n_x={n_x!r}, n_d={n_d!r}, right_offsets={offsets!r})"
+        with pytest.raises(InvalidModel) as refused:
+            count_cooccurrences(data, 2, ObservationSchedule(n_x, n_d, offsets))
+        assert str(refused.value) == name + ": n_x, n_d and right_offsets must be integers"
+    # NumPy integers are integers
+    s = ObservationSchedule(np.int64(2), np.int64(4), tuple(np.array([0, 2])))
+    assert s == ObservationSchedule(2, 4, (0, 2))
+
+
 def test_schedule_window_positions_mirror():
     s = build_schedule(3, 20)
     # anchor at 30 (0-based): left window mirrors the right one about it
-    right = s.right_positions(30)
-    left = s.left_positions(30)
-    assert list(right) == [31, 42, 48, 50]
-    assert list(left) == [10, 12, 18, 29]
+    right = [30 + 1 + o for o in s.right_offsets]
+    left = [30 - s.n_d + o for o in s.left_offsets]
+    assert right == [31, 42, 48, 50]
+    assert left == [10, 12, 18, 29]
     assert sorted(30 - l for l in left) == sorted(r - 30 for r in right)
 
 
@@ -167,6 +179,12 @@ def loop_counts(sequences, n_o, sched, per_anchor=False):
             c = c * n_o + int(seq[pos])
         return c
 
+    def right_at(s):  # the right window of anchor s
+        return [s + 1 + o for o in sched.right_offsets]
+
+    def left_at(s):  # its mirror before the anchor
+        return [s - sched.n_d + o for o in sched.left_offsets]
+
     for seq in sequences:
         T = len(seq)
         if not per_anchor:
@@ -174,14 +192,14 @@ def loop_counts(sequences, n_o, sched, per_anchor=False):
                 oo[0, seq[t], seq[t + 1]] += 1
                 pairs += 1
         if T >= sched.start_min_length:
-            start[seq[0], seq[1], code(seq, sched.start_positions())] += 1
+            start[seq[0], seq[1], code(seq, right_at(1))] += 1
             starts += 1
         for j, s in enumerate(sched.anchor_range(T)):
             a = j if per_anchor else 0
-            left = code(seq, sched.left_positions(s))
-            right = code(seq, sched.right_positions(s))
+            left = code(seq, left_at(s))
+            right = code(seq, right_at(s))
             lr[a, left, right] += 1
-            lr_shift[a, left, code(seq, sched.right_positions(s + 1))] += 1
+            lr_shift[a, left, code(seq, right_at(s + 1))] += 1
             lro[a, left, right, seq[s]] += 1
             windows += 1
             if per_anchor:

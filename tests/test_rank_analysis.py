@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hsmm_spectral.hsmm import HsmmParams, joint_transition_matrix, random_model
-from hsmm_spectral.moments import build_schedule, window_conditional
+from hsmm_spectral.hsmm import HsmmParams, InvalidModel, random_model, renewal_kernel
+from hsmm_spectral.moments import build_schedule
 from hsmm_spectral.rank_analysis import (
-    InvalidOffsets,
     build_F,
     compute_T_efficient,
     compute_T_sequential,
@@ -12,17 +11,19 @@ from hsmm_spectral.rank_analysis import (
 )
 from hsmm_spectral.tensors import numerical_rank
 
+from oracles import window_conditional
+
 
 def test_lift_single_duration_collapses_to_transition():
     p = random_model(3, 2, 1, seed=0)
-    V = joint_transition_matrix(p)
+    V = renewal_kernel(p.X, p.D)
     assert np.allclose(V, p.X, atol=1e-15)
     assert np.allclose(V[:, : p.n_x], p.X, atol=1e-15)
 
 
 def test_lift_rank_and_stochastic_renewal_block():
     p = random_model(3, 2, 2, seed=1)
-    V = joint_transition_matrix(p)
+    V = renewal_kernel(p.X, p.D)
     assert numerical_rank(V, 1e-10) == 4
     assert np.allclose(V[:, : p.n_x].sum(axis=0), 1.0, atol=1e-12)
     assert np.allclose(V.sum(axis=0), 1.0, atol=1e-12)
@@ -102,13 +103,25 @@ def test_build_F_consecutive_windows():
 
 
 def test_build_F_offset_validation():
+    # the offsets follow the schedule's rule, and are refused with its message
     p = random_model(3, 2, 3, seed=10)
-    with pytest.raises(InvalidOffsets):
+    with pytest.raises(InvalidModel, match=r"must lie in \[0, n_d - 1\] = \[0, 2\]"):
         build_F(p, [0, 3])
-    with pytest.raises(InvalidOffsets):
+    with pytest.raises(InvalidModel, match="must be strictly ascending"):
         build_F(p, [1, 1])
-    with pytest.raises(InvalidOffsets):
+    with pytest.raises(InvalidModel, match="must be strictly ascending"):
         build_F(p, [2, 0])
+
+
+def test_build_F_refuses_offsets_that_are_not_integers():
+    # fractional offsets were truncated to (0, 2) and built silently
+    p = random_model(3, 2, 3, seed=10)
+    with pytest.raises(InvalidModel, match="right_offsets must be integers"):
+        build_F(p, [0.5, 2.7])
+    # a NumPy integer is an integer
+    F, rep = build_F(p, np.array([0, 2]))
+    assert np.array_equal(F, build_F(p, [0, 2])[0])
+    assert rep.offsets == (0, 2)
 
 
 def test_rank_grid_smoke():

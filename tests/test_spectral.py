@@ -52,6 +52,7 @@ from oracles import (
     build_observable_reference,
     chain_reference,
     score_csv_reference,
+    x_tilde,
 )
 
 RTOL = 1e-12
@@ -196,7 +197,7 @@ def test_per_anchor_analytic_tensors_are_anchor_invariant():
         models.append(build_observable(m, RTOL))
     for other in models[1:]:
         assert np.allclose(transfer(models[0]), transfer(other), atol=1e-10)
-        assert np.allclose(models[0].x_tilde, other.x_tilde, atol=1e-10)
+        assert np.allclose(x_tilde(models[0]), x_tilde(other), atol=1e-10)
         assert np.allclose(models[0].o_tilde, other.o_tilde, atol=1e-10)
 
 
@@ -213,7 +214,7 @@ def test_batched_beats_per_anchor_on_sampled_data():
     def dist(m):
         return (
             np.linalg.norm(transfer(m) - transfer(ref))
-            + np.linalg.norm(m.x_tilde - ref.x_tilde)
+            + np.linalg.norm(x_tilde(m) - x_tilde(ref))
             + np.linalg.norm(m.o_tilde - ref.o_tilde)
         )
 
@@ -247,7 +248,7 @@ def test_chain_direction_is_irrelevant():
     p = random_model(3, 2, 2, seed=20)
     model, _, _ = analytic_model(p)
     d_mat = transfer(model)
-    x_cube = model.x_tilde
+    x_cube = x_tilde(model)
     o_mat = model.o_tilde
     rng = np.random.default_rng(20)
     for _ in range(8):
@@ -493,7 +494,7 @@ def test_moment_and_model_tables_are_read_only(tmp_path, monkeypatch):
     models += [load_observable(tmp_path / "pooled.bin"), *load_observable(tmp_path / "per_t.bin")]
     for model in models:
         assert not model.d_tilde.data.flags.writeable
-        for field in ("y_x", "o_tilde", "start_factor", "basis", "x_tilde"):
+        for field in ("y_x", "o_tilde", "start_factor", "basis"):
             arr = getattr(model, field)
             assert type(arr) is np.ndarray and not arr.flags.writeable, field
             with pytest.raises(ValueError, match="read-only"):
@@ -620,7 +621,7 @@ def kspace_chain(obs, at_d, at_x, start):
 def pooled_kspace(model, obs):
     def at_x(t, sym, close=False):
         o = model.o_tilde[:, sym]
-        x_cube = model.x_tilde
+        x_cube = x_tilde(model)
         return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
@@ -637,7 +638,7 @@ def per_anchor_kspace(models, obs):
     def at_x(t, sym, close=False):
         m = at(t)
         o = m.o_tilde[:, sym]
-        x_cube = m.x_tilde
+        x_cube = x_tilde(m)
         return x_cube.sum(axis=1) @ o if close else x_cube @ o
 
     return kspace_chain(
@@ -898,7 +899,7 @@ def test_model_file_without_variant_or_tensor_is_rejected(tmp_path, capsys):
     with pytest.raises(SpectralError, match="basis"):
         load_observable(path)
     # a file holding the k-space x_tilde and its marginal instead of y_x
-    x_cube = model.x_tilde
+    x_cube = x_tilde(model)
     k_space = [(k, v) for k, v in tensors.items() if k != "y_x"]
     k_space += [("x_tilde", x_cube), ("end_factor", x_cube.sum(axis=1))]
     write_container(path, kind, meta, k_space)
