@@ -11,14 +11,12 @@ from .hsmm import (
     GenerationFailed,
     HsmmParams,
     InvalidModel,
-    SampledSequence,
     ValidationReport,
     forward_likelihood,
     forward_loglik_batch,
     load_model,
     random_model,
     read_sequences,
-    sample,
     sample_many,
     save_model,
     validate,

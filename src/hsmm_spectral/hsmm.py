@@ -311,27 +311,6 @@ def emissions_on_joint(p: HsmmParams) -> np.ndarray:
 # sampling
 
 
-@dataclass(frozen=True)
-class SampledSequence:
-    """One draw from the generative model, hidden path retained for tests."""
-
-    observations: np.ndarray
-    hidden_states: tuple[tuple[int, int], ...]  # (x, d) with d 1-based
-
-
-def sample(p: HsmmParams, T: int, rng: np.random.Generator) -> SampledSequence:
-    """Sample one sequence of length ``T``, with its hidden path.
-
-    It is a one-row :func:`sample_many` call that also records the path, so
-    its observations are that call's row and ``rng`` ends in the same state.
-    ``T < 1`` and a model that fails a ``stochastic[...]`` check of
-    :func:`validate` raise :class:`InvalidModel`; A1-A3 are not needed.
-    """
-    path = []
-    obs = _sample_few(*_first_draws(p, 1, T, rng), T, rng, path)
-    return SampledSequence(observations=obs[0], hidden_states=tuple(path))
-
-
 def _pick(cuts: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The sample uniform ``u[i]`` draws from column ``cols[i]`` of a table's ``cuts``.
 
@@ -373,8 +352,8 @@ def sample_many(
 
     The model's cut points are made once per model; every step only gathers
     the columns of the current states.  ``T < 1``, a negative count and a
-    model that is not stochastic raise :class:`InvalidModel`, as in
-    :func:`sample`.
+    model that fails a ``stochastic[...]`` check of :func:`validate` raise
+    :class:`InvalidModel`; A1-A3 are not needed.
 
     The uniforms are read from ``rng`` in one order, whichever loop runs:
     the first state of every row, then the first duration of every row;
@@ -419,24 +398,22 @@ def _first_draws(p: HsmmParams, n_sequences: int, T: int, rng):
     return cuts, x, _draw(cuts["first"][0], x, rng) + 1
 
 
-def _sample_few(cuts: dict, x, d, T: int, rng, path: list | None = None) -> np.ndarray:
+def _sample_few(cuts: dict, x, d, T: int, rng) -> np.ndarray:
     """:func:`sample_many`'s rows after their first draws, stepped from renewal to renewal.
 
     ``cuts`` are the model's cut points, and ``x`` and ``d`` the first
-    states and durations.  ``path``, if given, gets the first row's
-    ``(state, countdown)`` at each step.  A row with duration ``d`` at step
-    ``t`` renews at step ``t + d``, and up to the next renewal of any row no
-    state changes.  The steps go in passes of at most :data:`_DRAW_ENTRIES`
-    gathered emission table entries.  Each pass draws one block of uniforms,
-    as many as it could read (two per renewal and one per emission, so three
-    per row and step), and walks its renewals in Python scalars, reading the
-    block's uniforms in the stream's order with ``bisect`` on the cut
-    columns.  A segment of steps between renewals reads its emission
-    uniforms as one run of the block, so the pass draws its emissions with
-    one :func:`_pick` over each segment's states and its run.  The
-    generator is then set back to its state before the block and advanced
-    by the uniforms read, which leaves it where reading them one by one
-    would.
+    states and durations.  A row with duration ``d`` at step ``t`` renews at
+    step ``t + d``, and up to the next renewal of any row no state changes.
+    The steps go in passes of at most :data:`_DRAW_ENTRIES` gathered
+    emission table entries.  Each pass draws one block of uniforms, as many
+    as it could read (two per renewal and one per emission, so three per row
+    and step), and walks its renewals in Python scalars, reading the block's
+    uniforms in the stream's order with ``bisect`` on the cut columns.  A
+    segment of steps between renewals reads its emission uniforms as one run
+    of the block, so the pass draws its emissions with one :func:`_pick`
+    over each segment's states and its run.  The generator is then set back
+    to its state before the block and advanced by the uniforms read, which
+    leaves it where reading them one by one would.
     """
     n = x.shape[0]
     obs = np.empty((n, T), dtype=np.int64)
@@ -461,8 +438,6 @@ def _sample_few(cuts: dict, x, d, T: int, rng, path: list | None = None) -> np.n
                 until[i] = t + 1 + bisect_left(d_cols[xi], v[at + k + r])
             at += 2 * k
             s = min(min(until), stop)
-            if path is not None:
-                path.extend((x[0], until[0] - step) for step in range(t, s))
             steps.append(t)
             runs.append(at)
             states += x

@@ -190,13 +190,13 @@ class AnalyticFactorContext:
     """Population factors behind the analytic moments.
 
     ``f_right`` is the conditional table of the right window given the
-    anchor's state and the previous step's duration counter; ``f_left`` is
-    the pooled left-window conditional on the same pair; ``k_marginals``
-    holds that pair's marginal for every pooled anchor.
+    anchor's state and the previous step's duration counter, a read-only
+    array; ``f_left`` is the pooled left-window conditional on the same
+    pair; ``k_marginals`` holds that pair's marginal for every pooled anchor.
     """
 
+    f_right: np.ndarray
     # NamedTensor because the benchmark reads f_left.data and k_marginals[i].data
-    f_right: NamedTensor
     f_left: NamedTensor
     k_marginals: tuple[NamedTensor, ...]
 
@@ -508,6 +508,14 @@ def _window_walk(
     return a
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an integer; a float, even a whole one, is :class:`InvalidModel`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidModel(f"{name} {value} is not an integer") from None
+
+
 def analytic_moments(
     p: HsmmParams,
     sched: ObservationSchedule,
@@ -517,15 +525,18 @@ def analytic_moments(
     """Population limits of :func:`estimate_moments` over a length-``T`` horizon.
 
     ``anchors`` restricts the pooled anchor set (defaults to every anchor a
-    length-``T`` sequence admits).  The returned context exposes the factor
-    tables behind the construction.
+    length-``T`` sequence admits).  ``T`` and the anchors are integers
+    (``operator.index``, so ``np.int64`` passes); another value is
+    :class:`InvalidModel`, naming it.  The returned context exposes the
+    factor tables behind the construction.
     """
     report = validate(p)
     if not report.ok:
         raise InvalidModel("model fails validation:\n" + str(report))
+    T = _integer("horizon T", T)
     if anchors is None:
-        anchors = list(sched.anchor_range(T))
-    anchors = sorted(int(a) for a in anchors)
+        anchors = sched.anchor_range(T)
+    anchors = sorted(_integer("anchor", a) for a in anchors)
     if not anchors:
         raise InsufficientData(
             f"horizon T={T} admits no anchor; need T >= {sched.min_sequence_length}",
@@ -575,7 +586,7 @@ def analytic_moments(
         cols = left.sum(axis=0)
         f_left = np.where(cols[None, :] > 0, left / cols[None, :], 0.0)
     context = AnalyticFactorContext(
-        f_right=NamedTensor(f_mid, ["or", "xd"]),
+        f_right=read_only(f_mid),
         f_left=NamedTensor(f_left, ["ol", "xd"]),
         k_marginals=k_marginals,
     )

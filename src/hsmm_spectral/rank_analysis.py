@@ -6,8 +6,8 @@ selected future hidden states given the current ``(x, d)`` pair.  ``T`` is
 grown by alternating two operations on the lifted chain:
 
 * propagate: ``T <- T @ V`` advances the conditioning pair one step back,
-* expand: ``T <- khatri_rao_cols(T, E)`` freezes a copy of the current
-  state into the row multi-index.
+* expand: ``T <- khatri_rao_cols(E, T)`` freezes a copy of the current
+  state into the row multi-index, as its new fastest digit.
 
 The sequential variant expands at every step and gains rank ``n_x`` per
 observation; the efficient variant spaces expansions geometrically (at
@@ -48,8 +48,6 @@ class TReport:
     T: np.ndarray
     predicted_rank: int
     numerical_rank: int
-    algorithm: str
-    ell: int
     offsets: tuple[int, ...]
 
 
@@ -58,10 +56,10 @@ def _t_from_marks(
 ) -> np.ndarray:
     """Grow T by propagations with expansions at the given cumulative steps.
 
-    Step counting starts at 1 for the initial one-step table.  Rows come out
-    with the earliest frozen state as the fastest index; they are permuted
-    so ascending positions map to row-major digits (earliest slowest),
-    matching the window-code convention used everywhere else.
+    Step counting starts at 1 for the initial one-step table.  Each
+    expansion makes the state it freezes the fastest row digit, so the
+    earliest frozen state, the earliest position, is the slowest: the
+    window-code convention used everywhere else.
     """
     V = renewal_kernel(p.X, p.D)
     E = np.eye(p.n_x)[:, joint_states(p.n_x, p.n_d)]
@@ -71,15 +69,9 @@ def _t_from_marks(
         for _ in range(mark - s):
             T = T @ V
         s = max(mark, s)
-        T = khatri_rao_cols(T, E)
+        T = khatri_rao_cols(E, T)
     for _ in range(total_steps - s):
         T = T @ V
-    rows = len(marks) + 1
-    if rows > 1:
-        cube = T.reshape((p.n_x,) * rows + (p.n_joint,))
-        T = cube.transpose(tuple(range(rows - 1, -1, -1)) + (rows,)).reshape(
-            p.n_x**rows, p.n_joint
-        )
     return T
 
 
@@ -89,20 +81,18 @@ def _positions(marks: Sequence[int], total_steps: int) -> tuple[int, ...]:
     return tuple(sorted(set(q - low for q in pos)))
 
 
-def compute_T_sequential(p: HsmmParams, ell: int) -> TReport:
-    """Expansion before every propagation: consecutive future states."""
+def _report(p: HsmmParams, ell: int, marks: Sequence[int], total: int, predicted: int) -> TReport:
+    """The report of the table that ``marks`` and ``total`` grow; ``ell`` below 1 is refused."""
     if ell < 1:
         raise InvalidModel("ell must be at least 1")
-    marks = list(range(1, ell))
-    T = _t_from_marks(p, marks, ell)
-    return TReport(
-        T=T,
-        predicted_rank=1 if p.n_x == 1 else min(ell * p.n_x, p.n_joint),
-        numerical_rank=numerical_rank(T, RANK_RTOL),
-        algorithm="sequential",
-        ell=ell,
-        offsets=_positions(marks, ell),
-    )
+    T = _t_from_marks(p, marks, total)
+    return TReport(T, predicted, numerical_rank(T, RANK_RTOL), _positions(marks, total))
+
+
+def compute_T_sequential(p: HsmmParams, ell: int) -> TReport:
+    """Expansion before every propagation: consecutive future states."""
+    predicted = 1 if p.n_x == 1 else min(ell * p.n_x, p.n_joint)
+    return _report(p, ell, list(range(1, ell)), ell, predicted)
 
 
 def _efficient_marks(n_x: int, n_d: int, ell: int) -> tuple[list[int], int]:
@@ -126,19 +116,8 @@ def compute_T_efficient(p: HsmmParams, ell: int) -> TReport:
     the horizon ``n_d - 1`` when the geometric target would overshoot it,
     so the realized positions match the geometric window offsets.
     """
-    if ell < 1:
-        raise InvalidModel("ell must be at least 1")
     marks, total = _efficient_marks(p.n_x, p.n_d, ell)
-    T = _t_from_marks(p, marks, total)
-    expansions = len(marks)
-    return TReport(
-        T=T,
-        predicted_rank=min(p.n_x ** (expansions + 1), p.n_joint),
-        numerical_rank=numerical_rank(T, RANK_RTOL),
-        algorithm="efficient",
-        ell=ell,
-        offsets=_positions(marks, total),
-    )
+    return _report(p, ell, marks, total, min(p.n_x ** (len(marks) + 1), p.n_joint))
 
 
 def build_F(p: HsmmParams, offsets: Sequence[int]) -> tuple[np.ndarray, TReport]:
@@ -161,8 +140,6 @@ def build_F(p: HsmmParams, offsets: Sequence[int]) -> tuple[np.ndarray, TReport]
         T=T,
         predicted_rank=min(p.n_x ** len(offs), p.n_joint),
         numerical_rank=numerical_rank(F, RANK_RTOL),
-        algorithm="offsets",
-        ell=len(offs),
         offsets=offs,
     )
     return F, report

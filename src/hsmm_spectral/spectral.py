@@ -1,39 +1,39 @@
 """Observable-representation learning and sequence-probability inference.
 
-The learned model re-expresses the latent-chain likelihood through tensors
-of observable co-occurrences only:
+The learned model re-expresses the latent-chain likelihood through tables
+of observable co-occurrences only.  The build solves in a rank-``r`` space
+with orthonormal basis ``V`` (``basis``, ``k x r``), and the model holds:
 
-* ``d_tilde`` transfers a right-window message one anchor forward,
-* ``x_tilde`` consumes the anchor's own symbol while re-emitting the window
-  (a three-mode tensor: inverse-side window, data-side window, symbol),
-* ``o_tilde`` is ``U_r U_r'`` from the symbol-pair table's SVD: the
+* ``d_tilde``, the coefficients ``Y_d`` (``r x k``) of the window-space
+  transfer ``V Y_d``, which moves a right-window message one anchor forward,
+* ``y_x``, the coefficients ``Y_x`` (``r x k x n_o``) of the symbol
+  operator ``V Y_x``, which consumes the anchor's own symbol while
+  re-emitting the window (modes: inverse-side window, data-side window,
+  symbol),
+* ``o_tilde``, ``U_r U_r'`` from the symbol-pair table's SVD: the
   projector ``m_oo pinv(m_oo)`` onto the reachable emission subspace,
-* ``start_factor`` is the boundary joint of the first two symbols with the
+* ``start_factor``, the boundary joint of the first two symbols with the
   first right window, estimable directly as a probability table.
 
-The chain closes at the final symbol with ``x_tilde``'s data-side window
-marginalized out.
+The chain closes at the final symbol with the symbol operator's data-side
+window marginalized out.
 
 With population moments the chained product reproduces the exact sequence
 likelihood; with finite samples it is a consistent estimator whose values
 may leave [0, 1], so results carry a sign and a log magnitude.
 
-The build solves in a rank-``r`` space with orthonormal basis ``V``
-(``basis``), so the window-space tables are ``V Y_d`` (``k x k``) and
-``x_tilde = V Y_x``.  The model holds only the coefficients: ``Y_d``
-(``r x k``), ``Y_x`` (``y_x``, ``r x k x n_o``), ``o_tilde``,
-``start_factor`` and ``V``; no ``k x k`` table is formed by the build,
-loading or inference.  Each symbol folds into one ``r x r`` observable
-operator ``B_o = G core[o]`` (Hsu, Kakade & Zhang, "A spectral algorithm
-for learning hidden Markov models"), built from the transfer ``G = Y_d V``
-and ``core[o] = sum_s o_tilde[s, o] Y_x[:, :, s] V``.  :func:`infer`,
-:func:`infer_batch` and :func:`score_file` take a pooled model or a
-per-anchor list alike, refuse the same rows with the same errors, and run
-one batched kernel over the ragged sequence stream.  The kernel moves the
-message over blocks of positions: one position per numpy round while many
-rows advance, and, once ``m`` rows at rank ``r`` satisfy
-``m * (r*r + 4) <= 640``, whole rows whose gathered operators are multiplied
-pairwise, in about ``log2 T`` batched products (see :func:`_chain`).
+No ``k x k`` table is formed by the build, loading or inference.  Each
+symbol folds into one ``r x r`` observable operator ``B_o = G core[o]``
+(Hsu, Kakade & Zhang, "A spectral algorithm for learning hidden Markov
+models"), built from the transfer ``G = Y_d V`` and ``core[o] = sum_s
+o_tilde[s, o] Y_x[:, :, s] V``.  :func:`infer`, :func:`infer_batch` and
+:func:`score_file` take a pooled model or a per-anchor list alike, refuse
+the same rows with the same errors, and run one batched kernel over the
+ragged sequence stream.  The kernel moves the message over blocks of
+positions: one position per numpy round while many rows advance, and, once
+``m`` rows at rank ``r`` satisfy ``m * (r*r + 4) <= 640``, whole rows whose
+gathered operators are multiplied pairwise, in about ``log2 T`` batched
+products (see :func:`_chain`).
 
 The per-anchor ("basic") variant is the same model once per anchor, and a
 pooled model is its one-anchor case.  Both have one stacked layout, a
@@ -222,7 +222,9 @@ def _build(
     (``joint_rank`` for ``m_lr``, ``n_x`` for ``m_oo``).  ``o_tilde`` is the
     projector ``U_r U_r'`` onto ``m_oo``'s kept column space, which is
     ``pinv(m_oo') m_oo'``.  The first anchor whose tables fail raises
-    :class:`DegenerateMoments`, naming it.
+    :class:`DegenerateMoments`, naming it: without ``noise_floor`` (an exact
+    build) an ``rtol`` count of ``m_lr`` below the cap fails; with it, only
+    a table that keeps no direction does.
     """
     lr, lr_shift, lro, oo, start = tables
     a, k = lr.shape[:2]
@@ -232,18 +234,20 @@ def _build(
     s = lr_svd[1]
     floor, floor_oo = (2.0 / math.sqrt(c) if noise_floor and c > 0 else 0.0 for c in counts)
     rank = spectrum_rank(s, rtol)
-    keep = np.minimum(rank, (s > floor).sum(axis=1)).clip(max=needed)
-    keep_oo = np.minimum(spectrum_rank(s_oo, rtol), (s_oo > floor_oo).sum(axis=1))
+    floored, floored_oo = (s > floor).sum(axis=1), (s_oo > floor_oo).sum(axis=1)
+    keep = np.minimum(rank, floored).clip(max=needed)
+    keep_oo = np.minimum(spectrum_rank(s_oo, rtol), floored_oo)
     keep_oo = keep_oo.clip(max=sched.n_x)
     # one row per check, in the order a single anchor's build meets them
-    failed = np.array([rank < needed, keep == 0, s_oo[:, 0] == 0.0, keep_oo == 0])
+    short = (rank < needed) & (not noise_floor)
+    failed = np.array([short, keep == 0, s_oo[:, 0] == 0.0, keep_oo == 0])
     if failed.any():
         i = int(failed.any(axis=0).argmax())
         tensor, detail = (
             ("m_lr", f"rank {rank[i]} < {needed} at rtol {rtol}"),
-            ("m_lr", "all singular values truncated"),
+            ("m_lr", _truncated(floored[i], floor, counts[0])),
             ("m_oo", "zero matrix has no usable pseudo-inverse"),
-            ("m_oo", "all singular values truncated"),
+            ("m_oo", _truncated(floored_oo[i], floor_oo, counts[1])),
         )[int(failed[:, i].argmax())]
         anchor = None if first is None else first + i
         raise DegenerateMoments(tensor, anchor=anchor, detail=detail)
@@ -257,19 +261,27 @@ def _build(
     )
 
 
+def _truncated(floored: int, floor: float, count: int) -> str:
+    """Why a table kept no direction, naming the floor ``2/sqrt(count)`` if nothing cleared it."""
+    if floor and not floored:
+        return f"all singular values truncated by the noise floor 2/sqrt({count}) = {floor:.3g}"
+    return "all singular values truncated"
+
+
 def build_observable(
     m: MomentSet, rtol: float, noise_floor: bool = False
 ) -> ObservableModel:
     """Learn the observable tensors from a pooled moment set.
 
-    The windowed moment matrix must carry the full joint-state rank of the
-    schedule at ``rtol``, otherwise the inversion cannot expose every latent
-    direction and :class:`DegenerateMoments` is raised.  With
-    ``noise_floor`` set (finite-sample estimation), truncation additionally
-    drops directions below the sampling-noise level of the counts; the
-    representation then degrades gracefully to a lower rank instead of
-    amplifying unresolved directions.  The build is the per-anchor one with
-    a single anchor.
+    Without ``noise_floor`` (an exact build) the windowed moment matrix
+    must carry the full joint-state rank of the schedule at ``rtol``,
+    otherwise the inversion cannot expose every latent direction and
+    :class:`DegenerateMoments` is raised.  With ``noise_floor`` set
+    (finite-sample estimation), truncation also drops directions below the
+    sampling-noise level of the counts, and the representation degrades
+    to a lower rank instead of amplifying unresolved directions; only a
+    table that keeps no direction is refused.  The build is the per-anchor
+    one with a single anchor.
     """
     tables = [t[None] for t in (m.m_lr, m.m_lr_shift, m.m_lro, m.m_oo)] + [m.m_start]
     counts = (m.window_count, m.pair_count)

@@ -3,9 +3,9 @@
 The pipeline holds its moment and model tables as plain float64 arrays,
 marked read-only in place by :func:`read_only`.  A :class:`NamedTensor` is a
 read-only view of an array that carries one string label per axis.  Only
-the tables that callers perturb or read through ``.data`` keep it: a
-learned model's ``d_tilde`` and the analytic factor context; no operation
-reads the labels.
+the tables that the benchmark reads through ``.data`` or ``.labels`` keep
+it: a learned model's ``d_tilde``, and the analytic factor context's
+``f_left`` and ``k_marginals``; no operation of the package reads the labels.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class NamedTensor:
     @property
     def data(self) -> np.ndarray:
         return self._data
-
-    def __repr__(self) -> str:
-        modes = ", ".join(f"{l}:{d}" for l, d in zip(self._labels, self._data.shape))
-        return f"NamedTensor({modes})"
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

@@ -266,16 +266,15 @@ def pick_reference(cuts, cols, u):
 
 
 def sample_reference(p, T, rng):
-    """One sequence and its hidden path, drawn by ``rng.choice`` at every step.
+    """One sequence, drawn by ``rng.choice`` at every step.
 
     ``rng.choice`` reads one uniform per draw and takes the first index
     whose normalized running sum exceeds it, so this reads the uniforms of
     a one-row ``hsmm.sample_many`` in the same order and agrees with it
-    unless a uniform falls within rounding of a running sum.  Returns the
-    observations and the ``(x, d)`` path, ``d`` 1-based.
+    unless a uniform falls within rounding of a running sum.
     """
     pi_d = p.D if p.pi_d is None else p.pi_d
-    obs, hidden = [], []
+    obs = []
     x = int(rng.choice(p.n_x, p=p.pi_x))
     d = int(rng.choice(p.n_d, p=pi_d[:, x])) + 1
     for t in range(T):
@@ -285,9 +284,8 @@ def sample_reference(p, T, rng):
             else:
                 x = int(rng.choice(p.n_x, p=p.X[:, x]))
                 d = int(rng.choice(p.n_d, p=p.D[:, x])) + 1
-        hidden.append((x, d))
         obs.append(int(rng.choice(p.n_o, p=p.O[:, x])))
-    return np.array(obs, dtype=np.int64), tuple(hidden)
+    return np.array(obs, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +660,21 @@ def _noise_rtol(s, count):
     return 2.0 / math.sqrt(count) / s[0]
 
 
+def _floor_note(s, count, noise_floor):
+    """What a refusal adds when the noise floor alone leaves no direction of ``s``."""
+    import math
+
+    if not noise_floor or count <= 0 or s[0] > 2.0 / math.sqrt(count):
+        return ""
+    return f" by the noise floor 2/sqrt({count}) = {2.0 / math.sqrt(count):.3g}"
+
+
 def build_observable_reference(m, rtol, noise_floor=False):
-    """Learn the observable tensors from a pooled moment set, one matrix at a time."""
+    """Learn the observable tensors from a pooled moment set, one matrix at a time.
+
+    Without ``noise_floor`` an ``rtol`` rank of ``m_lr`` below the needed
+    rank is refused; with it, only a table that keeps no direction is.
+    """
     from hsmm_spectral.spectral import DegenerateMoments, ObservableModel
     from hsmm_spectral.tensors import NamedTensor, read_only
 
@@ -672,7 +683,7 @@ def build_observable_reference(m, rtol, noise_floor=False):
     needed = min(sched.joint_rank, k)
     lr_svd = np.linalg.svd(m.m_lr, full_matrices=False)
     rank = spectrum_rank(lr_svd[1], rtol)
-    if rank < needed:
+    if not noise_floor and rank < needed:
         raise DegenerateMoments("m_lr", detail=f"rank {rank} < {needed} at rtol {rtol}")
     oo_svd = np.linalg.svd(m.m_oo.T, full_matrices=False)
     eff_lr = max(rtol, _noise_rtol(lr_svd[1], m.window_count)) if noise_floor else rtol
@@ -685,11 +696,13 @@ def build_observable_reference(m, rtol, noise_floor=False):
             max_rank=needed,
         )
     except RankZero as exc:
-        raise DegenerateMoments("m_lr", detail=str(exc)) from None
+        note = _floor_note(lr_svd[1], m.window_count, noise_floor)
+        raise DegenerateMoments("m_lr", detail=str(exc) + note) from None
     try:
         v_oo, (y_o,) = _pinv_product(oo_svd, [m.m_oo.T], eff_oo, max_rank=sched.n_x)
     except RankZero as exc:
-        raise DegenerateMoments("m_oo", detail=str(exc)) from None
+        note = _floor_note(oo_svd[1], m.pair_count, noise_floor)
+        raise DegenerateMoments("m_oo", detail=str(exc) + note) from None
     return ObservableModel(
         d_tilde=NamedTensor(y_d, ["r", "or"]),
         y_x=read_only(y_x.reshape(-1, k, m.n_o)),

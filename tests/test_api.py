@@ -14,7 +14,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 EXPORTS = {
     # hsmm
     "HsmmParams", "InvalidModel", "GenerationFailed", "ValidationReport", "validate",
-    "random_model", "SampledSequence", "sample", "sample_many", "forward_likelihood",
+    "random_model", "sample_many", "forward_likelihood",
     "forward_loglik_batch", "save_model", "load_model", "write_sequences", "read_sequences",
     # moments
     "ObservationSchedule", "build_schedule", "MomentSet", "estimate_moments",

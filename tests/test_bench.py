@@ -120,6 +120,24 @@ def test_negative_seeds_are_refused():
             make()
 
 
+@pytest.mark.parametrize("given,message", [
+    (dict(rtol=math.nan), "rtol must be positive, got nan"),
+    (dict(n_list=(0,)), "n_list must hold positive integers, got (0,)"),
+    (dict(T=0), "T must be at least 1"),
+    (dict(n_test=0), "n_test must be at least 1"),
+    (dict(seeds=()), "seeds must not be empty"),
+], ids=["nan-rtol", "zero-n", "zero-T", "zero-n-test", "no-seeds"])
+def test_config_refuses_each_field_by_name(given, message):
+    with pytest.raises(InvalidModel) as exc:
+        small_config(**given)
+    assert str(exc.value) == message
+
+
+def test_unknown_preset_is_refused():
+    with pytest.raises(ValueError, match="unknown preset 'x'"):
+        preset("x")
+
+
 def test_more_data_helps_spectral():
     cfg = small_config(
         n_list=(300, 30_000), T=40, n_test=100, seeds=(0, 1, 2), em_max_n=0

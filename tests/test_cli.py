@@ -143,6 +143,27 @@ def test_infer_short_sequence_exits_two(tmp_path, capsys):
     assert "SequenceTooShort" in err
 
 
+def test_infer_index_prints_what_infer_sequence_prints(tmp_path, capsys):
+    # --index counts sequences, not file lines: the comment and the blank line are skipped
+    data, learned = tmp_path / "d.txt", tmp_path / "s.bin"
+    run(["gen-model", "--no", "3", "--nx", "2", "--nd", "2", "--seed", "4",
+         "-o", str(tmp_path / "m.json")], capsys)
+    run(["gen-data", "--model", str(tmp_path / "m.json"), "-n", "300", "-T", "15",
+         "--seed", "5", "-o", str(data)], capsys)
+    assert run(["learn-spectral", "--data", str(data), "--nx", "2", "--nd", "2",
+                "-o", str(learned)], capsys)[0] == 0
+    rows = data.read_text().splitlines()
+    data.write_text("# scored set\n\n" + "\n".join(rows) + "\n")
+    for i in (0, 3, 299):
+        code, by_index, err = run(["infer", "--model", str(learned), "--data", str(data),
+                                   "--index", str(i)], capsys)
+        assert code == 0, err
+        code, by_text, err = run(["infer", "--model", str(learned), "--sequence", rows[i]],
+                                 capsys)
+        assert code == 0, err
+        assert by_index == by_text and by_index.startswith("log_value=")
+
+
 def test_score_error_names_the_file_line(tmp_path, capsys):
     data = tmp_path / "d.txt"
     learned = tmp_path / "s.bin"
@@ -211,6 +232,30 @@ def test_no_noise_floor_keeps_the_joint_rank(tmp_path, capsys):
         assert code == 0 and out.startswith("scored 4000 sequences"), err
         rows = scores.read_text().splitlines()[1:]
         assert len(rows) == 4000 and "nan" not in "".join(rows)
+
+
+def test_a_floor_build_short_of_the_rtol_rank_is_learned(tmp_path, capsys):
+    # sampling noise puts the 81st singular value of m_lr under rtol * s_1 at
+    # -T 108 (not at -T 100); the floor keeps fewer directions either way
+    model, data = tmp_path / "m.json", tmp_path / "d.txt"
+    learned, scores = tmp_path / "spec.bin", tmp_path / "scores.csv"
+    assert run(["gen-model", "--no", "3", "--nx", "3", "--nd", "27", "--seed", "1",
+                "-o", str(model)], capsys)[0] == 0
+    assert run(["gen-data", "--model", str(model), "-n", "4000", "-T", "108",
+                "--seed", "7", "-o", str(data)], capsys)[0] == 0
+    code, _, err = run(["learn-spectral", "--data", str(data), "--nx", "3", "--nd", "27",
+                        "-o", str(learned)], capsys)
+    assert code == 0, err
+    assert load_observable(learned).rank == 2
+    code, _, err = run(["score", "--model", str(learned), "--data", str(data),
+                        "-o", str(scores)], capsys)
+    assert code == 0, err
+    assert len(scores.read_text().splitlines()) == 4001
+    # without the floor the build is exact, and the short rank is refused
+    code, _, err = run(["learn-spectral", "--no-noise-floor", "--data", str(data),
+                        "--nx", "3", "--nd", "27", "-o", str(learned)], capsys)
+    assert (code, err) == (2, "DegenerateMoments: degenerate moment tensor m_lr: "
+                              "rank 80 < 81 at rtol 1e-06\n")
 
 
 def test_validate_reports_a_nan_entry(tmp_path, capsys):

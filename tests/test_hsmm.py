@@ -22,7 +22,6 @@ from hsmm_spectral.hsmm import (
     random_model,
     renewal_kernel,
     read_sequences,
-    sample,
     sample_many,
     save_model,
     state_update_matrix,
@@ -153,16 +152,13 @@ def test_sampling_refuses_a_table_that_is_not_a_distribution():
         ("pi_x", [2.0], "stochastic[pi_x]"),
     ):
         p = HsmmParams(**{**good, field: table})
-        rng = np.random.default_rng(0)
-        for draw in (lambda: sample_many(p, 2, 5, rng), lambda: sample(p, 5, rng)):
-            with pytest.raises(InvalidModel) as exc:
-                draw()
-            assert str(exc.value) == f"cannot sample from a model that fails {failed}"
+        with pytest.raises(InvalidModel) as exc:
+            sample_many(p, 2, 5, np.random.default_rng(0))
+        assert str(exc.value) == f"cannot sample from a model that fails {failed}"
     # A1 (rank-one X) and A3 (n_x > n_o) fail, and sampling needs neither
     wide = HsmmParams(O=[[1.0, 1.0]], X=[[0.5, 0.5], [0.5, 0.5]], D=[[1.0, 1.0]],
                       pi_x=[0.5, 0.5])
     assert sample_many(wide, 3, 4, np.random.default_rng(0)).shape == (3, 4)
-    assert sample(wide, 4, np.random.default_rng(0)).observations.shape == (4,)
 
 
 def test_shape_mismatch_raised_on_construction():
@@ -201,6 +197,12 @@ def test_random_model_rejects_a3_violation_before_sampling():
         random_model(2, 3, 2, seed=0)
 
 
+@pytest.mark.parametrize("dims", [(3, 0, 2), (3, 2, 0), (0, 0, 2)])
+def test_random_model_refuses_a_size_of_zero(dims):
+    with pytest.raises(InvalidModel, match="dimensions must be positive"):
+        random_model(*dims, seed=0)
+
+
 def test_random_model_deterministic_and_flagged():
     a = random_model(4, 3, 3, seed=7)
     b = random_model(4, 3, 3, seed=7)
@@ -213,28 +215,6 @@ def test_random_model_deterministic_and_flagged():
 def test_random_model_impossible_floor_fails():
     with pytest.raises(GenerationFailed):
         random_model(3, 3, 3, seed=0, min_sigma=0.999)
-
-
-def test_sample_degenerate_single_state():
-    p = HsmmParams(
-        O=np.array([[0.3], [0.7]]),
-        X=np.array([[1.0]]),
-        D=np.array([[1.0]]),
-        pi_x=np.array([1.0]),
-    )
-    seq = sample(p, 20, np.random.default_rng(0))
-    assert all(h == (0, 1) for h in seq.hidden_states)
-    assert seq.observations.shape == (20,)
-
-
-def test_sample_countdown_branch_is_deterministic():
-    p = random_model(4, 2, 4, seed=3)
-    seq = sample(p, 200, np.random.default_rng(5))
-    for (x0, d0), (x1, d1) in zip(seq.hidden_states, seq.hidden_states[1:]):
-        if d0 > 1:
-            assert x1 == x0 and d1 == d0 - 1
-        else:
-            assert 1 <= d1 <= p.n_d
 
 
 def test_sample_many_matches_marginal_statistics():
@@ -257,13 +237,12 @@ def test_sample_many_matches_marginal_statistics():
         assert abs(counts[s] - mix[s] * total) < 3 * sd * math.sqrt(2 * p.n_d)
 
 
-def test_sample_many_refuses_what_sample_refuses():
+def test_sample_many_refuses_a_length_below_one_and_a_negative_count():
     p = random_model(3, 2, 2, seed=13)
-    for n, T, message in ((3, 0, "T must be at least 1"), (-1, 5, "non-negative")):
+    for n, T, message in ((3, 0, "T must be at least 1"), (1, 0, "T must be at least 1"),
+                          (-1, 5, "non-negative")):
         with pytest.raises(InvalidModel, match=message):
             sample_many(p, n, T, np.random.default_rng(0))
-    with pytest.raises(InvalidModel):
-        sample(p, 0, np.random.default_rng(0))
     assert sample_many(p, 0, 5, np.random.default_rng(0)).shape == (0, 5)
 
 
@@ -293,15 +272,11 @@ def test_sample_many_matches_per_step_reference(dims, monkeypatch):
                     want = sample_many_per_step(model, n, T, theirs)
                     assert got.dtype == want.dtype and np.array_equal(got, want), (n, T)
                     assert ours.random() == theirs.random(), (bit_generator, n, T)
-                # sample is the one-row call with its hidden path, and draws
-                # what rng.choice at every step drew
+                # a one-row call draws what rng.choice at every step drew
                 for T in (1, 2, 37, 200):
-                    one, row, ref = (np.random.Generator(bit_generator([T, 1])) for _ in range(3))
-                    got = sample(model, T, one)
-                    assert np.array_equal(got.observations, sample_many(model, 1, T, row)[0])
-                    np.testing.assert_equal(one.bit_generator.state, row.bit_generator.state)
-                    obs, hidden = sample_reference(model, T, ref)
-                    assert np.array_equal(got.observations, obs) and got.hidden_states == hidden
+                    one, ref = (np.random.Generator(bit_generator([T, 1])) for _ in range(2))
+                    got = sample_many(model, 1, T, one)[0]
+                    assert np.array_equal(got, sample_reference(model, T, ref))
                     assert one.random() == ref.random(), (bit_generator, T)
 
 
@@ -379,6 +354,13 @@ def test_forward_trivial_two_step():
     loglik, prob = forward_likelihood(p, [0, 0])
     assert np.isclose(prob, 0.49, rtol=1e-14)
     assert np.isclose(loglik, math.log(0.49), rtol=1e-14)
+
+
+def test_forward_refuses_an_empty_sequence():
+    p = random_model(3, 2, 2, seed=1)
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        with pytest.raises(InvalidModel, match="empty observation sequence"):
+            forward_likelihood(p, empty)
 
 
 def test_forward_matches_enum_small_model():

@@ -65,6 +65,13 @@ def test_schedule_single_state_fallback():
     assert s.right_offsets == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("n_x,n_d", [(0, 2), (2, 0), (-1, 3)])
+def test_build_schedule_refuses_a_size_below_one(n_x, n_d):
+    # with n_x = 0 the search for ell, n_x**(ell - 1) >= n_d, would never end
+    with pytest.raises(InvalidModel, match="n_x and n_d must be positive"):
+        build_schedule(n_x, n_d)
+
+
 def test_schedule_refuses_bad_sizes_and_offsets_by_name():
     # each once failed deep in count_cooccurrences, or was taken silently
     data = np.zeros((3, 20), dtype=np.int64)
@@ -504,6 +511,26 @@ def test_analytic_moments_refuses_anchors_the_horizon_cannot_host(T, anchors, er
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("T,anchors,message", [
+    (12, [3.7], "anchor 3.7 is not an integer"),
+    (12, [3, 4.0], "anchor 4.0 is not an integer"),
+    (12.5, None, "horizon T 12.5 is not an integer"),
+    (np.float64(12), [3], "horizon T 12.0 is not an integer"),
+], ids=["fractional-anchor", "whole-float-anchor", "fractional-T", "float64-T"])
+def test_analytic_moments_refuses_a_horizon_or_anchor_that_is_not_an_integer(
+    T, anchors, message
+):
+    # a fractional anchor built the truncated anchor's moments, and a
+    # fractional T raised a bare TypeError
+    p, sched = random_model(3, 2, 2, seed=1), build_schedule(2, 2)
+    with pytest.raises(InvalidModel) as exc:
+        analytic_moments(p, sched, T, anchors)
+    assert str(exc.value) == message
+    # integer types that are not int pass, and build what int builds
+    m, _ = analytic_moments(p, sched, np.int64(12), [np.int64(3)])
+    assert np.array_equal(m.m_lr, analytic_moments(p, sched, 12, [3])[0].m_lr)
+
+
 def test_analytic_moments_single_state_outer_product():
     p = HsmmParams(
         O=np.array([[0.2], [0.8]]),
@@ -566,7 +593,9 @@ def test_analytic_context_factors():
     sched = build_schedule(2, 3)
     T = sched.min_sequence_length + 3
     m, ctx = analytic_moments(p, sched, T)
-    assert np.allclose(ctx.f_right.data.sum(axis=0), 1.0, atol=1e-12)
+    # f_right is a plain read-only array; the benchmark reads the others' .data
+    assert type(ctx.f_right) is np.ndarray and not ctx.f_right.flags.writeable
+    assert np.allclose(ctx.f_right.sum(axis=0), 1.0, atol=1e-12)
     assert np.allclose(ctx.f_left.data.sum(axis=0), 1.0, atol=1e-12)
     assert len(ctx.k_marginals) == m.window_count
     for kt in ctx.k_marginals:
@@ -579,4 +608,4 @@ def test_analytic_m_lr_rank_is_joint_dimension():
         sched = build_schedule(n_x, n_d)
         m, ctx = analytic_moments(p, sched, sched.min_sequence_length + 4)
         assert numerical_rank(m.m_lr, 1e-10) == n_x * n_d
-        assert numerical_rank(ctx.f_right.data, 1e-10) == n_x * n_d
+        assert numerical_rank(ctx.f_right, 1e-10) == n_x * n_d

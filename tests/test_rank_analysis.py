@@ -61,6 +61,14 @@ def test_efficient_worked_example_3_20():
     assert rep.numerical_rank == 60
 
 
+@pytest.mark.parametrize("compute", [compute_T_sequential, compute_T_efficient])
+def test_t_tables_refuse_ell_below_one(compute):
+    p = random_model(3, 2, 2, seed=6)
+    for ell in (0, -1):
+        with pytest.raises(InvalidModel, match="ell must be at least 1"):
+            compute(p, ell)
+
+
 def test_efficient_tiny_matches_sequential():
     p = random_model(3, 2, 2, seed=6)
     eff = compute_T_efficient(p, 2)

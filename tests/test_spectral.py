@@ -12,6 +12,7 @@ from hsmm_spectral.hsmm import (
     HsmmParams,
     SequenceFile,
     forward_likelihood,
+    forward_loglik_batch,
     random_model,
     sample_many,
     write_sequences,
@@ -35,6 +36,7 @@ from hsmm_spectral.spectral import (
     infer,
     infer_batch,
     infer_per_t,
+    learn_spectral,
     load_observable,
     save_observable,
     score_file,
@@ -1289,6 +1291,28 @@ def test_per_anchor_build_pads_unequal_ranks_like_the_loop():
     assert stack.ranks == [4, 1, 4] and stack.basis.shape == (3, 9, 4)
 
 
+def test_a_floor_build_keeps_its_least_count_below_the_needed_rank():
+    # on this draw the 81st singular value of m_lr falls under rtol * s_1 by
+    # sampling noise, though the floor keeps only two directions
+    p = random_model(3, 3, 27, seed=1)
+    obs = sample_many(p, 4000, 108, np.random.default_rng(7))
+    sched = build_schedule(3, 27)
+    m = estimate_moments(obs, 3, sched)
+    assert numerical_rank(m.m_lr, 1e-6) == 80 < sched.joint_rank == 81
+    model = learn_spectral(obs, 3, sched, 1e-6)
+    assert model.rank == 2
+    assert_same_build(model, build_observable_reference(m, 1e-6, noise_floor=True))
+    # an exact build of the same moments still refuses the short rank
+    with pytest.raises(DegenerateMoments, match=r"rank 80 < 81 at rtol 1e-06"):
+        build_observable(m, 1e-6)
+    # and the model scores held-out rows as close as builds at T = 100..116 do
+    test = sample_many(p, 200, 100, np.random.default_rng(8))
+    results = infer_batch(model, test)
+    kept = [r.sign > 0 for r in results]
+    err = np.abs([r.log_value for r in results] - forward_loglik_batch(p, test))[kept] / 100
+    assert sum(kept) >= 190 and err.mean() < 0.01
+
+
 def test_refusals_match_the_per_matrix_build_and_loop():
     p = random_model(3, 2, 2, seed=64)
     sched = build_schedule(2, 2)
@@ -1300,18 +1324,22 @@ def test_refusals_match_the_per_matrix_build_and_loop():
         (dataclasses.replace(m, m_oo=np.zeros((3, 3))), False),  # a zero pair table
         (dataclasses.replace(m, window_count=1), True),  # every m_lr direction under the floor
         (dataclasses.replace(m, pair_count=1), True),  # every m_oo direction under the floor
+        (m, True),  # an rtol of 1 keeps no direction, whatever the floor
     ]
     messages = []
-    for moments, floor in pooled_cases:
-        got = build_outcome(lambda: build_observable(moments, 1e-6, noise_floor=floor))
+    for (moments, floor), rtol in zip(pooled_cases, [1e-6] * 4 + [1.0]):
+        got = build_outcome(lambda: build_observable(moments, rtol, noise_floor=floor))
         assert_same_build(got, build_outcome(
-            lambda: build_observable_reference(moments, 1e-6, floor)))
+            lambda: build_observable_reference(moments, rtol, floor)))
         messages.append(got[1:])
     assert messages == [
         ("m_lr", None, "degenerate moment tensor m_lr: rank 0 < 4 at rtol 1e-06"),
         ("m_oo", None, "degenerate moment tensor m_oo: zero matrix has no usable pseudo-inverse"),
+        ("m_lr", None, "degenerate moment tensor m_lr: all singular values truncated "
+                       "by the noise floor 2/sqrt(1) = 2"),
+        ("m_oo", None, "degenerate moment tensor m_oo: all singular values truncated "
+                       "by the noise floor 2/sqrt(1) = 2"),
         ("m_lr", None, "degenerate moment tensor m_lr: all singular values truncated"),
-        ("m_oo", None, "degenerate moment tensor m_oo: all singular values truncated"),
     ]
     per_anchor_cases = [
         # rank shortfall at the first anchor

@@ -35,6 +35,12 @@ def test_khatri_rao_basis_columns():
     assert np.array_equal(out, expect)
 
 
+def test_khatri_rao_refuses_a_vector():
+    for a, b in ((np.ones(2), np.eye(2)), (np.eye(2), np.ones(2))):
+        with pytest.raises(ShapeMismatch, match="operands must be matrices"):
+            khatri_rao_cols(a, b)
+
+
 def test_khatri_rao_matches_loop_oracle():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((3, 5))
